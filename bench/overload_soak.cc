@@ -9,8 +9,8 @@
 // invariants, checked at every --jobs count:
 //
 //   1. B's full observable record (packet digests, VPP stats, bus grants,
-//      metrics, trace lane) is BYTE-IDENTICAL across every load factor:
-//      overload of one tenant is invisible to another.
+//      metrics, trace-ring lane) is BYTE-IDENTICAL across every load
+//      factor: overload of one tenant is invisible to another.
 //   2. O's queue occupancy stays under its configured hard bound even at
 //      4x load (bounded queues actually bound).
 //   3. The goodput-vs-offered-load curve never collapses: each point stays
@@ -38,7 +38,7 @@
 #include "src/mgmt/nic_os.h"
 #include "src/net/parser.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
+#include "src/obs/trace_ring.h"
 #include "src/runtime/sweep.h"
 #include "src/runtime/thread_pool.h"
 #include "src/sim/bus.h"
@@ -132,7 +132,7 @@ ScenarioResult RunScenario(size_t load_index, uint64_t seed, uint64_t steps) {
   result.load_pct = kLoadPct[load_index];
   obs::MetricRegistry registry;
   obs::ScopedDefaultRegistry scoped_registry(&registry);
-  obs::TraceLog trace;
+  obs::TraceRing ring;
 
   fault::FaultPlane plane(runtime::DeriveTaskSeed(seed, 1));
   plane.AttachObs(&registry);
@@ -147,6 +147,7 @@ ScenarioResult RunScenario(size_t load_index, uint64_t seed, uint64_t steps) {
   config.dram_bytes = 256ull << 20;
   config.rsa_modulus_bits = 512;
   core::SnicDevice device(config, vendor);
+  device.AttachTraceRing(&ring);
   mgmt::NicOs nic_os(&device);
 
   // O: the tenant under test, fully fenced by the overload plane.
@@ -316,7 +317,6 @@ ScenarioResult RunScenario(size_t load_index, uint64_t seed, uint64_t steps) {
       net::Packet packet = std::move(received).value();
       b_rx_digest.Mix(packet.bytes().data(), packet.size());
       b_rx.Inc();
-      trace.AddComplete("b.process", now, 1, static_cast<uint32_t>(b_id), 0);
       if (device.NfSend(b_id, std::move(packet)).ok()) {
         b_tx.Inc();
       }
@@ -343,8 +343,8 @@ ScenarioResult RunScenario(size_t load_index, uint64_t seed, uint64_t steps) {
   // ---- B's invariant report ----------------------------------------------
   std::string& report = result.b_report;
   const core::VppStats& bs = b_vpp->stats();
-  const bench::LaneDigest b_trace =
-      bench::DigestTraceLane(trace, static_cast<uint32_t>(b_id));
+  const bench::LaneDigest b_ring =
+      bench::DigestRingLane(ring, static_cast<uint32_t>(b_id));
   AppendF(report, "b.nf_id: %" PRIu64 "\n", b_id);
   AppendF(report, "b.rx: %" PRIu64 " digest: %016" PRIx64 "\n", b_rx.value(),
           b_rx_digest.h);
@@ -360,8 +360,8 @@ ScenarioResult RunScenario(size_t load_index, uint64_t seed, uint64_t steps) {
   AppendF(report, "b.bus: %" PRIu64 " digest: %016" PRIx64 "\n", b_bus_grants,
           b_bus_digest.h);
   AppendF(report, "b.metrics: tx=%" PRIu64 "\n", b_tx.value());
-  AppendF(report, "b.trace: %" PRIu64 " digest: %016" PRIx64 "\n",
-          b_trace.count, b_trace.digest);
+  AppendF(report, "b.ring: %" PRIu64 " digest: %016" PRIx64 "\n",
+          b_ring.count, b_ring.digest);
 
   result.o_stats = o_vpp->stats();
   result.chain_stats = chains.link(link.value()).stats();

@@ -1,15 +1,14 @@
-// Shared scaffolding for the differential soaks (chaos_soak, overload_soak,
-// hostile_tenant_soak): the FNV-1a record digest, per-pid trace/ring lane
-// digests, printf-style report building, the common --quick/--jobs/--seed/
-// --out flag set, and the one-line BENCH_*.json verdict writer.
+// Shared scaffolding for the differential sweeps (overload_soak,
+// scenario_matrix): the FNV-1a record digest and ring-lane digest,
+// printf-style report building, the common --quick/--jobs/--seed/--out flag
+// set, and the one-line BENCH_*.json verdict writer.
 //
-// The contract every soak shares: run one constellation through N scenarios
-// from one seed, reduce the protected tenant's full observable record to a
-// byte-comparable report, and emit a single-line JSON verdict whose last
-// field is "pass". Keeping the scaffolding here keeps the three soaks'
-// verdict lines structurally consistent (seed/steps/jobs/quick always
-// present, in that order), which the CI soak jobs' diff normalization
-// relies on.
+// The contract both share: run N scenarios from one seed, reduce the
+// protected tenant's full observable record to a byte-comparable report,
+// and emit a single-line JSON verdict whose last field is "pass". Keeping
+// the scaffolding here keeps the verdict lines structurally consistent
+// (seed/steps/jobs/quick always present, in that order), which the CI
+// jobs' diff normalization relies on.
 
 #ifndef SNIC_BENCH_SOAK_COMMON_H_
 #define SNIC_BENCH_SOAK_COMMON_H_
@@ -23,36 +22,15 @@
 #include <string_view>
 
 #include "bench/bench_util.h"
-#include "src/obs/trace_event.h"
-#include "src/obs/trace_ring.h"
 #include "src/scenario/digest.h"
 
 namespace snic::bench {
 
-// The digest primitives live in src/scenario/digest.h so the declarative
-// scenario runner and the bespoke soaks share one notion of "identical
-// record"; re-exported here to keep the soaks' spelling unchanged.
+// The digest primitives live in src/scenario/digest.h so the scenario
+// runner and the overload soak share one notion of "identical record".
 using Fnv = scenario::Fnv;
 using LaneDigest = scenario::LaneDigest;
 using scenario::DigestRingLane;
-
-// Digest of the TraceLog events on `pid`'s lane (name, ts, dur).
-inline LaneDigest DigestTraceLane(const obs::TraceLog& trace, uint32_t pid) {
-  Fnv fnv;
-  LaneDigest lane;
-  for (const obs::TraceEvent& event : trace.events()) {
-    if (event.pid != pid) {
-      continue;
-    }
-    fnv.Mix(reinterpret_cast<const uint8_t*>(event.name.data()),
-            event.name.size());
-    fnv.Mix64(event.ts);
-    fnv.Mix64(event.dur);
-    ++lane.count;
-  }
-  lane.digest = fnv.h;
-  return lane;
-}
 
 // printf-append for building report/summary strings line by line.
 inline void AppendF(std::string& out, const char* fmt, ...) {
@@ -64,7 +42,7 @@ inline void AppendF(std::string& out, const char* fmt, ...) {
   out += line;
 }
 
-// The flag set every soak accepts: --quick --jobs=N --seed=S --out=FILE.
+// The flag set every sweep accepts: --quick --jobs=N --seed=S --out=FILE.
 struct SoakFlags {
   bool quick = false;
   size_t jobs = 0;     // 0 = serial (MakePool semantics)

@@ -2,7 +2,7 @@
 //
 // The parallel sweep runtime's contract splits shared state into two
 // classes: mutex-guarded registry-level maps (MetricRegistry, ThreadPool's
-// queue) and single-owner values (metric series, TraceLog, FaultPlane,
+// queue) and single-owner values (metric series, TraceRing, FaultPlane,
 // Supervisor). These macros make the first class machine-checked: every
 // guarded field carries SNIC_GUARDED_BY(mu_), every lock-taking function an
 // acquire/release contract, and CI builds the tree with clang's

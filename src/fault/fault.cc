@@ -110,12 +110,6 @@ bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
     if (state.obs_injected != nullptr) {
       state.obs_injected->Inc();
     }
-    if (trace_ != nullptr) {
-      obs::Labels args;
-      args.emplace_back("site", rule.site);
-      trace_->AddInstant("fault", now_, static_cast<uint32_t>(nf_id),
-                         /*tid=*/0, std::move(args));
-    }
     SNIC_TRACE_RING(if (ring_ != nullptr) {
       ring_->EmitInstant(ring_fired_, now_, static_cast<uint32_t>(nf_id),
                          /*tid=*/0, /*span=*/0, state.ring_site,

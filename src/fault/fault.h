@@ -12,9 +12,9 @@
 // rule index), so a decision depends only on the sequence of matching hits
 // at that rule — never on wall clock, thread ids, or interleaving with other
 // sites. A rule scoped to NF A structurally cannot consume randomness or
-// advance counters on NF B's hits, which is what makes the chaos_soak
-// differential isolation invariant (B byte-identical with and without faults
-// in A) provable rather than probabilistic, at every --jobs count.
+// advance counters on NF B's hits, which is what makes the scenario
+// matrix's bystander_identical verdict (B byte-identical with and without
+// faults in A) provable rather than probabilistic, at every --jobs count.
 //
 // Installation is scoped and thread-local (like obs::ScopedDefaultRegistry):
 // with no plane installed every site is one thread-local load plus a null
@@ -34,7 +34,6 @@
 
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
 #include "src/obs/trace_ring.h"
 
 // Injection-site check: true when an installed FaultPlane schedules a fault
@@ -95,7 +94,7 @@ inline constexpr std::string_view kNfLaunch = "snic.nf_launch";
 inline constexpr std::string_view kSupervisorReattest = "supervisor.reattest";
 // NF service loop: a firing hit makes the NF skip its heartbeat and all
 // work this step (a silent hang the watchdog must catch). Consulted by the
-// chaos soak and the scenario runner's workload tenants.
+// scenario runner's workload tenants.
 inline constexpr std::string_view kNfHang = "nf.hang";
 // Internal IO bus: the request is stalled by the rule's stall_cycles
 // payload before arbitration (a modeled timeout).
@@ -154,8 +153,8 @@ struct FaultRule {
 // A seeded, schedule-driven fault injector. Single-threaded like a metric
 // shard: a plane belongs to the scenario (thread) that installed it, so it
 // carries no mutex by design — the single-owner contract is checked by the
-// TSan CI job (chaos_soak runs one plane per parallel scenario), not by
-// clang -Wthread-safety (docs/STATIC_ANALYSIS.md).
+// TSan CI job (scenario_matrix runs one plane per parallel scenario), not
+// by clang -Wthread-safety (docs/STATIC_ANALYSIS.md).
 class FaultPlane {
  public:
   explicit FaultPlane(uint64_t seed) : seed_(seed) {}
@@ -193,12 +192,9 @@ class FaultPlane {
   // the default registry: a plane is an experiment fixture, so its series
   // appear only where the experiment asks for them.
   void AttachObs(obs::MetricRegistry* registry);
-  // Emits one instant event per injected fault at the plane clock, on the
-  // faulted NF's trace lane.
-  void AttachTrace(obs::TraceLog* trace) { trace_ = trace; }
-  // Binary-ring flavour: each injection lands as one fault.fired span
-  // instant whose arg resolves to the rule's site name (interned up front,
-  // so the firing path stays allocation-free).
+  // Each injection lands as one fault.fired span instant at the plane
+  // clock, on the faulted NF's lane, whose arg resolves to the rule's site
+  // name (interned up front, so the firing path stays allocation-free).
   void AttachTraceRing(obs::TraceRing* ring);
 
  private:
@@ -225,7 +221,6 @@ class FaultPlane {
   uint64_t injected_total_ = 0;
   std::vector<RuleState> rules_;
   obs::MetricRegistry* registry_ = nullptr;
-  obs::TraceLog* trace_ = nullptr;
   obs::TraceRing* ring_ = nullptr;
   uint16_t ring_fired_ = 0;
   uint16_t ring_arg_site_ = 0;

@@ -72,33 +72,15 @@ void Supervisor::AttachTraceRing(obs::TraceRing* ring) {
   (void)ring;
 }
 
-void Supervisor::Emit(std::string_view event, const std::string& name,
-                      const Child& child) {
-  if (trace_ != nullptr) {
-    trace_->AddInstant(event, now_, static_cast<uint32_t>(child.nf_id), 0,
-                       {{"nf", name},
-                        {"cause", std::string(CrashCauseName(child.last_cause))}});
-  }
+void Supervisor::Emit(uint16_t event, const Child& child) {
   SNIC_TRACE_RING(if (ring_ != nullptr) {
-    // Event strings here are the registry constants themselves; resolve to
-    // the pre-interned id by identity so the hot path never re-interns.
-    uint16_t id = 0;
-    if (event == obs::spans::kSupervisorCrash) {
-      id = ring_crash_;
-    } else if (event == obs::spans::kSupervisorRestart) {
-      id = ring_restart_;
-    } else if (event == obs::spans::kSupervisorDowngrade) {
-      id = ring_downgrade_;
-    } else if (event == obs::spans::kSupervisorQuarantine) {
-      id = ring_quarantine_;
-    }
-    if (id != 0) {
-      ring_->EmitInstant(
-          id, now_, static_cast<uint32_t>(child.nf_id), /*tid=*/0, /*span=*/0,
-          static_cast<uint64_t>(static_cast<uint8_t>(child.last_cause)),
-          ring_arg_cause_);
-    }
+    ring_->EmitInstant(
+        event, now_, static_cast<uint32_t>(child.nf_id), /*tid=*/0, /*span=*/0,
+        static_cast<uint64_t>(static_cast<uint8_t>(child.last_cause)),
+        ring_arg_cause_);
   });
+  (void)event;
+  (void)child;
 }
 
 Status Supervisor::LaunchChild(const std::string& name, Child& child,
@@ -210,12 +192,11 @@ uint64_t Supervisor::BackoffCycles(uint32_t consecutive_failures) {
   return backoff;
 }
 
-void Supervisor::HandleCrash(const std::string& name, Child& child,
-                             CrashCause cause) {
+void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   ++stats_.crashes;
   SNIC_OBS(if (obs_crashes_ != nullptr) obs_crashes_->Inc());
   child.last_cause = cause;
-  Emit(obs::spans::kSupervisorCrash, name, child);
+  Emit(ring_crash_, child);
 
   // The instance is gone as far as the tenant is concerned; reclaim its
   // resources through the trusted teardown path. Failure just means the
@@ -239,7 +220,7 @@ void Supervisor::HandleCrash(const std::string& name, Child& child,
       child.degraded = true;
       ++stats_.accel_downgrades;
       SNIC_OBS(if (obs_downgrades_ != nullptr) obs_downgrades_->Inc());
-      Emit(obs::spans::kSupervisorDowngrade, name, child);
+      Emit(ring_downgrade_, child);
     }
   }
 
@@ -247,7 +228,7 @@ void Supervisor::HandleCrash(const std::string& name, Child& child,
     child.health = NfHealth::kQuarantined;
     ++stats_.quarantines;
     SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
-    Emit(obs::spans::kSupervisorQuarantine, name, child);
+    Emit(ring_quarantine_, child);
     return;
   }
   child.health = NfHealth::kRestarting;
@@ -259,7 +240,7 @@ void Supervisor::ReportCrash(const std::string& name, CrashCause cause) {
   if (it == children_.end() || it->second.health != NfHealth::kRunning) {
     return;
   }
-  HandleCrash(name, it->second, cause);
+  HandleCrash(it->second, cause);
 }
 
 void Supervisor::Tick(uint64_t now_cycles) {
@@ -271,7 +252,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
       if (child.health == NfHealth::kRunning &&
           now_ - child.last_heartbeat > config_.watchdog_timeout_cycles) {
         ++stats_.watchdog_timeouts;
-        HandleCrash(name, child, CrashCause::kWatchdog);
+        HandleCrash(child, CrashCause::kWatchdog);
       }
     }
   }
@@ -311,7 +292,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
         child.health = NfHealth::kQuarantined;
         ++stats_.quarantines;
         SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
-        Emit(obs::spans::kSupervisorQuarantine, name, child);
+        Emit(ring_quarantine_, child);
       } else {
         child.restart_due = now_ + BackoffCycles(child.consecutive_failures);
       }
@@ -322,7 +303,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
     child.last_heartbeat = now_;
     ++stats_.restarts;
     SNIC_OBS(if (obs_restarts_ != nullptr) obs_restarts_->Inc());
-    Emit(obs::spans::kSupervisorRestart, name, child);
+    Emit(ring_restart_, child);
     if (restart_callback_) {
       restart_callback_(name, old_id, child.nf_id);
     }

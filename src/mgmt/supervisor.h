@@ -16,7 +16,7 @@
 // restart/quarantine schedule — chaos runs replay bit-for-bit.
 //
 // Threading: a Supervisor is SINGLE-OWNER — it lives on its scenario's
-// thread beside the FaultPlane and the scenario's TraceLog, and carries no
+// thread beside the FaultPlane and the scenario's TraceRing, and carries no
 // mutex (a lock here would serialize independent scenarios for nothing).
 // The contract is checked dynamically by the TSan CI job; the mutex-guarded
 // classes are covered statically by clang -Wthread-safety
@@ -36,7 +36,6 @@
 #include "src/crypto/keys.h"
 #include "src/mgmt/nic_os.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
 #include "src/obs/trace_ring.h"
 
 namespace snic::mgmt {
@@ -155,15 +154,13 @@ class Supervisor {
     restart_callback_ = std::move(callback);
   }
 
-  // Publishes `mgmt.supervisor.*` counters / emits instant events on the
-  // child's trace lane for crash, restart and quarantine transitions.
+  // Publishes `mgmt.supervisor.*` counters for crash, restart, downgrade
+  // and quarantine transitions.
   void AttachObs(obs::MetricRegistry* registry);
-  void AttachTrace(obs::TraceLog* trace) { trace_ = trace; }
 
-  // Binary-ring flavour of AttachTrace: crash/restart/downgrade/quarantine
-  // land as fixed-size supervisor.* span instants on the crashed child's
-  // lane (arg = crash-cause ordinal), so forensics can correlate recovery
-  // with the victim's packet spans without parsing JSON.
+  // Crash/restart/downgrade/quarantine land as fixed-size supervisor.* span
+  // instants on the crashed child's lane (arg = crash-cause ordinal), so
+  // forensics can correlate recovery with the victim's packet spans.
   void AttachTraceRing(obs::TraceRing* ring);
 
  private:
@@ -186,10 +183,11 @@ class Supervisor {
   // schedules can fail exactly the Nth re-attestation.
   Status LaunchChild(const std::string& name, Child& child, uint64_t attempt);
   // Shared crash path for ReportCrash and watchdog expiry.
-  void HandleCrash(const std::string& name, Child& child, CrashCause cause);
+  void HandleCrash(Child& child, CrashCause cause);
   uint64_t BackoffCycles(uint32_t consecutive_failures);
-  void Emit(std::string_view event, const std::string& name,
-            const Child& child);
+  // One supervisor.* instant (`event` = its interned ring id) on the
+  // child's lane; a no-op until a ring is attached.
+  void Emit(uint16_t event, const Child& child);
 
   NicOs* nic_os_;
   crypto::RsaPublicKey vendor_key_;
@@ -201,7 +199,6 @@ class Supervisor {
   uint64_t restart_queue_peak_ = 0;
   std::map<std::string, Child> children_;  // ordered: deterministic scans
   RestartCallback restart_callback_;
-  obs::TraceLog* trace_ = nullptr;
   obs::TraceRing* ring_ = nullptr;
   uint16_t ring_crash_ = 0;
   uint16_t ring_restart_ = 0;

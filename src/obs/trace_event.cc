@@ -54,17 +54,6 @@ void TraceLog::SetThreadName(uint32_t pid, uint32_t tid,
                                  std::string(name)});
 }
 
-void TraceLog::Clear() {
-  events_.clear();
-  lane_names_.clear();
-}
-
-void TraceLog::Append(const TraceLog& other) {
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  lane_names_.insert(lane_names_.end(), other.lane_names_.begin(),
-                     other.lane_names_.end());
-}
-
 std::string TraceLog::ToJson() const {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
@@ -133,26 +122,5 @@ Status TraceLog::WriteFile(const std::string& path) const {
   }
   return OkStatus();
 }
-
-ScopedSpan::ScopedSpan(TraceLog* log, std::string_view name, uint32_t pid,
-                       uint32_t tid, const uint64_t* cycle_clock)
-    : log_(log),
-      name_(name),
-      pid_(pid),
-      tid_(tid),
-      cycle_clock_(cycle_clock),
-      start_(*cycle_clock) {}
-
-void ScopedSpan::End() {
-  if (ended_) {
-    return;
-  }
-  ended_ = true;
-  const uint64_t now = *cycle_clock_;
-  log_->AddComplete(name_, start_, now >= start_ ? now - start_ : 0, pid_,
-                    tid_);
-}
-
-ScopedSpan::~ScopedSpan() { End(); }
 
 }  // namespace snic::obs

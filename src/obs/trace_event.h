@@ -8,16 +8,10 @@
 // so a whole Fig. 5 replay can be opened in Perfetto and the FCFS-vs-temporal
 // bus schedules *seen* side by side.
 //
-// The log is an append-only vector; recording a span is one emplace_back
-// (no I/O, no locking). Serialization happens once at the end of a run.
-//
-// Threading: a TraceLog is SINGLE-OWNER — it belongs to the scenario/task
-// that records into it, and per-task logs are stitched together with
-// Append() on the joining thread (src/runtime/sweep.cc). There is
-// deliberately no mutex (appending is on the <2% obs-overhead hot path);
-// the contract is enforced dynamically by the TSan CI job rather than by
-// clang -Wthread-safety, which covers the mutex-guarded classes
-// (docs/STATIC_ANALYSIS.md).
+// Instrumented code never records into a TraceLog: it emits into the
+// binary TraceRing (trace_ring.h), and TraceRing::ConvertTo() replays a
+// finished ring into a TraceLog, which renders the JSON. The log is a plain
+// append-only vector, SINGLE-OWNER like the ring it is built from.
 
 #ifndef SNIC_OBS_TRACE_EVENT_H_
 #define SNIC_OBS_TRACE_EVENT_H_
@@ -62,12 +56,6 @@ class TraceLog {
   size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   const std::vector<TraceEvent>& events() const { return events_; }
-  void Clear();
-
-  // Appends another log's events and lane names in their recorded order.
-  // Used by the parallel sweep runtime to stitch per-task logs together in
-  // task-index order, reproducing the single serial log byte-for-byte.
-  void Append(const TraceLog& other);
 
   // {"traceEvents":[...]} with metadata ('M') records first.
   std::string ToJson() const;
@@ -83,31 +71,6 @@ class TraceLog {
 
   std::vector<TraceEvent> events_;
   std::vector<LaneName> lane_names_;
-};
-
-// RAII complete-span over a caller-owned simulated clock: reads *cycle_clock
-// at construction and again at destruction (or End()). Pass the address of
-// the cycle counter the instrumented code advances.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceLog* log, std::string_view name, uint32_t pid, uint32_t tid,
-             const uint64_t* cycle_clock);
-  ~ScopedSpan();
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  // Emits the span early; the destructor then does nothing.
-  void End();
-
- private:
-  TraceLog* log_;
-  std::string name_;
-  uint32_t pid_;
-  uint32_t tid_;
-  const uint64_t* cycle_clock_;
-  uint64_t start_;
-  bool ended_ = false;
 };
 
 }  // namespace snic::obs

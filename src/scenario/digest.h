@@ -1,11 +1,11 @@
-// Record digesting shared by the scenario runner and the differential
-// soaks (bench/soak_common.h re-exports these into snic::bench).
+// Record digesting shared by the scenario runner and bench/overload_soak
+// (bench/soak_common.h re-exports these into snic::bench).
 //
 // The byte-identity verdicts all reduce a tenant's observable record —
-// packet bytes, bus grant times, stat words, trace-lane spans — to FNV-1a
-// digests and compare those. Keeping the digest primitives here (the lowest
-// scenario-layer header, no deps beyond obs) gives the bespoke soaks and
-// the declarative runner the same notion of "identical record".
+// packet bytes, bus grant times, stat words, trace-ring lane spans — to
+// FNV-1a digests and compare those. Keeping the digest primitives here (the
+// lowest scenario-layer header, no deps beyond obs) gives the runner and
+// the overload soak the same notion of "identical record".
 
 #ifndef SNIC_SCENARIO_DIGEST_H_
 #define SNIC_SCENARIO_DIGEST_H_

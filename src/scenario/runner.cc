@@ -69,7 +69,7 @@ mgmt::FunctionImage MakeImage(const TenantSpec& tenant) {
 }
 
 // Encodes a block of in-order RX descriptors continuing at `posted_total`
-// (the hostile soak's refill idiom).
+// (how a well-behaved tenant refills its ring).
 std::vector<uint8_t> RefillBlock(uint64_t posted_total, uint32_t count,
                                  uint32_t ring_slots, uint16_t buffer_len) {
   std::vector<core::vnic::RxDescriptor> batch;
@@ -127,7 +127,8 @@ struct TenantState {
 
 }  // namespace
 
-RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
+RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
+                           obs::TraceRing* ring_out) {
   RunResult result;
   const size_t n = spec.tenants.size();
   result.tenants.resize(n);
@@ -273,7 +274,7 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
   });
 
   // The spec's fault schedule, installed after setup (skip/count windows
-  // start from here, matching the soaks' install-after-adopt discipline).
+  // start from here, so adoption launches never consume a rule's hits).
   for (const FaultRuleSpec& r : spec.faults) {
     fault::FaultRule rule;
     rule.site = r.site;
@@ -338,7 +339,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
   };
 
   uint64_t offered_acc = 0;
-  uint64_t accel_frames = 0, software_frames = 0;
 
   for (uint64_t step = 0; step < spec.steps; ++step) {
     const uint64_t now = (step + 1) * cps;
@@ -518,13 +518,8 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
             break;
           }
           if (gate != nullptr && cluster >= 0) {
-            const auto access = gate->Dispatch(
-                zip, static_cast<uint32_t>(cluster), 0x1000, false, now);
-            if (access.ok()) {
-              ++accel_frames;
-            } else {
-              ++software_frames;
-            }
+            (void)gate->Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000,
+                                 false, now);
           }
           if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
             ++ts.tx_rejected;
@@ -702,11 +697,12 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed) {
       result.queue_peak_bytes = vpp->stats().rx_peak_bytes;
     }
   }
-  (void)accel_frames;
-  (void)software_frames;
   result.supervisor = supervisor.stats();
   result.restart_queue_peak = supervisor.restart_queue_peak();
   result.faults_injected = plane.injected_total();
+  if (ring_out != nullptr) {
+    *ring_out = std::move(ring);
+  }
   return result;
 }
 
@@ -717,7 +713,9 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
   std::string& detail = verdict.detail;
 
   const RunResult subject = RunConstellation(spec, seed);
-  const bool needs_baseline = v.bystander_identical || v.goodput_floor_pct > 0;
+  const bool needs_baseline = v.bystander_identical ||
+                              v.goodput_floor_pct > 0 ||
+                              !v.detect_abuse.empty();
   RunResult baseline;
   if (needs_baseline) {
     baseline = RunConstellation(BaselineTwin(spec), seed);
@@ -809,13 +807,27 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
           "peak=" + std::to_string(subject.queue_peak_frames) + "/" +
               std::to_string(cap));
   }
+  // Detection counts only when it is specific: the subject flagged no
+  // well-behaved VF, and the attack-free twin flagged and crashed nothing.
+  uint64_t twin_flags = 0;
+  for (const uint64_t reports : baseline.abuse_reports) {
+    twin_flags += reports;
+  }
+  const bool detector_clean = subject.false_abuse_flags == 0 &&
+                              twin_flags == 0 &&
+                              baseline.supervisor.crashes == 0;
+  const std::string clean_why =
+      "false_flags=" + std::to_string(subject.false_abuse_flags) +
+      ",twin_flags=" + std::to_string(twin_flags) +
+      ",twin_crashes=" + std::to_string(baseline.supervisor.crashes);
   for (const std::string& kind : v.detect_abuse) {
     const int ordinal = kind == "flood"   ? 0
                         : kind == "squat" ? 1
                         : kind == "desc"  ? 2
                                           : 3;
-    check(("detect_abuse:" + kind).c_str(),
-          subject.abuse_reports[ordinal] > 0);
+    const bool detected = subject.abuse_reports[ordinal] > 0;
+    check(("detect_abuse:" + kind).c_str(), detected && detector_clean,
+          detected ? clean_why : "");
   }
   if (detail.empty()) {
     detail = "no-predicates";

@@ -3,14 +3,14 @@
 // the overload plane and the temporal-partition bus — and evaluates the
 // spec's verdict predicates.
 //
-// RunConstellation is the generic step loop the three bespoke soaks
-// specialize by hand: per-tenant roles pick behavior (workload = chaos
-// victim with DMA/accel crash reporting; bystander = poll/digest/echo with
-// the full observable record; attacker = hostile VF moves), the overload
-// section drives an offered-load accumulator at the target, and the fault
-// schedule is installed verbatim. Everything is seeded through
-// runtime::DeriveTaskSeed lanes exactly like the soaks, so a (spec, seed)
-// pair replays bit-for-bit at any --jobs count.
+// RunConstellation is the one generic step loop for every robustness
+// scenario: per-tenant roles pick behavior (workload = chaos victim with
+// DMA/accel crash reporting; bystander = poll/digest/echo with the full
+// observable record; attacker = hostile VF moves), the overload section
+// drives an offered-load accumulator at the target, and the fault schedule
+// is installed verbatim. Everything is seeded through
+// runtime::DeriveTaskSeed lanes, so a (spec, seed) pair replays bit-for-bit
+// at any --jobs count.
 //
 // EvaluateScenario runs the subject spec, runs the stripped BaselineTwin
 // when a differential predicate needs it, and reduces both to a one-line
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/mgmt/supervisor.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/spec.h"
 
 namespace snic::scenario {
@@ -63,8 +64,12 @@ struct RunResult {
 };
 
 // Runs `spec` to completion from `seed`. Deterministic: same (spec, seed)
-// always produces the same RunResult, on any thread.
-RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed);
+// always produces the same RunResult, on any thread. With `ring_out` set,
+// the run's trace ring (device, vNIC front-end, Supervisor and fault-plane
+// spans) is moved into it at the end, for tools/snic_trace forensics;
+// otherwise it is dropped with the run.
+RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
+                           obs::TraceRing* ring_out = nullptr);
 
 // One scenario's verdict. `detail` lists every evaluated predicate as
 // name=ok or name=FAIL(reason), space-separated — a spec with no predicates
@@ -75,9 +80,9 @@ struct ScenarioVerdict {
   std::string detail;
 };
 
-// Runs the subject spec (and the BaselineTwin when bystander_identical or
-// goodput_floor_pct needs a differential), then checks every predicate in
-// spec.verdicts.
+// Runs the subject spec (and the BaselineTwin when bystander_identical,
+// goodput_floor_pct or detect_abuse needs a differential), then checks
+// every predicate in spec.verdicts.
 ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed);
 
 // The frame geometry the runner's traffic generator uses: 54-byte headers

@@ -1,7 +1,7 @@
 // Declarative chaos-scenario spec (docs/ROBUSTNESS.md, scenario matrix).
 //
-// A scenario composes, as data, everything the three bespoke soaks
-// hard-code: a constellation of tenant NFs (roles, ports, accelerator and
+// A scenario composes, as data, everything a differential robustness run
+// needs: a constellation of tenant NFs (roles, ports, accelerator and
 // DMA placement, bus domains, per-VF vNIC attachment), workload parameters,
 // a fault schedule over the registered fault sites (including correlated
 // multi-site bursts and crash-during-recovery rules that fire inside the

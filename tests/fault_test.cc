@@ -10,7 +10,8 @@
 #include "src/core/vpp.h"
 #include "src/fault/fault.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
+#include "src/obs/span_names.h"
+#include "src/obs/trace_ring.h"
 #include "src/sim/bus.h"
 
 namespace snic::fault {
@@ -131,7 +132,8 @@ TEST(FaultPlaneTest, RetargetRulesFollowsNf) {
   EXPECT_TRUE(plane.Fires("unit.site", 9));   // counter carried over
 }
 
-// The structural isolation property behind bench/chaos_soak: a rule scoped
+// The structural isolation property behind the scenario matrix's
+// bystander_identical verdict: a rule scoped
 // to NF 1 must produce the same decision sequence for NF 1 regardless of how
 // many NF-2 hits are interleaved, and must never fire for NF 2.
 TEST(FaultPlaneTest, DifferentialIsolationAcrossNfs) {
@@ -173,10 +175,10 @@ TEST(FaultPlaneTest, ScopedInstallationNests) {
 
 TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
   obs::MetricRegistry registry;
-  obs::TraceLog trace;
+  obs::TraceRing ring;
   FaultPlane plane(1);
   plane.AttachObs(&registry);
-  plane.AttachTrace(&trace);
+  plane.AttachTraceRing(&ring);
   FaultRule rule;
   rule.site = "unit.site";
   rule.nf_id = 3;
@@ -192,10 +194,23 @@ TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
       "fault.injected", {{"site", "unit.site"}, {"nf", "3"}});
   ASSERT_NE(injected, nullptr);
   EXPECT_EQ(injected->value(), 2u);
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace.events()[0].name, "fault");
-  EXPECT_EQ(trace.events()[0].ts, 500u);
-  EXPECT_EQ(trace.events()[0].pid, 3u);
+#ifndef SNIC_OBS_DISABLED
+  // One fault.fired instant per injection, on the faulted NF's lane, whose
+  // arg names the rule's site.
+  ASSERT_EQ(ring.size(), 2u);
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const obs::TraceRecord& r = ring.record(i);
+    EXPECT_EQ(ring.NameOf(r.name), obs::spans::kFaultFired);
+    EXPECT_EQ(r.kind, obs::TraceRecord::kInstant);
+    EXPECT_EQ(r.ts, 500u);
+    EXPECT_EQ(r.pid, 3u);
+    EXPECT_EQ(ring.NameOf(r.arg_name), obs::spans::kArgSite);
+    ASSERT_EQ(r.arg_is_name, 1u);
+    EXPECT_EQ(ring.NameOf(static_cast<uint16_t>(r.arg)), "unit.site");
+  }
+#else
+  EXPECT_TRUE(ring.empty());
+#endif
 }
 
 TEST(FaultPlaneTest, ClockIsMonotonic) {

@@ -198,19 +198,6 @@ TEST(TraceLog, EventsSerializeToValidJson) {
   EXPECT_TRUE(saw_span);
 }
 
-TEST(TraceLog, ScopedSpanReadsTheSimulatedClock) {
-  TraceLog log;
-  uint64_t cycles = 1000;
-  {
-    ScopedSpan span(&log, "work", 3, 1, &cycles);
-    cycles += 250;
-  }
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.events()[0].ts, 1000u);
-  EXPECT_EQ(log.events()[0].dur, 250u);
-  EXPECT_EQ(log.events()[0].pid, 3u);
-}
-
 // End-to-end: a small two-core replay must publish per-core cache counters,
 // per-domain bus histograms, and a trace whose spans never overlap within
 // one (pid, tid) lane. Skipped in -DSNIC_OBS_DISABLED builds, where the

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,34 @@ TEST(ScenarioRunnerTest, VerdictsPassAcrossFamilies) {
     EXPECT_TRUE(verdict.pass) << spec.name << ": " << verdict.detail;
     EXPECT_FALSE(verdict.detail.empty()) << spec.name;
   }
+}
+
+TEST(ScenarioRunnerTest, AttackedVictimWaitStaysBoundedAndUnflagged) {
+  // Family e: under every attack shape and intensity the victim VF's worst
+  // descriptor-to-delivery wait stays within 10 steps, and the detector
+  // never flags the victim.
+  size_t checked = 0;
+  for (const ScenarioSpec& spec : GenerateScenarios(kSeed)) {
+    if (spec.name.rfind("e/", 0) != 0) {
+      continue;
+    }
+    const uint64_t bound = 10 * spec.cycles_per_step;
+    const RunResult run = RunConstellation(spec, kSeed);
+    EXPECT_EQ(run.false_abuse_flags, 0u) << spec.name;
+    for (size_t i = 0; i < spec.tenants.size(); ++i) {
+      if (spec.tenants[i].role != TenantRole::kBystander) {
+        continue;
+      }
+      const std::string& report = run.tenants[i].report;
+      const size_t at = report.find(" max_wait=");
+      ASSERT_NE(at, std::string::npos) << spec.name << "\n" << report;
+      const uint64_t max_wait =
+          std::stoull(report.substr(at + std::strlen(" max_wait=")));
+      EXPECT_LE(max_wait, bound) << spec.name;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 36u);  // four attack shapes x nine intensities
 }
 
 TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {

@@ -9,6 +9,8 @@
 #include "src/fault/fault.h"
 #include "src/mgmt/supervisor.h"
 #include "src/mgmt/verifier.h"
+#include "src/obs/span_names.h"
+#include "src/obs/trace_ring.h"
 
 namespace snic::mgmt {
 namespace {
@@ -92,6 +94,8 @@ TEST_F(SupervisorTest, AdoptLaunchesMeasuresAndAttests) {
 
 TEST_F(SupervisorTest, CrashRestartsWithBackoffAndFreshAttestation) {
   Supervisor supervisor = MakeSupervisor(SupConfig());
+  obs::TraceRing ring;
+  supervisor.AttachTraceRing(&ring);
   const auto id = supervisor.Adopt(SimpleImage("fw"));
   ASSERT_TRUE(id.ok());
 
@@ -114,6 +118,29 @@ TEST_F(SupervisorTest, CrashRestartsWithBackoffAndFreshAttestation) {
   EXPECT_EQ(supervisor.stats().crashes, 1u);
   EXPECT_EQ(supervisor.stats().restarts, 1u);
   EXPECT_EQ(supervisor.stats().reattestations, 2u);  // adopt + restart
+
+#ifndef SNIC_OBS_DISABLED
+  // The ring holds the crash instant on the crashed instance's lane, then
+  // the restart instant on the relaunched instance's lane, both carrying
+  // the crash cause.
+  ASSERT_EQ(ring.size(), 2u);
+  const obs::TraceRecord& crash = ring.record(0);
+  const obs::TraceRecord& restart = ring.record(1);
+  EXPECT_EQ(ring.NameOf(crash.name), obs::spans::kSupervisorCrash);
+  EXPECT_EQ(crash.kind, obs::TraceRecord::kInstant);
+  EXPECT_EQ(crash.pid, id.value());
+  EXPECT_EQ(crash.ts, 100u);
+  EXPECT_EQ(ring.NameOf(restart.name), obs::spans::kSupervisorRestart);
+  EXPECT_EQ(restart.kind, obs::TraceRecord::kInstant);
+  EXPECT_EQ(restart.pid, new_id.value());
+  EXPECT_GT(restart.ts, crash.ts);
+  for (const obs::TraceRecord* r : {&crash, &restart}) {
+    EXPECT_EQ(ring.NameOf(r->arg_name), obs::spans::kArgCause);
+    EXPECT_EQ(r->arg, static_cast<uint64_t>(CrashCause::kGeneric));
+  }
+#else
+  EXPECT_TRUE(ring.empty());
+#endif
 }
 
 TEST_F(SupervisorTest, RestartSequenceIsSeedDeterministic) {

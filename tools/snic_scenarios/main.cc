@@ -4,6 +4,12 @@
 //   snic_scenarios validate FILE...        decode-or-reject each spec file;
 //                                          exit 1 on the first rejection
 //   snic_scenarios run [--seed=S] FILE...  run each spec's verdict predicates
+//   snic_scenarios run [--seed=S] --forensics-out=PREFIX FILE
+//                                          also write the subject's and the
+//                                          baseline twin's trace rings to
+//                                          PREFIX.subject.bin and
+//                                          PREFIX.baseline.bin, for
+//                                          `snic_trace forensics`
 //   snic_scenarios generate [--seed=S] [--name=SUBSTR] [--list]
 //                                          emit generated specs as JSON
 //                                          (--list prints names only)
@@ -17,9 +23,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
@@ -31,6 +39,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage: snic_scenarios validate FILE...\n"
                "       snic_scenarios run [--seed=S] FILE...\n"
+               "       snic_scenarios run [--seed=S] --forensics-out=PREFIX "
+               "FILE\n"
                "       snic_scenarios generate [--seed=S] [--name=SUBSTR] "
                "[--list]\n");
   return 2;
@@ -115,9 +125,30 @@ int Validate(int argc, char** argv) {
   return 0;
 }
 
+// Runs the spec and its BaselineTwin again, keeping each run's trace ring,
+// and writes them as PREFIX.subject.bin / PREFIX.baseline.bin.
+bool WriteForensics(const scenario::ScenarioSpec& spec, uint64_t seed,
+                    const std::string& prefix) {
+  const std::pair<const char*, scenario::ScenarioSpec> runs[] = {
+      {".subject.bin", spec}, {".baseline.bin", scenario::BaselineTwin(spec)}};
+  for (const auto& [suffix, run_spec] : runs) {
+    obs::TraceRing ring;
+    scenario::RunConstellation(run_spec, seed, &ring);
+    const std::string path = prefix + suffix;
+    const Status s = ring.WriteBinaryFile(path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(), s.ToString().c_str());
+      return false;
+    }
+    std::fprintf(stderr, "Wrote %s\n", path.c_str());
+  }
+  return true;
+}
+
 int Run(int argc, char** argv) {
   const std::vector<std::string> files = FileArgs(argc, argv);
-  if (files.empty()) {
+  const std::string forensics_out = FlagValue(argc, argv, "--forensics-out");
+  if (files.empty() || (!forensics_out.empty() && files.size() != 1)) {
     return Usage();
   }
   const std::string seed_flag = FlagValue(argc, argv, "--seed");
@@ -145,6 +176,10 @@ int Run(int argc, char** argv) {
     std::printf("%s  %-44s %s\n", verdict.pass ? "PASS" : "FAIL",
                 spec.value().name.c_str(), verdict.detail.c_str());
     all_pass &= verdict.pass;
+    if (!forensics_out.empty() &&
+        !WriteForensics(spec.value(), seed, forensics_out)) {
+      all_pass = false;
+    }
   }
   return all_pass ? 0 : 1;
 }
