@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -139,6 +140,10 @@ struct ZipCase {
   double entropy;       // 0 = repeating text, 1 = random bytes
   size_t length;
 };
+
+// Print the case by name: gtest's default byte dump would put the address of
+// `name` into the listed test name, which then changes with every build.
+void PrintTo(const ZipCase& c, std::ostream* os) { *os << c.name; }
 
 class ZipRoundTripTest : public ::testing::TestWithParam<ZipCase> {};
 

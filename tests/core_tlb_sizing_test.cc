@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/units.h"
 #include "src/core/tlb_sizing.h"
 
@@ -19,6 +21,10 @@ struct Table6Row {
   // two rows land one off under exact arithmetic.
   uint64_t flex_low_slack;
 };
+
+// Print the row by name: gtest's default byte dump would put the address of
+// `nf` into the listed test name, which then changes with every build.
+void PrintTo(const Table6Row& row, std::ostream* os) { *os << row.nf; }
 
 class Table6Test : public ::testing::TestWithParam<Table6Row> {};
 
