@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/soak_common.h"
 #include "src/common/status.h"
 #include "src/runtime/sweep.h"
 #include "src/runtime/thread_pool.h"
@@ -40,8 +39,6 @@
 
 namespace snic {
 namespace {
-
-using bench::AppendF;
 
 // One sweep entry: either a decoded spec or the decode rejection that
 // stands in for it (still producing a verdict line).
@@ -115,13 +112,17 @@ std::vector<Entry> LoadCurated(const std::string& dir) {
 int main(int argc, char** argv) {
   using namespace snic;
 
-  bench::SoakFlags flags = bench::ParseSoakFlags(
-      argc, argv, /*default_seed=*/0x5ce9a21ull, /*quick_steps=*/0,
-      /*full_steps=*/0);
+  const bool quick = bench::QuickMode(argc, argv);
+  const size_t jobs = bench::JobsFlag(argc, argv);
+  const std::string seed_flag = bench::FlagValue(argc, argv, "--seed");
+  const uint64_t seed = seed_flag.empty()
+                            ? 0x5ce9a21ull
+                            : std::strtoull(seed_flag.c_str(), nullptr, 10);
+  const std::string out_flag = bench::FlagValue(argc, argv, "--out");
   const std::string limit_flag = bench::FlagValue(argc, argv, "--limit");
   const std::string specs_dir = bench::FlagValue(argc, argv, "--specs");
   // --quick is a 32-scenario smoke; --limit overrides it explicitly.
-  uint64_t limit = flags.quick ? 32 : 0;
+  uint64_t limit = quick ? 32 : 0;
   if (!limit_flag.empty()) {
     limit = std::strtoull(limit_flag.c_str(), nullptr, 10);
   }
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   std::vector<Entry> entries;
   {
     std::vector<scenario::ScenarioSpec> generated =
-        scenario::GenerateScenarios(flags.seed);
+        scenario::GenerateScenarios(seed);
     entries.reserve(generated.size() + 32);
     for (auto& spec : generated) {
       Entry entry;
@@ -161,12 +162,8 @@ int main(int argc, char** argv) {
     }
     entries = std::move(sampled);
   }
-  // Record the sweep size in the verdict's steps field (the flag set has no
-  // per-scenario step count here; each spec carries its own).
-  flags.steps = entries.size();
-
   std::printf("seed: %" PRIu64 "  scenarios: %zu (of %zu available)\n\n",
-              flags.seed, entries.size(), total_available);
+              seed, entries.size(), total_available);
 
   struct Outcome {
     bool pass = false;
@@ -174,7 +171,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Outcome> outcomes(entries.size());
   {
-    auto pool = bench::MakePool(flags.jobs);
+    auto pool = bench::MakePool(jobs);
     runtime::ParallelFor(pool.get(), entries.size(), [&](size_t task) {
       const Entry& entry = entries[task];
       Outcome& outcome = outcomes[task];
@@ -186,7 +183,7 @@ int main(int argc, char** argv) {
         return;
       }
       const scenario::ScenarioVerdict verdict = scenario::EvaluateScenario(
-          entry.spec, runtime::DeriveTaskSeed(flags.seed, task));
+          entry.spec, runtime::DeriveTaskSeed(seed, task));
       outcome.pass = verdict.pass;
       outcome.line = verdict.detail;
     });
@@ -201,8 +198,7 @@ int main(int argc, char** argv) {
     if (outcome.pass) {
       ++passed;
     } else {
-      AppendF(failures, "%s\"%s\"", failed == 0 ? "" : ",",
-              entries[i].name.c_str());
+      failures += (failed == 0 ? "\"" : ",\"") + entries[i].name + "\"";
       ++failed;
     }
   }
@@ -212,14 +208,26 @@ int main(int argc, char** argv) {
   std::printf("%s\n", pass ? "SCENARIO MATRIX PASSED"
                            : "SCENARIO MATRIX FAILED");
 
-  bench::VerdictJson verdict("scenario_matrix", flags);
-  verdict.AddU64("scenarios", entries.size());
-  verdict.AddU64("available", total_available);
-  verdict.AddU64("passed", passed);
-  verdict.AddU64("failed", failed);
-  verdict.AddRaw("failures", failures);
-  if (!verdict.Write(pass)) {
+  // One-line JSON verdict. "steps" records the sweep size (each spec
+  // carries its own step count). The path note goes to stderr, so stdout
+  // stays byte-identical across runs that differ only in --out, which CI
+  // diffs serial-vs-parallel.
+  const std::string path =
+      out_flag.empty() ? "BENCH_scenario_matrix.json" : out_flag;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
+  std::fprintf(f,
+               "{\"bench\":\"scenario_matrix\",\"seed\":%" PRIu64
+               ",\"steps\":%zu,\"jobs\":%zu,\"quick\":%s,\"scenarios\":%zu"
+               ",\"available\":%zu,\"passed\":%zu,\"failed\":%zu"
+               ",\"failures\":%s,\"pass\":%s}\n",
+               seed, entries.size(), jobs, quick ? "true" : "false",
+               entries.size(), total_available, passed, failed,
+               failures.c_str(), pass ? "true" : "false");
+  std::fclose(f);
+  std::fprintf(stderr, "Wrote %s\n", path.c_str());
   return pass ? 0 : 1;
 }

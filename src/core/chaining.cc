@@ -103,6 +103,7 @@ Result<size_t> ChainManager::CreateLink(const ChainLinkConfig& config) {
       device_->Vpp(config.consumer_nf) == nullptr) {
     return FailedPrecondition("both chain endpoints need a VPP");
   }
+  SNIC_CHECK_OK(device_->SetTxChained(config.producer_nf, true));
   links_.emplace_back(device_, config);
   SNIC_TRACE_RING(if (ring_ != nullptr) {
     links_.back().AttachTraceRing(ring_);
@@ -121,12 +122,29 @@ void ChainManager::AttachTraceRing(obs::TraceRing* ring) {
 }
 
 void ChainManager::RemoveLinksFor(uint64_t nf_id) {
-  links_.erase(std::remove_if(links_.begin(), links_.end(),
-                              [nf_id](const ChainLink& link) {
-                                return link.config().producer_nf == nf_id ||
-                                       link.config().consumer_nf == nf_id;
-                              }),
+  const auto touches = [nf_id](const ChainLink& link) {
+    return link.config().producer_nf == nf_id ||
+           link.config().consumer_nf == nf_id;
+  };
+  std::vector<uint64_t> producers;
+  for (const ChainLink& link : links_) {
+    if (touches(link)) {
+      producers.push_back(link.config().producer_nf);
+    }
+  }
+  links_.erase(std::remove_if(links_.begin(), links_.end(), touches),
                links_.end());
+  // A producer left with no outgoing link drains to the wire again. One
+  // already torn down has no record left to clear.
+  for (const uint64_t producer : producers) {
+    const bool still_linked =
+        std::any_of(links_.begin(), links_.end(), [&](const ChainLink& link) {
+          return link.config().producer_nf == producer;
+        });
+    if (!still_linked) {
+      (void)device_->SetTxChained(producer, false);
+    }
+  }
 }
 
 void ChainManager::TickAll() {

@@ -103,11 +103,13 @@ class ChainManager {
 
   // Creates a link. Fails unless both functions are live, distinct, and
   // both have VPPs. A producer may feed several consumers and vice versa
-  // (fan-out/fan-in chains), but self-links are rejected.
+  // (fan-out/fan-in chains), but self-links are rejected. The producer's TX
+  // then leaves only through its links (SnicDevice::SetTxChained).
   Result<size_t> CreateLink(const ChainLinkConfig& config);
 
   // Removes every link touching `nf_id` (teardown path; the NIC OS calls
-  // this before NfTeardown so no link outlives its endpoints).
+  // this before NfTeardown so no link outlives its endpoints). A producer
+  // left with no outgoing link drains to the wire again.
   void RemoveLinksFor(uint64_t nf_id);
 
   // Advances every link by one tick, in creation order.

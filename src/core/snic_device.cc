@@ -502,12 +502,22 @@ Result<net::Packet> SnicDevice::TransmitToWire() {
     NfRecord* record = records[(rr_tx_cursor_ + k + 1) % records.size()];
     // PeekTx sheds stale frames first, so a queue holding only expired
     // frames does not stall the round-robin on a NotFound dequeue.
-    if (record->vpp != nullptr && record->vpp->PeekTx() != nullptr) {
+    if (record->vpp != nullptr && !record->tx_chained &&
+        record->vpp->PeekTx() != nullptr) {
       rr_tx_cursor_ = (rr_tx_cursor_ + k + 1) % records.size();
       return record->vpp->DequeueTx();
     }
   }
   return NotFound("no pending TX");
+}
+
+Status SnicDevice::SetTxChained(uint64_t nf_id, bool chained) {
+  auto found = FindNf(nf_id);
+  if (!found.ok()) {
+    return found.status();
+  }
+  found.value()->tx_chained = chained;
+  return OkStatus();
 }
 
 void SnicDevice::AdvanceClockTo(uint64_t cycle) {

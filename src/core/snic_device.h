@@ -148,8 +148,13 @@ class SnicDevice {
   Result<net::Packet> NfReceive(uint64_t nf_id);
   [[nodiscard]] Status NfSend(uint64_t nf_id, net::Packet packet);
   // Packet output module: drains one frame to the wire (round-robin over
-  // VPPs with pending TX).
+  // VPPs with pending TX). A VPP whose TX feeds a chain link is skipped:
+  // its frames leave only through the link, so a stalled chain keeps them
+  // as backpressure instead of letting them bypass the consumer.
   Result<net::Packet> TransmitToWire();
+  // Marks `nf_id`'s TX as feeding (or no longer feeding) a chain link;
+  // core::ChainManager keeps this in step with its links.
+  Status SetTxChained(uint64_t nf_id, bool chained);
 
   uint64_t unmatched_rx_drops() const { return unmatched_rx_drops_; }
 
@@ -208,6 +213,7 @@ class SnicDevice {
     std::unique_ptr<VirtualPacketPipeline> vpp;
     crypto::Sha256Digest measurement;
     std::array<std::vector<uint32_t>, accel::kNumAcceleratorTypes> clusters;
+    bool tx_chained = false;  // TX drains through a chain link, not the wire
 
     NfRecord(uint64_t nf_id, size_t tlb_entries)
         : id(nf_id), core_mask(0), tlb(tlb_entries) {}

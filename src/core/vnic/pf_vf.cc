@@ -106,6 +106,7 @@ void PfVfManager::ResetLocked(uint32_t vf_id, Vf& vf) {
     ring_->EmitInstant(span_reset_, now_, static_cast<uint32_t>(vf.nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
   });
+  (void)vf_id;
 }
 
 Status PfVfManager::ResetVf(uint32_t vf_id) {
@@ -425,6 +426,8 @@ void PfVfManager::AttachVfObs(uint32_t vf_id, Vf& vf) {
     vf.m_resets = &registry_->GetCounter("vnic.vf.resets", {{"vf", id}});
     vf.m_abuse = &registry_->GetCounter("vnic.abuse.flagged", {{"vf", id}});
   });
+  (void)vf_id;
+  (void)vf;
 }
 
 void PfVfManager::AttachObs(obs::MetricRegistry* registry) {

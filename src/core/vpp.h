@@ -16,7 +16,8 @@
 // their ingress cycle so stale ones are shed at each stage boundary once
 // past their cycle deadline. All of it is per-VPP state driven only by
 // AdvanceClockTo, so one tenant's overload cannot perturb another's
-// pipeline — the property bench/overload_soak byte-verifies.
+// pipeline — the property the scenario runner's bystander-identity
+// verdicts byte-verify (tests/scenario_test.cc runs the overload ladder).
 
 #ifndef SNIC_CORE_VPP_H_
 #define SNIC_CORE_VPP_H_

@@ -144,6 +144,7 @@ Status Supervisor::LaunchChild(const std::string& name, Child& child,
     }
     ++stats_.reattestations;
   }
+  (void)attempt;  // read only by the fault site, which may be compiled out
 
   child.nf_id = nf_id;
   return OkStatus();

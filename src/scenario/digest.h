@@ -1,11 +1,10 @@
-// Record digesting shared by the scenario runner and bench/overload_soak
-// (bench/soak_common.h re-exports these into snic::bench).
+// Record digesting for the scenario runner's byte-identity verdicts.
 //
 // The byte-identity verdicts all reduce a tenant's observable record —
 // packet bytes, bus grant times, stat words, trace-ring lane spans — to
-// FNV-1a digests and compare those. Keeping the digest primitives here (the
-// lowest scenario-layer header, no deps beyond obs) gives the runner and
-// the overload soak the same notion of "identical record".
+// FNV-1a digests and compare those. The primitives live in this lowest
+// scenario-layer header (no deps beyond obs), so perfbench's checks and the
+// tests digest records the same way the runner does.
 
 #ifndef SNIC_SCENARIO_DIGEST_H_
 #define SNIC_SCENARIO_DIGEST_H_

@@ -12,6 +12,7 @@
 #include "src/accel/accelerator.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/core/chaining.h"
 #include "src/core/overload.h"
 #include "src/core/vnic/descriptor.h"
 #include "src/core/vnic/pf_vf.h"
@@ -32,6 +33,10 @@ namespace {
 
 constexpr uint16_t kVfBufferBytes = 2048;
 constexpr uint16_t kAttackerBufferBytes = 1024;
+// Frames the overload section's chain link may move per tick (the §4.8
+// overt-channel rate bound); the consumer's admission, not this, is what
+// stalls the link.
+constexpr uint32_t kChainFramesPerTick = 6;
 
 void AppendF(std::string& out, const char* fmt, ...) {
   char line[512];
@@ -196,6 +201,42 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
         &registry.GetCounter("scenario.tx", {{"nf", spec.tenants[i].name}});
     index_of[spec.tenants[i].name] = i;
   }
+  const size_t target_index =
+      spec.has_overload ? index_of.at(spec.overload.target) : n;
+  const size_t downstream_index =
+      spec.has_overload && !spec.overload.downstream.empty()
+          ? index_of.at(spec.overload.downstream)
+          : n;
+
+  // The overload target's TX feeds the downstream tenant through one
+  // credit-flow link, recreated whenever either endpoint relaunches; the
+  // stats of every incarnation add up in the result.
+  core::ChainManager chains(&device);
+  chains.AttachTraceRing(&ring);
+  const auto add_link_stats = [&] {
+    const core::ChainLinkStats& stats = chains.link(0).stats();
+    result.chain_frames_moved += stats.frames_moved;
+    result.chain_frames_stalled += stats.frames_stalled;
+  };
+  const auto relink = [&] {
+    if (chains.link_count() > 0) {
+      add_link_stats();
+      chains.RemoveLinksFor(chains.link(0).config().producer_nf);
+    }
+    core::ChainLinkConfig link;
+    link.producer_nf = state[target_index].nf_id;
+    link.consumer_nf = state[downstream_index].nf_id;
+    link.frames_per_tick = kChainFramesPerTick;
+    link.flow_control = core::ChainFlowControl::kCredit;
+    if (!chains.CreateLink(link).ok()) {
+      // One endpoint is down: the target's TX waits for the relaunch that
+      // relinks it, and never takes the wire past the downstream tenant.
+      (void)device.SetTxChained(link.producer_nf, true);
+    }
+  };
+  if (downstream_index < n) {
+    relink();
+  }
 
   // DMA banks: one channel per dma-enabled tenant, disjoint windows.
   mgmt::HostMemory host(64 * 1024);
@@ -271,6 +312,9 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
       SNIC_CHECK_OK(
           front_end.RebindVf(state[i].vf, new_id, device.Vpp(new_id)));
     }
+    if (downstream_index < n && (i == target_index || i == downstream_index)) {
+      relink();
+    }
   });
 
   // The spec's fault schedule, installed after setup (skip/count windows
@@ -317,8 +361,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
 
   // The overload target's breaker-gated accelerator dispatch; recreated
   // (state and all) when the target relaunches, like a fresh instance.
-  const size_t target_index =
-      spec.has_overload ? index_of.at(spec.overload.target) : n;
   std::unique_ptr<core::AccelDispatchGate> gate;
   uint64_t gate_generation = 0;
   const auto ensure_gate = [&](size_t i) {
@@ -569,6 +611,10 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
       }
     }
 
+    // The chain moves the target's output into the downstream tenant under
+    // its credits, stalling (not dropping) when it cannot admit more.
+    chains.TickAll();
+
     supervisor.Tick(now);
 
     // Mirror Supervisor quarantine verdicts to the device edge: from here
@@ -688,6 +734,9 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
     }
   }
 
+  if (chains.link_count() > 0) {
+    add_link_stats();
+  }
   if (spec.has_overload && target_index < n) {
     result.target_goodput = result.tenants[target_index].wire_packets;
     const core::VirtualPacketPipeline* vpp =

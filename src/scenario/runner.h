@@ -7,8 +7,9 @@
 // scenario: per-tenant roles pick behavior (workload = chaos victim with
 // DMA/accel crash reporting; bystander = poll/digest/echo with the full
 // observable record; attacker = hostile VF moves), the overload section
-// drives an offered-load accumulator at the target, and the fault schedule
-// is installed verbatim. Everything is seeded through
+// drives an offered-load accumulator at the target (and, with `downstream`,
+// chains the target's TX into that tenant over a credit-flow link), and
+// the fault schedule is installed verbatim. Everything is seeded through
 // runtime::DeriveTaskSeed lanes, so a (spec, seed) pair replays bit-for-bit
 // at any --jobs count.
 //
@@ -54,9 +55,14 @@ struct RunResult {
   uint64_t faults_injected = 0;
   // Overload-target accounting (zero when the spec has no overload section).
   uint64_t offered = 0;
-  uint64_t target_goodput = 0;        // the target's wire egress
+  // Frames on the wire under the target's port. With a downstream tenant
+  // these are end-of-chain frames: the target's own TX feeds only the link.
+  uint64_t target_goodput = 0;
   uint64_t queue_peak_frames = 0;
   uint64_t queue_peak_bytes = 0;
+  // The overload.downstream chain link, summed over every incarnation.
+  uint64_t chain_frames_moved = 0;
+  uint64_t chain_frames_stalled = 0;
   // Abuse verdicts routed by the front-end: per-kind counts on attacker
   // VFs, plus false flags on anyone else's VF.
   uint64_t abuse_reports[4] = {0, 0, 0, 0};
@@ -87,7 +93,7 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed);
 
 // The frame geometry the runner's traffic generator uses: 54-byte headers
 // plus payload 32 + NextBounded(4)*64. Byte-form queue bounds derive from
-// this (the overload soak's kMaxFrameBytes).
+// this.
 inline constexpr uint64_t kMaxFrameBytes = 54 + 32 + 3 * 64;
 
 }  // namespace snic::scenario

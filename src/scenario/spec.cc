@@ -348,24 +348,34 @@ Status ParseFaultRule(const Value& v, size_t index,
   return OkStatus();
 }
 
-Status ParseOverload(const Value& v, const std::set<std::string>& tenant_names,
+Status ParseOverload(const Value& v, const std::vector<TenantSpec>& tenants,
                      OverloadSpec* out) {
   const std::string where = "overload";
   if (!v.is_object()) {
     return Bad(where, "expected an object");
   }
-  if (Status s = RejectUnknownKeys(
-          v, {"target", "load_pct", "baseline_pct", "service_per_step"}, where);
+  if (Status s = RejectUnknownKeys(v,
+                                   {"target", "load_pct", "baseline_pct",
+                                    "service_per_step", "downstream"},
+                                   where);
       !s.ok()) {
     return s;
   }
+  const auto find = [&tenants](const std::string& name) -> const TenantSpec* {
+    for (const TenantSpec& t : tenants) {
+      if (t.name == name) {
+        return &t;
+      }
+    }
+    return nullptr;
+  };
   const Value* target = v.Find("target");
   if (target == nullptr) {
     return Bad(where, "target is required");
   }
   auto target_s = AsString(*target, where + ".target");
   if (!target_s.ok()) return target_s.status();
-  if (tenant_names.count(target_s.value()) == 0) {
+  if (find(target_s.value()) == nullptr) {
     return Bad(where + ".target",
                "\"" + target_s.value() + "\" is not a declared tenant");
   }
@@ -382,6 +392,22 @@ Status ParseOverload(const Value& v, const std::set<std::string>& tenant_names,
   }
   if (out->service_per_step == 0) {
     return Bad(where + ".service_per_step", "must be positive");
+  }
+  if (const Value* downstream = v.Find("downstream"); downstream != nullptr) {
+    const std::string at = where + ".downstream";
+    auto name = AsString(*downstream, at);
+    if (!name.ok()) return name.status();
+    const TenantSpec* tenant = find(name.value());
+    if (tenant == nullptr) {
+      return Bad(at, "\"" + name.value() + "\" is not a declared tenant");
+    }
+    if (name.value() == out->target) {
+      return Bad(at, "must differ from the target");
+    }
+    if (tenant->role != TenantRole::kWorkload) {
+      return Bad(at, "\"" + name.value() + "\" is not a workload-role tenant");
+    }
+    out->downstream = name.value();
   }
   return OkStatus();
 }
@@ -646,7 +672,8 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view json_text) {
   }
   if (const Value* overload = root.Find("overload"); overload != nullptr) {
     spec.has_overload = true;
-    if (Status s = ParseOverload(*overload, names, &spec.overload); !s.ok()) {
+    if (Status s = ParseOverload(*overload, spec.tenants, &spec.overload);
+        !s.ok()) {
       return s;
     }
   }
@@ -819,7 +846,12 @@ std::string SerializeScenarioSpec(const ScenarioSpec& spec) {
     AppendQuoted(out, o.target);
     out += ",\"load_pct\":" + std::to_string(o.load_pct);
     out += ",\"baseline_pct\":" + std::to_string(o.baseline_pct);
-    out += ",\"service_per_step\":" + std::to_string(o.service_per_step) + "}";
+    out += ",\"service_per_step\":" + std::to_string(o.service_per_step);
+    if (!o.downstream.empty()) {
+      out += ",\"downstream\":";
+      AppendQuoted(out, o.downstream);
+    }
+    out += "}";
   }
   if (spec.has_attack) {
     const AttackSpec& a = spec.attack;

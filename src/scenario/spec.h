@@ -112,12 +112,16 @@ struct FaultRuleSpec {
 
 // Offered-load sweep for one workload tenant: `load_pct` percent of
 // `service_per_step` frames per step aimed at `target` in the subject run;
-// the baseline twin offers `baseline_pct`.
+// the baseline twin offers `baseline_pct`. With `downstream` set, the
+// target's TX feeds a credit-flow chain link into that workload tenant
+// (§4.8 chaining), and only frames that went through the link reach the
+// wire.
 struct OverloadSpec {
   std::string target;
   uint64_t load_pct = 100;
   uint64_t baseline_pct = 100;
   uint64_t service_per_step = 4;
+  std::string downstream;  // empty = the target's TX goes to the wire
 };
 
 // Driver-side hostile volume for attacker-role tenants; the vnic.* fault

@@ -891,6 +891,19 @@ std::string RichSpecJson() {
   return {};
 }
 
+// The rich spec with its overload target chained into the crash-looping
+// victim: the overload.downstream key under the same fuzz contract.
+std::string ChainSpecJson() {
+  for (auto spec : scenario::GenerateScenarios(0x5ce9a21ull)) {
+    if (spec.name.rfind("f/fault-during-recovery-overload", 0) == 0) {
+      spec.overload.downstream = "victim-a";
+      return scenario::SerializeScenarioSpec(spec);
+    }
+  }
+  SNIC_CHECK(false);
+  return {};
+}
+
 std::string AttackSpecJson() {
   const auto specs = scenario::GenerateScenarios(0x5ce9a21ull);
   for (const auto& spec : specs) {
@@ -913,10 +926,16 @@ TEST(ScenarioSpecFuzzTest, CanonicalFormRoundTrips) {
     EXPECT_EQ(scenario::SerializeScenarioSpec(reparsed.value()), canonical)
         << spec.name;
   }
+  const std::string chained = ChainSpecJson();
+  const auto reparsed = scenario::ParseScenarioSpec(chained);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  EXPECT_EQ(reparsed.value().overload.downstream, "victim-a");
+  EXPECT_EQ(scenario::SerializeScenarioSpec(reparsed.value()), chained);
 }
 
 TEST(ScenarioSpecFuzzTest, EveryTruncationIsRejected) {
-  for (const std::string& valid : {RichSpecJson(), AttackSpecJson()}) {
+  for (const std::string& valid :
+       {RichSpecJson(), AttackSpecJson(), ChainSpecJson()}) {
     ASSERT_TRUE(scenario::ParseScenarioSpec(valid).ok());
     for (size_t len = 0; len < valid.size(); ++len) {
       const auto out =
@@ -928,8 +947,9 @@ TEST(ScenarioSpecFuzzTest, EveryTruncationIsRejected) {
 
 TEST(ScenarioSpecFuzzTest, SingleByteMutantsDecodeOrRejectAndNeverCrash) {
   Rng rng(0x5bec);
-  const std::vector<std::string> bases = {RichSpecJson(), AttackSpecJson()};
-  for (int iter = 0; iter < 2000; ++iter) {
+  const std::vector<std::string> bases = {RichSpecJson(), AttackSpecJson(),
+                                          ChainSpecJson()};
+  for (int iter = 0; iter < 3000; ++iter) {
     std::string mutant = bases[iter % bases.size()];
     const size_t at = rng.NextBounded(mutant.size());
     mutant[at] = static_cast<char>(mutant[at] ^

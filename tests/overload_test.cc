@@ -417,6 +417,9 @@ TEST_F(OverloadDeviceTest, CreditFlowStallsInsteadOfDropping) {
   EXPECT_TRUE(chains.link(link.value()).backpressured());
   EXPECT_TRUE(chains.AnyBackpressure(producer));
   EXPECT_FALSE(chains.AnyBackpressure(consumer));
+  // The stalled frames leave only through the link: the wire must not
+  // drain them past the consumer.
+  EXPECT_FALSE(device_.TransmitToWire().ok());
 
   // Drain the consumer and keep ticking: every frame arrives eventually.
   int received = 0;
@@ -433,6 +436,12 @@ TEST_F(OverloadDeviceTest, CreditFlowStallsInsteadOfDropping) {
   EXPECT_EQ(stats.frames_moved, 5u);
   EXPECT_EQ(stats.frames_dropped, 0u);
   EXPECT_FALSE(chains.AnyBackpressure(producer));
+
+  // With its last link gone the producer drains to the wire again.
+  ASSERT_TRUE(device_.NfSend(producer, PacketTo(1000)).ok());
+  EXPECT_FALSE(device_.TransmitToWire().ok());
+  chains.RemoveLinksFor(consumer);
+  EXPECT_TRUE(device_.TransmitToWire().ok());
 }
 
 TEST_F(OverloadDeviceTest, DropModeStillDiscardsAtFullConsumer) {

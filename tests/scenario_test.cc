@@ -1,15 +1,21 @@
 // Scenario-matrix tests (docs/ROBUSTNESS.md, "The scenario matrix"):
 // decode-or-reject parsing semantics, canonical-form round-trip, the
-// baseline-twin transform, generator determinism, and runner/verdict
-// determinism for representative specs from each generated family.
+// baseline-twin transform, generator determinism, runner/verdict
+// determinism for representative specs from each generated family, and the
+// overload ladder over an O->D credit chain (docs/ROBUSTNESS.md "Overload
+// control").
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/scenario/digest.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
@@ -28,6 +34,63 @@ std::string MinimalJson() {
       { "name": "a", "port": 1, "role": "workload" },
       { "name": "b", "port": 2, "role": "bystander" }
     ]
+  })";
+}
+
+// The overload ladder's constellation: overloaded O behind the full
+// overload plane, chained into a slower downstream D (its admission bucket
+// takes 3 frames a step while O serves 4), and bystander B on its own bus
+// domain. The fault schedule trips O's breaker (three accelerator faults,
+// one failed half-open probe), rejects O's ingress now and then, and
+// withholds the chain's credits every 97 ticks. `extra_faults` is spliced
+// into the fault list; `dma` stages DMA on O and D.
+constexpr uint32_t kLadderRxCap = 24;
+constexpr size_t kLadderO = 0, kLadderD = 1, kLadderB = 2;
+
+std::string ChainLadderJson(uint64_t load_pct,
+                            const std::string& extra_faults = "",
+                            bool dma = false) {
+  const std::string dma_key = dma ? R"("dma": true,)" : "";
+  return R"({
+    "name": "overload-chain-ladder",
+    "steps": 1200,
+    "bus_domains": 2,
+    "supervisor": { "verify_attestation": false },
+    "tenants": [
+      { "name": "overloaded-o", "port": 1000, "role": "workload",
+        "zip_clusters": 1, "bus_domain": 0, "frames_per_step": 0, )" +
+         dma_key + R"(
+        "policy": { "rx_queue_capacity_frames": )" +
+         std::to_string(kLadderRxCap) + R"(,
+                    "tx_queue_capacity_frames": 32,
+                    "priority_early_drop": true,
+                    "admission_burst_frames": 24,
+                    "admission_frames_per_refill": 6,
+                    "admission_refill_cycles": 50,
+                    "deadline_cycles": 150 } },
+      { "name": "downstream-d", "port": 1500, "role": "workload",
+        "frames_per_step": 0, )" +
+         dma_key + R"(
+        "policy": { "rx_queue_capacity_frames": 8,
+                    "admission_burst_frames": 8,
+                    "admission_frames_per_refill": 3,
+                    "admission_refill_cycles": 100 } },
+      { "name": "bystander-b", "port": 2000, "role": "bystander",
+        "bus_domain": 1, "frames_per_step": 2 }
+    ],
+    "faults": [
+      { "site": "accel.thread_access", "nf": "overloaded-o", "skip": 150,
+        "count": 3 },
+      { "site": "overload.breaker.probe", "nf": "overloaded-o", "count": 1 },
+      { "site": "vpp.rx.admission_reject", "nf": "overloaded-o", "skip": 30,
+        "count": 1, "period": 151 },
+      { "site": "chain.credit_grant", "nf": "downstream-d", "skip": 5,
+        "count": 1, "period": 97 })" +
+         extra_faults + R"(
+    ],
+    "overload": { "target": "overloaded-o", "load_pct": )" +
+         std::to_string(load_pct) + R"(,
+                  "service_per_step": 4, "downstream": "downstream-d" }
   })";
 }
 
@@ -98,6 +161,24 @@ TEST(ScenarioSpecTest, RejectsPreciselyNotLeniently) {
            [{"name": "a", "port": 1, "role": "workload"}],
            "verdicts": {"bystander_identical": true}})",
        "bystander"},
+      {R"({"name": "t", "steps": 10, "tenants":
+           [{"name": "a", "port": 1, "role": "workload"}],
+           "overload": {"target": "a", "downstream": "ghost"}})",
+       "overload.downstream: \"ghost\" is not a declared tenant"},
+      {R"({"name": "t", "steps": 10, "tenants":
+           [{"name": "a", "port": 1, "role": "workload"}],
+           "overload": {"target": "a", "downstream": "a"}})",
+       "overload.downstream: must differ from the target"},
+      {R"({"name": "t", "steps": 10, "tenants":
+           [{"name": "a", "port": 1, "role": "workload"},
+            {"name": "b", "port": 2, "role": "bystander"}],
+           "overload": {"target": "a", "downstream": "b"}})",
+       "overload.downstream: \"b\" is not a workload-role tenant"},
+      {R"({"name": "t", "steps": 10, "tenants":
+           [{"name": "a", "port": 1, "role": "workload"},
+            {"name": "b", "port": 2, "role": "workload"}],
+           "overload": {"target": "a", "downstream": 2}})",
+       "overload.downstream: expected a string"},
   };
   for (const Case& c : cases) {
     const auto spec = ParseScenarioSpec(c.json);
@@ -156,7 +237,15 @@ TEST(ScenarioGeneratorTest, ProducesTheMatrixDeterministically) {
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
 }
 
+// Digest of canonical texts, one per line: schema additions must leave
+// every existing spec's canonical form byte-identical.
+void MixCanonical(Fnv& fnv, const ScenarioSpec& spec) {
+  const std::string line = SerializeScenarioSpec(spec) + "\n";
+  fnv.Mix(reinterpret_cast<const uint8_t*>(line.data()), line.size());
+}
+
 TEST(ScenarioGeneratorTest, EveryGeneratedSpecSurvivesRoundTrip) {
+  Fnv all;
   for (const ScenarioSpec& spec : GenerateScenarios(kSeed)) {
     const std::string canonical = SerializeScenarioSpec(spec);
     const auto reparsed = ParseScenarioSpec(canonical);
@@ -164,7 +253,56 @@ TEST(ScenarioGeneratorTest, EveryGeneratedSpecSurvivesRoundTrip) {
                                << reparsed.status().message();
     EXPECT_EQ(SerializeScenarioSpec(reparsed.value()), canonical)
         << spec.name;
+    MixCanonical(all, spec);
   }
+  // perfbench's scenario_sweep samples this matrix: pinned.
+  EXPECT_EQ(all.h, 0x394629b7b483e9caull);
+}
+
+TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
+  std::vector<std::string> files;
+  DIR* dir = opendir(SNIC_CURATED_SPECS_DIR);
+  ASSERT_NE(dir, nullptr) << SNIC_CURATED_SPECS_DIR;
+  while (const dirent* entry = readdir(dir)) {
+    const std::string name = entry->d_name;
+    if (name.size() > 5 && name.substr(name.size() - 5) == ".json") {
+      files.push_back(name);
+    }
+  }
+  closedir(dir);
+  std::sort(files.begin(), files.end());
+  ASSERT_EQ(files.size(), 18u);
+  Fnv all;
+  for (const std::string& file : files) {
+    std::ifstream in(std::string(SNIC_CURATED_SPECS_DIR) + "/" + file);
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto spec = ParseScenarioSpec(text.str());
+    ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().message();
+    const std::string canonical = SerializeScenarioSpec(spec.value());
+    const auto reparsed = ParseScenarioSpec(canonical);
+    ASSERT_TRUE(reparsed.ok()) << file;
+    EXPECT_EQ(SerializeScenarioSpec(reparsed.value()), canonical) << file;
+    MixCanonical(all, spec.value());
+  }
+  EXPECT_EQ(all.h, 0xe96bd3eb0e83df65ull);
+}
+
+TEST(ScenarioSpecTest, DownstreamRoundTripsAndIsOmittedWhenUnset) {
+  const auto chained = ParseScenarioSpec(ChainLadderJson(200));
+  ASSERT_TRUE(chained.ok()) << chained.status().message();
+  EXPECT_EQ(chained.value().overload.downstream, "downstream-d");
+  const std::string canonical = SerializeScenarioSpec(chained.value());
+  EXPECT_NE(canonical.find(R"("downstream":"downstream-d")"),
+            std::string::npos);
+  const auto reparsed = ParseScenarioSpec(canonical);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  EXPECT_EQ(SerializeScenarioSpec(reparsed.value()), canonical);
+
+  ScenarioSpec unchained = chained.value();
+  unchained.overload.downstream.clear();
+  EXPECT_EQ(SerializeScenarioSpec(unchained).find(R"("downstream":)"),
+            std::string::npos);
 }
 
 TEST(ScenarioRunnerTest, SameSeedSameReports) {
@@ -186,6 +324,10 @@ TEST(ScenarioRunnerTest, SameSeedSameReports) {
 }
 
 TEST(ScenarioRunnerTest, VerdictsPassAcrossFamilies) {
+#ifdef SNIC_FAULTS_DISABLED
+  GTEST_SKIP() << "fault sites are compiled out: the families' containment "
+                  "and recovery verdicts need injected faults to fire";
+#endif
   const auto specs = GenerateScenarios(kSeed);
   // One representative per family: single-site, correlated burst,
   // crash-during-recovery, overload ladder, vNIC attack, compound.
@@ -226,6 +368,10 @@ TEST(ScenarioRunnerTest, AttackedVictimWaitStaysBoundedAndUnflagged) {
 }
 
 TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {
+#ifdef SNIC_FAULTS_DISABLED
+  GTEST_SKIP() << "fault sites are compiled out: containment needs the "
+                  "injected faults to fire";
+#endif
   // The acceptance-criteria shape: fault-during-recovery + overload, the
   // victim quarantined, the bystander provably untouched.
   const auto specs = GenerateScenarios(kSeed);
@@ -238,6 +384,84 @@ TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {
             std::string::npos)
       << verdict.detail;
 }
+
+TEST(ScenarioRunnerTest, OverloadChainLadderDegradesGracefully) {
+  // Offered load from a quarter to four times O's service budget. Overload
+  // of one tenant is invisible to another, the bounded queue bounds, the
+  // goodput curve never collapses, the chain stalls (never drops) only
+  // under overload, and every frame the wire carries under O's port went
+  // through the chain.
+  std::string bystander_report;
+  uint64_t best_goodput = 0;
+  for (const uint64_t load : {25, 50, 100, 200, 300, 400}) {
+    const auto spec = ParseScenarioSpec(ChainLadderJson(load));
+    ASSERT_TRUE(spec.ok()) << spec.status().message();
+    const RunResult run = RunConstellation(spec.value(), kSeed);
+    const std::string& report = run.tenants[kLadderB].report;
+    if (bystander_report.empty()) {
+      bystander_report = report;
+      EXPECT_NE(report.find("bystander-b.rx: 2400 "), std::string::npos)
+          << report;
+    }
+    EXPECT_EQ(report, bystander_report) << "load " << load;
+
+    EXPECT_LE(run.queue_peak_frames, kLadderRxCap) << "load " << load;
+    EXPECT_LE(run.queue_peak_bytes, kLadderRxCap * kMaxFrameBytes)
+        << "load " << load;
+
+    EXPECT_GT(run.target_goodput, 0u) << "load " << load;
+    EXPECT_GE(run.target_goodput * 100, best_goodput * 85)
+        << "load " << load << ": goodput " << run.target_goodput
+        << " vs best " << best_goodput;
+    best_goodput = std::max(best_goodput, run.target_goodput);
+
+    if (load <= 50) {
+      EXPECT_EQ(run.chain_frames_stalled, 0u) << "load " << load;
+    }
+    if (load == 400) {
+      EXPECT_GT(run.chain_frames_stalled, 0u);
+    }
+    EXPECT_LE(run.target_goodput, run.chain_frames_moved) << "load " << load;
+  }
+}
+
+#ifndef SNIC_FAULTS_DISABLED
+TEST(ScenarioRunnerTest, OverloadChainRelinksAcrossRelaunches) {
+  // D crashes early and O later (injected DMA faults); each relaunch
+  // recreates the link, so the chain keeps moving frames to the end.
+  const auto spec = ParseScenarioSpec(ChainLadderJson(
+      100,
+      R"(,
+      { "site": "dma.host_to_nic", "nf": "downstream-d", "skip": 10 },
+      { "site": "dma.host_to_nic", "nf": "overloaded-o", "skip": 600 })",
+      /*dma=*/true));
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const RunResult run = RunConstellation(spec.value(), kSeed);
+  EXPECT_EQ(run.tenants[kLadderD].restarts, 1u);
+  EXPECT_EQ(run.tenants[kLadderO].restarts, 1u);
+  EXPECT_EQ(run.tenants[kLadderD].final_health, mgmt::NfHealth::kRunning);
+  EXPECT_EQ(run.tenants[kLadderO].final_health, mgmt::NfHealth::kRunning);
+  // Three frames a step through D's admission, less the relaunch gaps.
+  EXPECT_GT(run.chain_frames_moved, 3000u);
+  EXPECT_LE(run.target_goodput, run.chain_frames_moved);
+
+  // With D quarantined for good, O's relaunch has no consumer to link to:
+  // its TX waits, and still never reaches the wire directly.
+  const auto dead_end = ParseScenarioSpec(ChainLadderJson(
+      100,
+      R"(,
+      { "site": "dma.host_to_nic", "nf": "downstream-d", "skip": 10,
+        "count": "forever" },
+      { "site": "dma.host_to_nic", "nf": "overloaded-o", "skip": 600 })",
+      /*dma=*/true));
+  ASSERT_TRUE(dead_end.ok()) << dead_end.status().message();
+  const RunResult stranded = RunConstellation(dead_end.value(), kSeed);
+  EXPECT_EQ(stranded.tenants[kLadderD].final_health,
+            mgmt::NfHealth::kQuarantined);
+  EXPECT_EQ(stranded.tenants[kLadderO].restarts, 1u);
+  EXPECT_LE(stranded.target_goodput, stranded.chain_frames_moved);
+}
+#endif  // SNIC_FAULTS_DISABLED
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {
   // Flip a passing scenario into a failing one: demand containment of a
