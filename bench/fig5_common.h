@@ -286,9 +286,7 @@ class Fig5Session {
       }
     }
     if (!trace_out_.empty()) {
-      obs::TraceLog converted;
-      trace_.ConvertTo(&converted);
-      if (converted.WriteFile(trace_out_).ok()) {
+      if (trace_.WriteChromeJsonFile(trace_out_).ok()) {
         std::printf("Wrote %zu trace events to %s (load in ui.perfetto.dev)\n",
                     trace_.size(), trace_out_.c_str());
       } else {

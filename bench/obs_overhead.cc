@@ -10,7 +10,7 @@
 // recalibrated when the prepared-trace fast path landed: instrumentation
 // still costs the same ~0.5-2.5 ns per replayed event it always did (ring
 // records are fixed-size stores flushed at task join, see
-// src/obs/trace_ring.h; the old allocate-and-stringify TraceLog cost ~10x
+// src/obs/trace_ring.h; an allocate-and-stringify event log costs ~10x
 // that), but the uninstrumented baseline is now ~7x faster, so a fixed
 // per-event cost reads as a double-digit percentage. The claim that
 // matters is preserved with room to spare: even with metrics+trace

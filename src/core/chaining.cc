@@ -42,8 +42,7 @@ void ChainLink::Tick() {
       // Fixed per-tick work regardless of backlog: nothing more to move.
       return;
     }
-    if (config_.flow_control == ChainFlowControl::kCredit &&
-        !consumer->CanAdmitRx(head->size())) {
+    if (!consumer->CanAdmitRx(head->size())) {
       // Credit denied: the frame stays put in the producer's bounded TX
       // reservation. No shared state grows.
       ++stats_.frames_stalled;
@@ -61,8 +60,8 @@ void ChainLink::Tick() {
       return;
     }
     // By-value copy through trusted hardware into the consumer's private
-    // RX reservation. Under kDrop (or when a fault rejects an admitted
-    // frame) the loss is counted; the consumer observes only its own
+    // RX reservation. A fault that rejects an admitted frame is counted in
+    // the consumer's own VPP stats; the consumer observes only its own
     // queue, as with wire traffic.
     if (consumer->EnqueueRx(std::move(frame).value()).ok()) {
       ++stats_.frames_moved;
@@ -72,8 +71,6 @@ void ChainLink::Tick() {
                            /*tid=*/0, hop_span, config_.producer_nf,
                            ring_arg_peer_);
       });
-    } else {
-      ++stats_.frames_dropped;
     }
     (void)hop_span;
   }

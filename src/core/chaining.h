@@ -29,29 +29,16 @@
 
 namespace snic::core {
 
-// How the link treats a frame the consumer cannot currently admit.
-enum class ChainFlowControl : uint8_t {
-  // Credit-based backpressure: the frame stays in the producer's TX
-  // reservation and the link reports pressure; nothing is lost between the
-  // endpoints. Both queues stay bounded because the producer's own TX
-  // reservation is (overload plane).
-  kCredit = 0,
-  // Legacy behaviour: a frame the consumer cannot take is dropped.
-  kDrop = 1,
-};
-
 struct ChainLinkConfig {
   uint64_t producer_nf = 0;
   uint64_t consumer_nf = 0;
   // Frames moved per hardware tick (the overt-channel rate bound).
   uint32_t frames_per_tick = 4;
-  ChainFlowControl flow_control = ChainFlowControl::kCredit;
 };
 
 struct ChainLinkStats {
   uint64_t frames_moved = 0;
-  uint64_t frames_dropped = 0;  // consumer rejected the frame (kDrop mode)
-  uint64_t frames_stalled = 0;  // head-of-line frames denied credit (kCredit)
+  uint64_t frames_stalled = 0;  // head-of-line frames denied credit
   uint64_t stall_ticks = 0;     // ticks that ended with fresh TX backlogged
   uint64_t credit_faults = 0;   // ticks whose credit grant a fault withheld
   uint64_t ticks = 0;
@@ -66,11 +53,12 @@ class ChainLink {
       : device_(device), config_(config) {}
 
   // One hardware tick: grants up to frames_per_tick credits and moves that
-  // many frames producer-TX -> consumer-RX. Under kCredit a frame the
-  // consumer cannot admit stalls in the producer's TX reservation
-  // (deterministic backpressure, no loss); under kDrop it is discarded.
-  // Per-tick work is fixed regardless of backlog either way, preserving the
-  // overt-channel rate bound.
+  // many frames producer-TX -> consumer-RX. A frame the consumer cannot
+  // admit stalls in the producer's TX reservation (credit-based
+  // backpressure: nothing is lost between the endpoints, and both queues
+  // stay bounded because the producer's own TX reservation is). Per-tick
+  // work is fixed regardless of backlog, preserving the overt-channel rate
+  // bound.
   void Tick();
 
   // True when the last tick ended with fresh producer TX it could not move

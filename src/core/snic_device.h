@@ -55,8 +55,6 @@ struct SnicConfig {
   uint64_t dram_bytes = 4ull << 30;
   uint64_t page_bytes = 2ull << 20;
   size_t core_tlb_entries = 512;  // per programmable core (Table 2)
-  uint64_t rx_port_buffer_bytes = 16ull << 20;
-  uint64_t tx_port_buffer_bytes = 16ull << 20;
   DenylistKind denylist_kind = DenylistKind::kBitmap;
   // Accelerator pools (defaults: 64 threads each of DPI/ZIP/RAID in
   // 4-thread clusters, i.e. 16 clusters — the Table 3 middle column).

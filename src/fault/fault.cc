@@ -5,7 +5,7 @@
 namespace snic::fault {
 
 namespace internal {
-thread_local FaultPlane* tls_plane = nullptr;
+thread_local constinit FaultPlane* tls_plane = nullptr;
 }  // namespace internal
 
 namespace {

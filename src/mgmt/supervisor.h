@@ -32,7 +32,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/crypto/diffie_hellman.h"
 #include "src/crypto/keys.h"
 #include "src/mgmt/nic_os.h"
 #include "src/obs/metrics.h"
@@ -87,7 +86,6 @@ struct SupervisorConfig {
   // Every (re)launch re-checks the hardware measurement; with this set it
   // also runs the full attestation exchange against the vendor key.
   bool verify_attestation = true;
-  crypto::DhGroup dh_group = crypto::SmallTestGroup();
 
   // Restart-storm guard: at most this many relaunch attempts per Tick
   // (0 = unlimited). When a correlated fault burst downs many children at

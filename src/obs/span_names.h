@@ -36,7 +36,7 @@ inline constexpr std::string_view kAccelDispatch = "accel.dispatch";
 inline constexpr std::string_view kAccelFallback = "accel.fallback";
 inline constexpr std::string_view kAccelBreaker = "accel.breaker";
 
-// Supervisor recovery events mirror the documented TraceLog instants.
+// Supervisor recovery lifecycle instants (docs/OBSERVABILITY.md).
 inline constexpr std::string_view kSupervisorCrash = "supervisor.crash";
 inline constexpr std::string_view kSupervisorRestart = "supervisor.restart";
 inline constexpr std::string_view kSupervisorDowngrade = "supervisor.downgrade";

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/obs/json.h"
+
 namespace snic::obs {
 
 namespace {
@@ -89,15 +91,6 @@ class Reader {
 };
 
 }  // namespace
-
-uint64_t NameTable::HashName(std::string_view name) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (char c : name) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 uint16_t NameTable::Intern(std::string_view name) {
   if (name.empty()) {
@@ -232,51 +225,94 @@ void TraceRing::Append(const TraceRing& other) {
   evicted_ += other.evicted_;
 }
 
-void TraceRing::ConvertTo(TraceLog* log) const {
-  for (const Lane& lane : lanes_) {
-    if (lane.is_process) {
-      log->SetProcessName(lane.pid, NameOf(lane.name));
-    } else {
-      log->SetThreadName(lane.pid, lane.tid, NameOf(lane.name));
+std::string TraceRing::ToChromeJson() const {
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  auto comma = [&out, &first] {
+    if (!first) {
+      out += ",";
     }
+    first = false;
+  };
+  // Metadata records first so viewers label lanes before any event needs
+  // them.
+  for (const Lane& lane : lanes_) {
+    comma();
+    out += "{\"name\":";
+    out += lane.is_process ? "\"process_name\"" : "\"thread_name\"";
+    out += ",\"ph\":\"M\",\"pid\":" + std::to_string(lane.pid) +
+           ",\"tid\":" + std::to_string(lane.tid) +
+           ",\"args\":{\"name\":" + json::Quote(NameOf(lane.name)) + "}}";
   }
   for (size_t i = 0; i < size(); ++i) {
     const TraceRecord& r = record(i);
-    Labels args;
-    if (r.arg_name != NameTable::kNoName) {
-      std::string value =
-          r.arg_is_name != 0
-              ? std::string(NameOf(static_cast<uint16_t>(r.arg)))
-              : std::to_string(r.arg);
-      args.emplace_back(std::string(NameOf(r.arg_name)), std::move(value));
-    }
-    if (r.span != 0) {
-      args.emplace_back("span", std::to_string(r.span));
-    }
+    char ph = 0;
     switch (r.kind) {
       case TraceRecord::kComplete:
-        log->AddComplete(NameOf(r.name), r.ts, r.dur, r.pid, r.tid,
-                         std::move(args));
+        ph = 'X';
         break;
       case TraceRecord::kInstant:
-        log->AddInstant(NameOf(r.name), r.ts, r.pid, r.tid, std::move(args));
+        ph = 'i';
         break;
-      case TraceRecord::kCounter: {
-        double value = 0.0;
-        std::memcpy(&value, &r.dur, sizeof(value));
-        log->AddCounter(NameOf(r.name), r.ts, r.pid, value);
+      case TraceRecord::kCounter:
+        ph = 'C';
         break;
-      }
       default:
-        break;
+        continue;  // unknown kind (hand-built image): no event
     }
+    comma();
+    out += "{\"name\":" + json::Quote(NameOf(r.name)) + ",\"ph\":\"" + ph +
+           "\",\"ts\":" + std::to_string(r.ts) +
+           ",\"pid\":" + std::to_string(r.pid) +
+           ",\"tid\":" + std::to_string(r.tid);
+    if (ph == 'X') {
+      out += ",\"dur\":" + std::to_string(r.dur);
+    } else if (ph == 'i') {
+      out += ",\"s\":\"t\"";  // instant scope: thread
+    }
+    const bool has_arg = r.arg_name != NameTable::kNoName;
+    if (ph == 'C') {
+      double value = 0.0;
+      std::memcpy(&value, &r.dur, sizeof(value));
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", value);
+      out += ",\"args\":{\"value\":";
+      out += buf;
+      out += "}";
+    } else if (has_arg || r.span != 0) {
+      out += ",\"args\":{";
+      if (has_arg) {
+        const std::string value =
+            r.arg_is_name != 0
+                ? std::string(NameOf(static_cast<uint16_t>(r.arg)))
+                : std::to_string(r.arg);
+        out += json::Quote(NameOf(r.arg_name)) + ":" + json::Quote(value);
+      }
+      if (r.span != 0) {
+        out += has_arg ? ",\"span\":\"" : "\"span\":\"";
+        out += std::to_string(r.span) + "\"";
+      }
+      out += "}";
+    }
+    out += "}";
   }
+  // displayTimeUnit keeps Perfetto's ruler in sane units for cycle counts.
+  out += "],\"displayTimeUnit\":\"ns\"}";
+  return out;
 }
 
-std::string TraceRing::ToChromeJson() const {
-  TraceLog log;
-  ConvertTo(&log);
-  return log.ToJson();
+Status TraceRing::WriteChromeJsonFile(const std::string& path) const {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return InvalidArgument("cannot open trace output file: " + path);
+  }
+  const std::string body = ToChromeJson();
+  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  if (written != body.size()) {
+    return Internal("short write to trace output file: " + path);
+  }
+  return OkStatus();
 }
 
 std::string TraceRing::SerializeBinary() const {
@@ -408,6 +444,35 @@ Status TraceRing::ReadBinaryFile(const std::string& path) {
   }
   std::fclose(f);
   return ParseBinary(body);
+}
+
+void MixRecord(const TraceRing& ring, const TraceRecord& r, Fnv* fnv) {
+  fnv->Mix(ring.NameOf(r.name));
+  fnv->Mix64(r.ts);
+  fnv->Mix64(r.dur);
+  fnv->Mix64(r.span);
+  fnv->Mix64(r.tid);
+  fnv->Mix64(r.kind);
+  if (r.arg_is_name != 0) {
+    fnv->Mix(ring.NameOf(static_cast<uint16_t>(r.arg)));
+  } else {
+    fnv->Mix64(r.arg);
+  }
+  fnv->Mix(ring.NameOf(r.arg_name));
+}
+
+LaneDigest DigestLane(const TraceRing& ring, uint32_t pid) {
+  Fnv fnv;
+  LaneDigest lane;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const TraceRecord& r = ring.record(i);
+    if (r.pid == pid) {
+      MixRecord(ring, r, &fnv);
+      ++lane.count;
+    }
+  }
+  lane.digest = fnv.h;
+  return lane;
 }
 
 }  // namespace snic::obs

@@ -1,21 +1,17 @@
-// Fixed-record binary ring-buffer trace encoder.
+// Fixed-record binary ring-buffer trace: the one definition of a trace in
+// this repo — its records, its Chrome JSON and its lane identity.
 //
-// TraceLog (trace_event.h) allocates a std::string per event and stringifies
-// labels on the hot path — measured at ~15% on the Fig. 5a replay loop
-// (BENCH_obs_overhead.json), which is why traces got switched off for the
-// big sweeps. TraceRing replaces that hot path with a POD record per event:
-// interned 16-bit name ids (registered once at attach time), a 64-bit span
-// id minted at VPP ingress and propagated across layers, and one free
-// argument word. Recording is a handful of stores into a preallocated ring;
-// serialization, JSON conversion and analysis all happen offline after the
-// run (tools/snic_trace).
+// Each event is a POD record: interned 16-bit name ids (registered once at
+// attach time), a 64-bit span id minted at VPP ingress and propagated across
+// layers, and one free argument word. Recording is a handful of stores into
+// a preallocated ring; serialization, JSON rendering and analysis all happen
+// offline after the run (tools/snic_trace).
 //
-// Determinism contract (docs/RUNTIME.md): like TraceLog, a TraceRing is
-// SINGLE-OWNER — the parallel sweep runtime records into one ring per task
-// and stitches them with Append() on the joining thread in task-index order,
-// so ToChromeJson() and SerializeBinary() are byte-identical at every
-// --jobs count. There is deliberately no mutex; the TSan CI job enforces
-// the contract dynamically.
+// Determinism contract (docs/RUNTIME.md): a TraceRing is SINGLE-OWNER — the
+// parallel sweep runtime records into one ring per task and stitches them
+// with Append() on the joining thread in task-index order, so ToChromeJson()
+// and SerializeBinary() are byte-identical at every --jobs count. There is
+// deliberately no mutex; the TSan CI job enforces the contract dynamically.
 //
 // Bounded rings overwrite their oldest record once full and count the
 // evictions; capacity 0 means unbounded (used for merge sinks and parsed
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/obs/trace_event.h"
 
 // Wraps one ring/span emission statement; compiles to nothing under
 // -DSNIC_OBS_DISABLED. Usage:
@@ -50,6 +45,29 @@
 #endif
 
 namespace snic::obs {
+
+// FNV-1a 64-bit running digest. Everything that reduces a record to a
+// comparable fingerprint — interned names, trace lanes, the scenario
+// runner's packet/grant/stat digests — mixes through this one hash.
+struct Fnv {
+  uint64_t h = 1469598103934665603ull;  // offset basis
+  void Mix(const uint8_t* p, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;  // FNV prime
+    }
+  }
+  void Mix(std::string_view s) {
+    Mix(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  }
+  // Little-endian bytes of `v`.
+  void Mix64(uint64_t v) {
+    uint8_t b[8];
+    for (int i = 0; i < 8; ++i) {
+      b[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    Mix(b, 8);
+  }
+};
 
 // One trace event. Plain data, fixed size, no ownership: strings live in the
 // owning ring's NameTable and are referenced by id.
@@ -83,9 +101,13 @@ class NameTable {
   static constexpr size_t kMaxNames = 65535;
   static constexpr size_t kInitialBuckets = 16;
 
-  // FNV-1a 64-bit. Public so tests can construct deliberate bucket
-  // collisions (two names with equal hash % kInitialBuckets).
-  static uint64_t HashName(std::string_view name);
+  // Fnv over the name bytes. Public so tests can construct deliberate
+  // bucket collisions (two names with equal hash % kInitialBuckets).
+  static uint64_t HashName(std::string_view name) {
+    Fnv fnv;
+    fnv.Mix(name);
+    return fnv.h;
+  }
 
   // Returns the existing id for `name` or assigns the next one.
   uint16_t Intern(std::string_view name);
@@ -144,8 +166,8 @@ class TraceRing {
   std::string_view NameOf(uint16_t id) const { return names_.NameOf(id); }
   size_t name_count() const { return names_.size(); }
 
-  // Lane metadata, kept in recorded order (duplicates preserved) so the
-  // converter reproduces TraceLog's 'M' records byte-for-byte.
+  // Lane metadata, kept in recorded order (duplicates preserved); each
+  // renders as one Chrome 'M' record.
   void SetProcessName(uint32_t pid, std::string_view name);
   void SetThreadName(uint32_t pid, uint32_t tid, std::string_view name);
 
@@ -169,14 +191,17 @@ class TraceRing {
   // joining thread in task-index order; evictions are carried over.
   void Append(const TraceRing& other);
 
-  // --- Offline conversion / serialization ---------------------------------
+  // --- Offline rendering / serialization ----------------------------------
 
-  // Replays every lane and record into a TraceLog. Records without args and
-  // without a span convert to events byte-identical to ones recorded through
-  // the legacy API; arg/span words render as string args ("span", arg_name).
-  void ConvertTo(TraceLog* log) const;
-  // ConvertTo() + TraceLog::ToJson(): {"traceEvents":[...]}.
+  // Chrome-trace / Perfetto JSON ({"traceEvents":[...]}, loadable in
+  // chrome://tracing and ui.perfetto.dev): lane metadata ('M') first, then
+  // one event per record — 'X' spans with "dur", thread-scoped 'i' instants,
+  // 'C' counter samples. `pid` is the NF / security-domain lane and `ts`
+  // the simulated cycle. The arg word renders as a string arg keyed by its
+  // arg_name (resolved to a string when arg_is_name), then the span id as
+  // "span".
   std::string ToChromeJson() const;
+  Status WriteChromeJsonFile(const std::string& path) const;
 
   // Compact binary image (magic "SNICTRB1", little-endian, name table +
   // lanes + records). Parse accepts exactly what Serialize emits.
@@ -215,6 +240,22 @@ class TraceRing {
   std::vector<Lane> lanes_;
   NameTable names_;
 };
+
+// Lane identity: mixes one record into `fnv` as (name string, ts, dur,
+// span, tid, kind, arg — its name string when arg_is_name — and the
+// arg-name string). Names are resolved to strings, so two rings that
+// interned in different orders mix identical event streams identically.
+void MixRecord(const TraceRing& ring, const TraceRecord& r, Fnv* fnv);
+
+// A tenant's lane of a trace, reduced to (record count, digest): every
+// record on `pid`'s lane, oldest first, through MixRecord. Equal lane
+// digests <=> the tenant recorded the same events in the same order with
+// the same payloads.
+struct LaneDigest {
+  uint64_t count = 0;
+  uint64_t digest = 0;
+};
+LaneDigest DigestLane(const TraceRing& ring, uint32_t pid);
 
 }  // namespace snic::obs
 

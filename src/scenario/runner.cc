@@ -227,7 +227,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
     link.producer_nf = state[target_index].nf_id;
     link.consumer_nf = state[downstream_index].nf_id;
     link.frames_per_tick = kChainFramesPerTick;
-    link.flow_control = core::ChainFlowControl::kCredit;
     if (!chains.CreateLink(link).ok()) {
       // One endpoint is down: the target's TX waits for the relaunch that
       // relinks it, and never takes the wire past the downstream tenant.
@@ -717,7 +716,8 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
     }
     AppendF(report, "%s.metrics: tx=%" PRIu64 "\n", t.name.c_str(),
             ts.tx_counter->value());
-    const LaneDigest lane = DigestRingLane(ring, static_cast<uint32_t>(ts.nf_id));
+    const obs::LaneDigest lane =
+        obs::DigestLane(ring, static_cast<uint32_t>(ts.nf_id));
     AppendF(report, "%s.ring: %" PRIu64 " digest: %016" PRIx64 "\n",
             t.name.c_str(), lane.count, lane.digest);
 

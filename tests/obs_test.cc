@@ -1,6 +1,6 @@
 // Tests for the observability layer: metric semantics, label
 // canonicalization, exporter round-trips through the bundled JSON parser,
-// trace-event validity, and the end-to-end series a replay publishes.
+// and the end-to-end series and trace a replay publishes.
 
 #include <cmath>
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include "src/mgmt/nic_os.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
 #include "src/obs/trace_ring.h"
 #include "src/sim/mem_access.h"
 #include "src/sim/replay.h"
@@ -165,37 +164,6 @@ TEST(JsonParser, HandlesEscapesAndRejectsGarbage) {
   EXPECT_FALSE(json::Value::Parse("{\"a\":1} trailing").ok());
   EXPECT_FALSE(json::Value::Parse("{\"a\":}").ok());
   EXPECT_FALSE(json::Value::Parse("").ok());
-}
-
-TEST(TraceLog, EventsSerializeToValidJson) {
-  TraceLog log;
-  log.SetProcessName(0, "core0");
-  log.SetThreadName(1, 2, "domain2");
-  log.AddComplete("dram", 100, 40, 0, 0, {{"addr", "0x80"}});
-  log.AddInstant("warmup_done", 150, 0, 0);
-  log.AddCounter("occupancy", 160, 0, 3.5);
-  EXPECT_EQ(log.size(), 3u);  // metadata records are not events
-
-  auto parsed = json::Value::Parse(log.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const json::Value* events = parsed.value().Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->AsArray().size(), 5u);  // 2 metadata + 3 events
-
-  // Metadata first.
-  EXPECT_EQ(events->AsArray()[0].Find("ph")->AsString(), "M");
-  // The complete span carries ts/dur/pid/tid and its args.
-  bool saw_span = false;
-  for (const json::Value& e : events->AsArray()) {
-    if (e.Find("ph")->AsString() == "X") {
-      saw_span = true;
-      EXPECT_EQ(e.Find("name")->AsString(), "dram");
-      EXPECT_DOUBLE_EQ(e.Find("ts")->AsNumber(), 100.0);
-      EXPECT_DOUBLE_EQ(e.Find("dur")->AsNumber(), 40.0);
-      EXPECT_EQ(e.Find("args")->Find("addr")->AsString(), "0x80");
-    }
-  }
-  EXPECT_TRUE(saw_span);
 }
 
 // End-to-end: a small two-core replay must publish per-core cache counters,

@@ -14,7 +14,6 @@
 #include "bench/fig5_common.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace_event.h"
 #include "src/runtime/sweep.h"
 #include "src/runtime/thread_pool.h"
 

@@ -90,9 +90,20 @@ TEST(AnalyzeRing, CountsControlPlaneEvents) {
   EXPECT_EQ(t.faults, 1u);
 }
 
+// A fault.fired instant whose `site` arg is a name id — the one
+// name-valued arg the simulator records.
+void EmitFault(obs::TraceRing* ring, uint32_t pid, uint64_t ts) {
+  const uint16_t fired = ring->Intern(spans::kFaultFired);
+  const uint16_t site = ring->Intern(spans::kArgSite);
+  const uint16_t site_name = ring->Intern("vpp.rx.drop");
+  ring->EmitInstant(fired, ts, pid, 0, 0, site_name, site,
+                    /*arg_is_name=*/true);
+}
+
 TEST(AnalyzeRing, DigestIgnoresInterningOrder) {
   // Two rings record the same tenant events but intern names in opposite
-  // orders; the string-resolved digest must agree.
+  // orders; the string-resolved digest must agree — including for a
+  // name-valued arg, whose raw word is a ring-local id.
   obs::TraceRing a, b;
   // Pre-intern decoys in b so every shared name lands on a different id.
   b.Intern("decoy.one");
@@ -100,11 +111,22 @@ TEST(AnalyzeRing, DigestIgnoresInterningOrder) {
   b.Intern("decoy.three");
   EmitTenant(&a, 7, 5, 3);
   EmitTenant(&b, 7, 5, 3);
+  EmitFault(&a, 7, 1000);
+  EmitFault(&b, 7, 1000);
   const Timeline ta = AnalyzeRing(a);
   const Timeline tb = AnalyzeRing(b);
   ASSERT_EQ(ta.tenants.size(), 1u);
   ASSERT_EQ(tb.tenants.size(), 1u);
   EXPECT_EQ(ta.tenants[0].digest, tb.tenants[0].digest);
+
+  // The analyzer's per-pid digest is the obs lane identity the scenario
+  // runner's bystander verdict compares.
+  const obs::LaneDigest la = obs::DigestLane(a, 7);
+  const obs::LaneDigest lb = obs::DigestLane(b, 7);
+  EXPECT_EQ(la.count, ta.tenants[0].records);
+  EXPECT_EQ(la.digest, ta.tenants[0].digest);
+  EXPECT_EQ(lb.digest, tb.tenants[0].digest);
+  EXPECT_EQ(obs::DigestLane(a, 8).count, 0u);
 }
 
 TEST(AnalyzeRing, DigestSeesPayloadChanges) {
@@ -113,6 +135,15 @@ TEST(AnalyzeRing, DigestSeesPayloadChanges) {
   EmitTenant(&b, 7, 5, 4);  // one cycle more TX residency
   EXPECT_NE(AnalyzeRing(a).tenants[0].digest,
             AnalyzeRing(b).tenants[0].digest);
+  EXPECT_NE(obs::DigestLane(a, 7).digest, obs::DigestLane(b, 7).digest);
+
+  // A change that is only in a complete span's duration.
+  obs::TraceRing c, d;
+  c.EmitComplete(c.Intern("dram"), 100, 40, 7, 0);
+  d.EmitComplete(d.Intern("dram"), 100, 41, 7, 0);
+  EXPECT_NE(AnalyzeRing(c).tenants[0].digest,
+            AnalyzeRing(d).tenants[0].digest);
+  EXPECT_NE(obs::DigestLane(c, 7).digest, obs::DigestLane(d, 7).digest);
 }
 
 TEST(Forensics, BystanderIdenticalPasses) {

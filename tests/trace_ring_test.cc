@@ -1,7 +1,7 @@
-// Tests for the binary trace ring (src/obs/trace_ring.h): converter output
-// against the legacy TraceLog on a golden fixture, bounded-ring wraparound
-// with eviction accounting, interning-table collisions and growth,
-// cross-shard Append ordering, and binary serialization round-trips.
+// Tests for the binary trace ring (src/obs/trace_ring.h): Chrome JSON
+// rendering against a golden string, bounded-ring wraparound with eviction
+// accounting, interning-table collisions and growth, cross-shard Append
+// ordering, and binary serialization round-trips.
 
 #include <string>
 #include <vector>
@@ -9,32 +9,25 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/json.h"
-#include "src/obs/trace_event.h"
 #include "src/obs/trace_ring.h"
 #include "src/runtime/sweep.h"
 
 namespace snic::obs {
 namespace {
 
-// Golden fixture: the same lane metadata and events recorded through the
-// legacy allocate-and-stringify API and through the ring must serialize to
-// byte-identical Chrome-trace JSON — arg-free records are the compatibility
-// surface the fig5a --trace-out path relies on.
+// Golden fixture: lane metadata plus one record of each kind and one
+// args-bearing span. The literal pins the byte format every --trace-out
+// file has always had: metadata first, "dur" only on 'X', "s":"t" on 'i',
+// %.17g counter values, the named arg before "span", and the
+// displayTimeUnit trailer.
 TEST(TraceRingConverter, MatchesLegacyTraceLogByteForByte) {
-  TraceLog log;
-  log.SetProcessName(0, "core0");
-  log.SetProcessName(1, "bus");
-  log.SetThreadName(1, 0, "domain0");
-  log.AddComplete("dram", 100, 40, 0, 0);
-  log.AddComplete("xfer", 110, 8, 1, 0);
-  log.AddInstant("warmup_done", 150, 0, 0);
-  log.AddCounter("occupancy", 160, 0, 3.5);
-
   TraceRing ring;
   const uint16_t dram = ring.Intern("dram");
   const uint16_t xfer = ring.Intern("xfer");
   const uint16_t warmup = ring.Intern("warmup_done");
   const uint16_t occupancy = ring.Intern("occupancy");
+  const uint16_t deliver = ring.Intern("vnic.deliver");
+  const uint16_t residency = ring.Intern("residency");
   ring.SetProcessName(0, "core0");
   ring.SetProcessName(1, "bus");
   ring.SetThreadName(1, 0, "domain0");
@@ -42,8 +35,39 @@ TEST(TraceRingConverter, MatchesLegacyTraceLogByteForByte) {
   ring.EmitComplete(xfer, 110, 8, 1, 0);
   ring.EmitInstant(warmup, 150, 0, 0);
   ring.EmitCounter(occupancy, 160, 0, 3.5);
+  ring.EmitComplete(deliver, 170, 12, 2, 1, /*span=*/42, /*arg=*/9,
+                   residency);
 
-  EXPECT_EQ(ring.ToChromeJson(), log.ToJson());
+  const std::string rendered = ring.ToChromeJson();
+  EXPECT_EQ(
+      rendered,
+      R"({"traceEvents":[)"
+      R"({"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"core0"}},)"
+      R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"bus"}},)"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"domain0"}},)"
+      R"({"name":"dram","ph":"X","ts":100,"pid":0,"tid":0,"dur":40},)"
+      R"({"name":"xfer","ph":"X","ts":110,"pid":1,"tid":0,"dur":8},)"
+      R"({"name":"warmup_done","ph":"i","ts":150,"pid":0,"tid":0,"s":"t"},)"
+      R"({"name":"occupancy","ph":"C","ts":160,"pid":0,"tid":0,"args":{"value":3.5}},)"
+      R"({"name":"vnic.deliver","ph":"X","ts":170,"pid":2,"tid":1,"dur":12,)"
+      R"("args":{"residency":"9","span":"42"}}],"displayTimeUnit":"ns"})");
+
+  // Structure: valid JSON, metadata records first, then one event per
+  // record; a complete span carries ts/dur and its args.
+  auto parsed = json::Value::Parse(rendered);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* events = parsed.value().Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->AsArray().size(), 3u + ring.size());
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(events->AsArray()[i].Find("ph")->AsString(), "M");
+  }
+  const json::Value& span = events->AsArray().back();
+  EXPECT_EQ(span.Find("ph")->AsString(), "X");
+  EXPECT_EQ(span.Find("name")->AsString(), "vnic.deliver");
+  EXPECT_DOUBLE_EQ(span.Find("ts")->AsNumber(), 170.0);
+  EXPECT_DOUBLE_EQ(span.Find("dur")->AsNumber(), 12.0);
+  EXPECT_EQ(span.Find("args")->Find("residency")->AsString(), "9");
 }
 
 TEST(TraceRingConverter, RendersSpanAndArgWords) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "src/obs/json.h"
@@ -11,13 +10,6 @@
 namespace snic::tools::trace {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  return FnvMix(h, &v, sizeof(v));
-}
 
 std::string Hex64(uint64_t v) {
   char buf[17];
@@ -31,18 +23,10 @@ struct TenantState {
   TenantSummary summary;
   std::map<uint64_t, uint64_t> span_start;  // span id -> rx.enqueue ts
   std::vector<uint64_t> latencies;
+  obs::Fnv digest;
 };
 
 }  // namespace
-
-uint64_t FnvMix(uint64_t h, const void* bytes, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(bytes);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 uint64_t Percentile(std::vector<uint64_t> sample, uint32_t pct) {
   if (sample.empty()) {
@@ -70,7 +54,6 @@ Timeline AnalyzeRing(const obs::TraceRing& ring) {
     TenantState& t = slot->second;
     if (inserted) {
       t.summary.pid = r.pid;
-      t.summary.digest = kFnvOffset;
     }
     ++t.summary.records;
 
@@ -113,25 +96,8 @@ Timeline AnalyzeRing(const obs::TraceRing& ring) {
       ++t.summary.faults;
     }
 
-    // Digest over resolved strings + payload words, order-sensitive. Name
-    // ids are ring-local, so two rings that interned in different orders
-    // still digest equal when the tenant's event stream is identical.
-    uint64_t h = t.summary.digest;
-    h = FnvMix(h, name.data(), name.size());
-    h = MixU64(h, r.ts);
-    h = MixU64(h, r.dur);
-    h = MixU64(h, r.span);
-    h = MixU64(h, r.tid);
-    h = MixU64(h, r.kind);
-    if (r.arg_is_name != 0) {
-      const std::string_view arg = ring.NameOf(static_cast<uint16_t>(r.arg));
-      h = FnvMix(h, arg.data(), arg.size());
-    } else {
-      h = MixU64(h, r.arg);
-    }
-    const std::string_view arg_name = ring.NameOf(r.arg_name);
-    h = FnvMix(h, arg_name.data(), arg_name.size());
-    t.summary.digest = h;
+    // Same fold as obs::DigestLane, one record at a time.
+    obs::MixRecord(ring, r, &t.digest);
   }
 
   // Lane labels: the last registered process name per pid wins (matches
@@ -153,6 +119,7 @@ Timeline AnalyzeRing(const obs::TraceRing& ring) {
     state.summary.latency_p50 = Percentile(state.latencies, 50);
     state.summary.latency_p90 = Percentile(state.latencies, 90);
     state.summary.latency_p99 = Percentile(state.latencies, 99);
+    state.summary.digest = state.digest.h;
     out.tenants.push_back(std::move(state.summary));
   }
   return out;

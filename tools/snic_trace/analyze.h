@@ -6,10 +6,10 @@
 // reconstructs per-tenant timelines from a serialized ring (one tenant ==
 // one pid lane): span latencies matched vpp.rx.enqueue -> vpp.tx.dequeue by
 // span id, queue-residency breakdowns, rejection/shed/chain/accelerator/
-// supervisor/fault event counts, and an order-sensitive FNV-1a digest of
-// the tenant's records with every name resolved to its string (so two
-// rings that interned in different orders still compare equal when the
-// tenant saw identical events).
+// supervisor/fault event counts, and the tenant's lane digest
+// (obs::DigestLane: order-sensitive FNV-1a with every name resolved to its
+// string, so two rings that interned in different orders still compare
+// equal when the tenant saw identical events).
 //
 // The forensics mode turns the chaos differential-isolation claim into a
 // one-line verdict: given a baseline ring and a subject ring (same workload
@@ -31,9 +31,6 @@ namespace snic::tools::trace {
 // Nearest-rank percentile over an unsorted sample (copied + sorted inside);
 // returns 0 on an empty sample. Exposed for the unit tests.
 uint64_t Percentile(std::vector<uint64_t> sample, uint32_t pct);
-
-// FNV-1a 64 over a byte run, seeded with `h` so digests chain.
-uint64_t FnvMix(uint64_t h, const void* bytes, size_t len);
 
 // One tenant's reconstructed timeline.
 struct TenantSummary {
@@ -61,10 +58,7 @@ struct TenantSummary {
   uint64_t supervisor_events = 0; // supervisor.* instants
   uint64_t faults = 0;            // fault.fired instants
 
-  // Order-sensitive FNV-1a over (name string, ts, dur, span, tid, kind,
-  // arg-or-resolved-arg-string, arg-name string) of every record, in ring
-  // order. Equal digests <=> the tenant recorded the same events in the
-  // same order with the same payloads.
+  // The tenant's lane identity: obs::DigestLane(ring, pid).digest.
   uint64_t digest = 0;
 };
 

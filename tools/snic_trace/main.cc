@@ -11,8 +11,8 @@
 //       profile). Exit 0 iff the verdict passes.
 //
 //   snic_trace convert RING.bin --to-json=FILE
-//       Chrome/Perfetto JSON, byte-identical to the TraceLog the encoder
-//       replaced.
+//       Chrome/Perfetto JSON (TraceRing::ToChromeJson), byte-identical to
+//       the --trace-out file of the run that wrote RING.bin.
 
 #include <cstdint>
 #include <cstdio>
