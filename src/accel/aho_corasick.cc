@@ -1,7 +1,6 @@
 #include "src/accel/aho_corasick.h"
 
-#include <algorithm>
-#include <deque>
+#include <cstdint>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -10,100 +9,114 @@ namespace snic::accel {
 
 AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
     : pattern_count_(patterns.size()) {
-  nodes_.emplace_back();  // root
+  SNIC_CHECK(patterns.size() < UINT32_MAX);
 
-  // Phase 1: trie insertion.
-  for (size_t id = 0; id < patterns.size(); ++id) {
-    const std::string& p = patterns[id];
+  // Phase 1: trie insertion into one vector of first-child/next-sibling
+  // index lists, each sibling list kept sorted by byte.
+  struct TrieNode {
+    int32_t first_child = -1;
+    int32_t next_sibling = -1;
+    uint32_t pattern_id = UINT32_MAX;  // first pattern ending exactly here
+    uint32_t patterns_here = 0;        // patterns ending exactly here
+    uint8_t byte = 0;                  // byte on the edge into this node
+  };
+  size_t max_nodes = 1;
+  for (const std::string& p : patterns) {
     SNIC_CHECK(!p.empty());
+    max_nodes += p.size();
+  }
+  SNIC_CHECK(max_nodes < INT32_MAX);
+  std::vector<TrieNode> trie(1);
+  trie.reserve(max_nodes);
+  for (size_t id = 0; id < patterns.size(); ++id) {
     int32_t state = 0;
-    for (char ch : p) {
+    for (char ch : patterns[id]) {
       const auto byte = static_cast<uint8_t>(ch);
-      Node& node = nodes_[static_cast<size_t>(state)];
-      const auto it = std::lower_bound(
-          node.next.begin(), node.next.end(), byte,
-          [](const auto& pair, uint8_t b) { return pair.first < b; });
-      if (it != node.next.end() && it->first == byte) {
-        state = it->second;
-      } else {
-        const auto new_state = static_cast<int32_t>(nodes_.size());
-        // Note: emplace_back may reallocate; re-fetch the node reference.
-        const size_t parent = static_cast<size_t>(state);
-        nodes_.emplace_back();
-        Node& parent_node = nodes_[parent];
-        const auto insert_at = std::lower_bound(
-            parent_node.next.begin(), parent_node.next.end(), byte,
-            [](const auto& pair, uint8_t b) { return pair.first < b; });
-        parent_node.next.insert(insert_at, {byte, new_state});
-        state = new_state;
+      used_[byte] = true;
+      int32_t* link = &trie[static_cast<size_t>(state)].first_child;
+      while (*link >= 0 && trie[static_cast<size_t>(*link)].byte < byte) {
+        link = &trie[static_cast<size_t>(*link)].next_sibling;
       }
+      if (*link < 0 || trie[static_cast<size_t>(*link)].byte != byte) {
+        // Capacity is reserved up front, so `link` survives the append.
+        const auto child = static_cast<int32_t>(trie.size());
+        trie.push_back({.first_child = -1, .next_sibling = *link,
+                        .byte = byte});
+        *link = child;
+      }
+      state = *link;
     }
-    Node& terminal = nodes_[static_cast<size_t>(state)];
-    if (terminal.pattern_id < 0) {
-      terminal.pattern_id = static_cast<int32_t>(id);
+    TrieNode& terminal = trie[static_cast<size_t>(state)];
+    if (terminal.patterns_here == 0) {
+      terminal.pattern_id = static_cast<uint32_t>(id);
     }
     ++terminal.patterns_here;
   }
 
-  // Phase 2: BFS to compute fail and dictionary-suffix links.
-  std::deque<int32_t> queue;
-  for (const auto& [byte, child] : nodes_[0].next) {
-    nodes_[static_cast<size_t>(child)].fail = 0;
-    queue.push_back(child);
+  // Phase 2: breadth-first renumbering emits the CSR arrays. `order[v]` is
+  // the trie node that becomes node v; appending a node's sorted sibling
+  // list gives its children consecutive ids in byte order.
+  const size_t n = trie.size();
+  std::vector<int32_t> order;
+  order.reserve(n);
+  order.push_back(0);
+  nodes_.resize(n + 1);
+  labels_.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    nodes_[v].child_begin = static_cast<uint32_t>(order.size());
+    for (int32_t c = trie[static_cast<size_t>(order[v])].first_child; c >= 0;
+         c = trie[static_cast<size_t>(c)].next_sibling) {
+      labels_[order.size()] = trie[static_cast<size_t>(c)].byte;
+      order.push_back(c);
+    }
   }
-  while (!queue.empty()) {
-    const int32_t state = queue.front();
-    queue.pop_front();
-    // Copy the transition list: Transition() only reads, but iterating a
-    // reference while touching nodes_ invites aliasing bugs.
-    const auto transitions = nodes_[static_cast<size_t>(state)].next;
-    for (const auto& [byte, child] : transitions) {
-      queue.push_back(child);
-      // The child's fail target is where the parent's fail state goes on the
-      // same byte; it is always strictly shallower than the child.
-      const int32_t f =
-          Transition(nodes_[static_cast<size_t>(state)].fail, byte);
-      nodes_[static_cast<size_t>(child)].fail = f;
-      const Node& fail_node = nodes_[static_cast<size_t>(f)];
-      nodes_[static_cast<size_t>(child)].dict_link =
-          fail_node.patterns_here > 0 ? f : fail_node.dict_link;
+  nodes_[n].child_begin = static_cast<uint32_t>(n);
+  for (uint32_t c = nodes_[0].child_begin; c < nodes_[1].child_begin; ++c) {
+    root_[labels_[c]] = c;
+  }
+
+  // Phase 3: fail links and per-node output, in breadth-first order so a
+  // node's fail target (always strictly shallower) is already final.
+  for (size_t v = 0; v < n; ++v) {
+    for (uint32_t c = nodes_[v].child_begin; c < nodes_[v + 1].child_begin;
+         ++c) {
+      Node& child = nodes_[c];
+      child.fail = v == 0 ? 0 : Next(nodes_[v].fail, labels_[c]);
+      const Node& suffix = nodes_[child.fail];
+      const TrieNode& own = trie[static_cast<size_t>(order[c])];
+      child.first_pattern =
+          own.patterns_here > 0 ? own.pattern_id : suffix.first_pattern;
+      child.match_count = own.patterns_here + suffix.match_count;
     }
   }
 }
 
-int32_t AhoCorasick::Transition(int32_t state, uint8_t byte) const {
-  for (;;) {
-    const Node& node = nodes_[static_cast<size_t>(state)];
-    const auto it = std::lower_bound(
-        node.next.begin(), node.next.end(), byte,
-        [](const auto& pair, uint8_t b) { return pair.first < b; });
-    if (it != node.next.end() && it->first == byte) {
-      return it->second;
+uint32_t AhoCorasick::Next(uint32_t state, uint8_t byte) const {
+  while (state != 0) {
+    const uint32_t end = nodes_[state + 1].child_begin;
+    for (uint32_t c = nodes_[state].child_begin; c < end; ++c) {
+      if (labels_[c] >= byte) {
+        if (labels_[c] == byte) {
+          return c;
+        }
+        break;
+      }
     }
-    if (state == 0) {
-      return 0;
-    }
-    state = node.fail;
+    state = nodes_[state].fail;
   }
+  return root_[byte];
 }
 
 MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
   MatchResult result;
   result.bytes_scanned = data.size();
-  int32_t state = 0;
+  uint32_t state = 0;
   for (uint8_t byte : data) {
-    state = Transition(state, byte);
-    // Count matches ending at this position: the current node, then every
-    // pattern-ending suffix via the dictionary-link chain.
-    for (int32_t s = state; s >= 0;
-         s = nodes_[static_cast<size_t>(s)].dict_link) {
-      const Node& node = nodes_[static_cast<size_t>(s)];
-      if (node.patterns_here > 0) {
-        result.match_count += node.patterns_here;
-        if (result.first_pattern == UINT32_MAX) {
-          result.first_pattern = static_cast<uint32_t>(node.pattern_id);
-        }
-      }
+    state = used_[byte] ? Next(state, byte) : 0;
+    const Node& node = nodes_[state];
+    result.match_count += node.match_count;
+    if (result.first_pattern == UINT32_MAX) {
+      result.first_pattern = node.first_pattern;
     }
   }
   return result;
@@ -111,22 +124,18 @@ MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
 
 MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
   MatchResult result;
-  int32_t state = 0;
-  uint64_t scanned = 0;
-  for (uint8_t byte : data) {
-    ++scanned;
-    state = Transition(state, byte);
-    const Node& node = nodes_[static_cast<size_t>(state)];
-    int32_t s = node.patterns_here > 0 ? state : node.dict_link;
-    if (s >= 0) {
-      const Node& hit = nodes_[static_cast<size_t>(s)];
+  uint32_t state = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    state = used_[data[i]] ? Next(state, data[i]) : 0;
+    const Node& node = nodes_[state];
+    if (node.match_count > 0) {
       result.match_count = 1;
-      result.first_pattern = static_cast<uint32_t>(hit.pattern_id);
-      result.bytes_scanned = scanned;
+      result.first_pattern = node.first_pattern;
+      result.bytes_scanned = i + 1;
       return result;
     }
   }
-  result.bytes_scanned = scanned;
+  result.bytes_scanned = data.size();
   return result;
 }
 
@@ -136,11 +145,8 @@ uint64_t AhoCorasick::GraphBytes() const {
   // the footprint of the `aho_corasick` crate's automata) plus 8 bytes per
   // transition. For the paper's 33,471-pattern corpus this lands within
   // 1.5% of the 46.65 MB heap the paper profiles for its DPI NF.
-  uint64_t transitions = 0;
-  for (const Node& node : nodes_) {
-    transitions += node.next.size();
-  }
-  return nodes_.size() * 64 + transitions * 8;
+  const uint64_t transitions = labels_.size() - 1;  // one per non-root node
+  return node_count() * 64 + transitions * 8;
 }
 
 uint64_t AhoCorasick::HardwareGraphBytes() const {
@@ -148,11 +154,8 @@ uint64_t AhoCorasick::HardwareGraphBytes() const {
   // nodes (two cache lines of indexed transitions plus metadata), 8 bytes
   // per transition record, and a dense 256-entry root dispatch row. For the
   // 33,471-pattern corpus this lands within 0.2% of Table 7's 97.28 MB.
-  uint64_t transitions = 0;
-  for (const Node& node : nodes_) {
-    transitions += node.next.size();
-  }
-  return nodes_.size() * 144 + transitions * 8 + 256 * 8;
+  const uint64_t transitions = labels_.size() - 1;
+  return node_count() * 144 + transitions * 8 + 256 * 8;
 }
 
 std::vector<std::string> GenerateDpiRuleset(size_t count, uint64_t seed,

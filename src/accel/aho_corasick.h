@@ -11,6 +11,7 @@
 #ifndef SNIC_ACCEL_AHO_CORASICK_H_
 #define SNIC_ACCEL_AHO_CORASICK_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,7 +41,12 @@ class AhoCorasick {
   MatchResult ScanFirstMatch(std::span<const uint8_t> data) const;
 
   size_t pattern_count() const { return pattern_count_; }
-  size_t node_count() const { return nodes_.size(); }
+  size_t node_count() const { return nodes_.size() - 1; }
+
+  // GraphBytes and HardwareGraphBytes model the layouts of the paper's
+  // matcher, not the host layout below: they depend only on the trie's node
+  // and transition counts, and they size the DPI NF's arena allocation
+  // (hence every Fig. 5 trace address) and the Table 6/7 rows.
 
   // Logical size of the matching graph as laid out in NF RAM (the software
   // automaton backing the DPI network function; Table 6's DPI heap).
@@ -51,18 +57,32 @@ class AhoCorasick {
   uint64_t HardwareGraphBytes() const;
 
  private:
+  // Host layout: a flat graph in compressed sparse row form. Nodes are
+  // numbered in breadth-first order with each node's children emitted in
+  // byte order, so the children of node v are exactly the nodes
+  // [nodes_[v].child_begin, nodes_[v + 1].child_begin) and the edge array
+  // needs only the byte on each edge: `labels_[c]` is the byte leading into
+  // node c. Output is precomputed per node, so a scan reads one record per
+  // byte and never walks dictionary links.
   struct Node {
-    // Sorted by byte for binary search.
-    std::vector<std::pair<uint8_t, int32_t>> next;
-    int32_t fail = 0;
-    int32_t dict_link = -1;    // nearest suffix node that ends a pattern
-    int32_t pattern_id = -1;   // pattern ending exactly here (first one)
-    uint32_t patterns_here = 0;  // number of patterns ending exactly here
+    uint32_t child_begin = 0;
+    uint32_t fail = 0;
+    // The node's own first pattern, else its nearest dictionary suffix's
+    // (UINT32_MAX when neither exists).
+    uint32_t first_pattern = UINT32_MAX;
+    // Patterns ending here plus all along the dictionary-suffix chain.
+    uint32_t match_count = 0;
   };
 
-  int32_t Transition(int32_t state, uint8_t byte) const;
+  // Goto with fail-link fallback; the root row makes the root dense.
+  uint32_t Next(uint32_t state, uint8_t byte) const;
 
-  std::vector<Node> nodes_;
+  std::vector<Node> nodes_;      // node_count() records plus an end sentinel
+  std::vector<uint8_t> labels_;  // CSR edge bytes, indexed by child node
+  std::array<uint32_t, 256> root_{};  // root's child per byte, 0 if none
+  // Bytes that occur in any pattern; any other byte returns the walk
+  // straight to the root without a fail chase.
+  std::array<bool, 256> used_{};
   size_t pattern_count_;
 };
 

@@ -77,17 +77,17 @@ EncodedTrace EncodedTrace::Encode(const InstructionTrace& trace) {
   EncodedTrace out;
   const std::vector<TraceEvent>& ev = trace.events();
   std::vector<uint8_t>& b = out.bytes_;
+  // The header is written in place after a resize: appending it to the
+  // fresh vector (by insert or push_back) trips gcc 12's
+  // -Wstringop-overflow false positive at -O2 (RelWithDebInfo).
   b.reserve(kHeaderSize + ev.size() * 3);
-  // One fixed-size block write for the header (byte-by-byte inserts into
-  // the fresh vector trip gcc 12's -Wstringop-overflow false positive).
-  uint8_t header[kHeaderSize] = {};
-  std::memcpy(header, kMagic, 4);
-  header[4] = kVersion;
+  b.resize(kHeaderSize);
+  std::memcpy(b.data(), kMagic, 4);
+  b[4] = kVersion;
   const uint64_t n = ev.size();
-  for (int i = 0; i < 8; ++i) {
-    header[8 + i] = static_cast<uint8_t>(n >> (8 * i));
+  for (size_t i = 0; i < 8; ++i) {
+    b[8 + i] = static_cast<uint8_t>(n >> (8 * i));
   }
-  b.insert(b.end(), header, header + kHeaderSize);
 
   uint64_t prev_addr = 0;
   uint32_t prev_compute = 0;

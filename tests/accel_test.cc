@@ -1,14 +1,19 @@
-// Tests for the accelerator substrate: Aho-Corasick correctness (including a
-// naive-matcher cross-check), ZIP round-trips (property-style over random
-// inputs), RAID parity/reconstruction, the virtual cluster pool's
-// single-owner semantics, and the DPI timing model's shape.
+// Tests for the accelerator substrate: Aho-Corasick correctness (naive and
+// hash-set matcher cross-checks, pinned DPI-corpus graph sizes), ZIP
+// round-trips (property-style over random inputs), RAID
+// parity/reconstruction, the virtual cluster pool's single-owner semantics,
+// and the DPI timing model's shape.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "src/accel/accelerator.h"
 #include "src/accel/aho_corasick.h"
@@ -17,6 +22,8 @@
 #include "src/accel/zip.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/net/parser.h"
+#include "src/trace/trace_gen.h"
 
 namespace snic::accel {
 namespace {
@@ -52,6 +59,43 @@ uint64_t NaiveCount(const std::vector<std::string>& patterns,
     }
   }
   return count;
+}
+
+// Naive reference for the pattern a scan reports first: the earliest end
+// position of any match; at that position the longest pattern; among
+// duplicates of it, the smallest id. Returns {UINT32_MAX, text size} when
+// nothing matches, else {id, bytes up to and including the match's end}.
+std::pair<uint32_t, uint64_t> NaiveFirst(
+    const std::vector<std::string>& patterns, const std::string& text) {
+  for (size_t end = 1; end <= text.size(); ++end) {
+    uint32_t best = UINT32_MAX;
+    for (size_t id = 0; id < patterns.size(); ++id) {
+      const std::string& p = patterns[id];
+      if (p.size() <= end && text.compare(end - p.size(), p.size(), p) == 0 &&
+          (best == UINT32_MAX || p.size() > patterns[best].size())) {
+        best = static_cast<uint32_t>(id);
+      }
+    }
+    if (best != UINT32_MAX) {
+      return {best, end};
+    }
+  }
+  return {UINT32_MAX, text.size()};
+}
+
+// Checks both scans of `ac` on `text` against the naive matchers.
+void ExpectScansMatchNaive(const AhoCorasick& ac,
+                           const std::vector<std::string>& patterns,
+                           const std::string& text) {
+  const auto [first, end] = NaiveFirst(patterns, text);
+  const MatchResult scan = ac.Scan(Bytes(text));
+  EXPECT_EQ(scan.match_count, NaiveCount(patterns, text));
+  EXPECT_EQ(scan.first_pattern, first);
+  EXPECT_EQ(scan.bytes_scanned, text.size());
+  const MatchResult stop = ac.ScanFirstMatch(Bytes(text));
+  EXPECT_EQ(stop.match_count, first == UINT32_MAX ? 0u : 1u);
+  EXPECT_EQ(stop.first_pattern, first);
+  EXPECT_EQ(stop.bytes_scanned, end);
 }
 
 TEST(AhoCorasickTest, BasicMatch) {
@@ -95,7 +139,7 @@ TEST(AhoCorasickTest, ScanFirstMatchStopsEarly) {
 
 TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
   Rng rng(31337);
-  for (int round = 0; round < 20; ++round) {
+  for (int round = 0; round < 40; ++round) {
     // Small alphabet maximizes overlaps and fail-link traffic.
     std::vector<std::string> patterns;
     for (int i = 0; i < 12; ++i) {
@@ -105,15 +149,117 @@ TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
         p.push_back(static_cast<char>('a' + rng.NextBounded(3)));
       }
       patterns.push_back(p);
+      // Every other round repeats earlier patterns: duplicates share one
+      // terminal node, and the smallest id must be the one reported.
+      if (round % 2 == 1 && rng.NextBounded(3) == 0) {
+        patterns.push_back(patterns[rng.NextBounded(patterns.size())]);
+      }
     }
+    // 'd', 'e' and 0xff occur in no pattern: they must reset the walk.
     std::string text;
     for (int i = 0; i < 300; ++i) {
-      text.push_back(static_cast<char>('a' + rng.NextBounded(3)));
+      const uint64_t pick = rng.NextBounded(round % 4 < 2 ? 3 : 6);
+      text.push_back(pick == 5 ? '\xff' : static_cast<char>('a' + pick));
     }
     AhoCorasick ac(patterns);
-    EXPECT_EQ(ac.Scan(Bytes(text)).match_count, NaiveCount(patterns, text))
-        << "round " << round;
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    ExpectScansMatchNaive(ac, patterns, text);
+    // Short prefixes exercise early first matches and clean misses.
+    for (size_t len : {0, 1, 2, 3, 5, 8}) {
+      ExpectScansMatchNaive(ac, patterns, text.substr(0, len));
+    }
   }
+}
+
+// Differential test on the paper-sized DPI corpus: CAIDA-like payloads plus
+// payloads with planted and overlapping patterns, checked against a hash set
+// of the patterns keyed by length.
+TEST(AhoCorasickTest, DpiCorpusMatchesHashOracle) {
+  const auto patterns = GenerateDpiRuleset(33471, 11);
+  const AhoCorasick ac(patterns);
+
+  // by_length[L]: pattern -> {smallest id, number of copies}.
+  std::map<size_t, std::unordered_map<std::string_view,
+                                      std::pair<uint32_t, uint32_t>>>
+      by_length;
+  for (size_t id = 0; id < patterns.size(); ++id) {
+    ++by_length[patterns[id].size()]
+          .try_emplace(patterns[id], static_cast<uint32_t>(id), 0)
+          .first->second.second;
+  }
+  auto expect_oracle = [&](const std::string& text) {
+    uint64_t count = 0;
+    uint32_t first = UINT32_MAX;
+    uint64_t first_end = text.size();
+    const std::string_view view(text);
+    for (size_t end = 1; end <= text.size(); ++end) {
+      // Longest length first, so the first hit at an end is the longest.
+      for (auto it = by_length.rbegin(); it != by_length.rend(); ++it) {
+        if (it->first > end) {
+          continue;
+        }
+        const auto hit = it->second.find(view.substr(end - it->first,
+                                                     it->first));
+        if (hit == it->second.end()) {
+          continue;
+        }
+        count += hit->second.second;
+        if (first == UINT32_MAX) {
+          first = hit->second.first;
+          first_end = end;
+        }
+      }
+    }
+    const MatchResult scan = ac.Scan(Bytes(text));
+    EXPECT_EQ(scan.match_count, count);
+    EXPECT_EQ(scan.first_pattern, first);
+    const MatchResult stop = ac.ScanFirstMatch(Bytes(text));
+    EXPECT_EQ(stop.Matched(), first != UINT32_MAX);
+    EXPECT_EQ(stop.first_pattern, first);
+    EXPECT_EQ(stop.bytes_scanned, first_end);
+    return first != UINT32_MAX;
+  };
+
+  Rng rng(2024);
+  trace::PacketStream stream(trace::TraceConfig::CaidaLike(7));
+  size_t matched = 0;
+  for (int i = 0; i < 300; ++i) {
+    const net::Packet packet = stream.Next();
+    const auto parsed = net::Parse(packet.bytes());
+    ASSERT_TRUE(parsed.ok());
+    const auto payload =
+        packet.bytes().subspan(parsed.value().payload_offset);
+    std::string text(payload.begin(), payload.end());
+    matched += expect_oracle(text) ? 1 : 0;
+    // Planted: a whole pattern somewhere in the payload.
+    const std::string& p = patterns[rng.NextBounded(patterns.size())];
+    const size_t at = rng.NextBounded(text.size() + 1);
+    std::string planted = text.substr(0, at) + p + text.substr(at);
+    matched += expect_oracle(planted) ? 1 : 0;
+    // Overlapping: a second pattern inserted inside the first, so the walk
+    // abandons a deep partial match through its fail links; then two
+    // patterns back to back behind a false start on the second.
+    const std::string& q = patterns[rng.NextBounded(patterns.size())];
+    const size_t cut = 1 + rng.NextBounded(p.size() - 1);
+    std::string overlapped = planted.substr(0, at + cut) + q +
+                             planted.substr(at + cut);
+    matched += expect_oracle(overlapped) ? 1 : 0;
+    matched += expect_oracle(q.substr(0, q.size() / 2) + p + q) ? 1 : 0;
+  }
+  // Every planted, overlapped and back-to-back payload holds a whole
+  // pattern.
+  EXPECT_GE(matched, 900u);
+}
+
+// The DPI graph sizes of the paper-sized corpus. They size the DPI NF's
+// arena allocation, and with it every Fig. 5 trace address and the Table 6/7
+// rows, so any change to the trie shape or to the size models shows here.
+TEST(AhoCorasickTest, DpiCorpusGraphSizesPinned) {
+  const AhoCorasick ac(GenerateDpiRuleset(33471, 11));
+  EXPECT_EQ(ac.pattern_count(), 33471u);
+  EXPECT_EQ(ac.node_count(), 639063u);
+  EXPECT_EQ(ac.GraphBytes(), 46012528u);
+  EXPECT_EQ(ac.HardwareGraphBytes(), 97139616u);
 }
 
 TEST(AhoCorasickTest, GeneratedRulesetProperties) {
