@@ -1,8 +1,8 @@
 // Measures the runtime cost of the observability layer on the Fig. 5a hot
-// path: the same colocation replay is timed with no obs hooks (the
-// SNIC_OBS_DISABLED proxy: every instrumentation site degrades to a
-// null-pointer check), with a live metrics registry attached, and with
-// metrics plus the binary trace ring recording every DRAM round trip.
+// path: the same colocation replay is timed with no obs hooks (every
+// instrumentation site degrades to a null-pointer check), with a live
+// metrics registry attached, and with metrics plus the binary trace ring
+// recording every DRAM round trip.
 //
 // Budgets, both enforced in the verdict and the exit code: metrics alone
 // must stay below 30%, and metrics+trace must stay within 80% — the bar

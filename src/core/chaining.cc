@@ -8,15 +8,12 @@
 namespace snic::core {
 
 void ChainLink::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_hop_ = ring_->Intern(obs::spans::kChainHop);
-      ring_stall_ = ring_->Intern(obs::spans::kChainStall);
-      ring_arg_peer_ = ring_->Intern(obs::spans::kArgPeer);
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_hop_ = ring_->Intern(obs::spans::kChainHop);
+    ring_stall_ = ring_->Intern(obs::spans::kChainStall);
+    ring_arg_peer_ = ring_->Intern(obs::spans::kArgPeer);
+  }
 }
 
 void ChainLink::Tick() {
@@ -46,12 +43,12 @@ void ChainLink::Tick() {
       // Credit denied: the frame stays put in the producer's bounded TX
       // reservation. No shared state grows.
       ++stats_.frames_stalled;
-      SNIC_TRACE_RING(if (ring_ != nullptr) {
+      if (ring_ != nullptr) {
         ring_->EmitInstant(ring_stall_, device_->now(),
                            static_cast<uint32_t>(config_.producer_nf),
                            /*tid=*/1, head->span_id(), config_.consumer_nf,
                            ring_arg_peer_);
-      });
+      }
       break;
     }
     const uint64_t hop_span = head->span_id();
@@ -65,14 +62,13 @@ void ChainLink::Tick() {
     // queue, as with wire traffic.
     if (consumer->EnqueueRx(std::move(frame).value()).ok()) {
       ++stats_.frames_moved;
-      SNIC_TRACE_RING(if (ring_ != nullptr) {
+      if (ring_ != nullptr) {
         ring_->EmitInstant(ring_hop_, device_->now(),
                            static_cast<uint32_t>(config_.consumer_nf),
                            /*tid=*/0, hop_span, config_.producer_nf,
                            ring_arg_peer_);
-      });
+      }
     }
-    (void)hop_span;
   }
   // Ending the tick with fresh producer TX still queued means the link ran
   // out of usable credits — the backpressure signal the management plane
@@ -102,20 +98,17 @@ Result<size_t> ChainManager::CreateLink(const ChainLinkConfig& config) {
   }
   SNIC_CHECK_OK(device_->SetTxChained(config.producer_nf, true));
   links_.emplace_back(device_, config);
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     links_.back().AttachTraceRing(ring_);
-  });
+  }
   return links_.size() - 1;
 }
 
 void ChainManager::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    for (ChainLink& link : links_) {
-      link.AttachTraceRing(ring);
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  for (ChainLink& link : links_) {
+    link.AttachTraceRing(ring);
+  }
 }
 
 void ChainManager::RemoveLinksFor(uint64_t nf_id) {

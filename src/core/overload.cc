@@ -54,15 +54,15 @@ void CircuitBreaker::TransitionTo(BreakerState next, uint64_t now) {
       half_open_successes_ = 0;
       break;
   }
-  SNIC_OBS(if (obs_state_ != nullptr) {
+  if (obs_state_ != nullptr) {
     obs_state_->Set(static_cast<double>(static_cast<uint8_t>(next)));
-  });
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  }
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_breaker_, now, static_cast<uint32_t>(nf_id_),
                        /*tid=*/2, /*span=*/0,
                        static_cast<uint64_t>(static_cast<uint8_t>(next)),
                        ring_arg_state_);
-  });
+  }
 }
 
 bool CircuitBreaker::AllowRequest(uint64_t now) {
@@ -126,23 +126,17 @@ void CircuitBreaker::RecordFailure(uint64_t now) {
 }
 
 void CircuitBreaker::AttachObs(obs::MetricRegistry* registry) {
-  SNIC_OBS({
-    obs_state_ = &registry->GetGauge("accel.breaker_state",
-                                     {{"nf", std::to_string(nf_id_)}});
-    obs_state_->Set(static_cast<double>(static_cast<uint8_t>(state_)));
-  });
-  (void)registry;
+  obs_state_ = &registry->GetGauge("accel.breaker_state",
+                                   {{"nf", std::to_string(nf_id_)}});
+  obs_state_->Set(static_cast<double>(static_cast<uint8_t>(state_)));
 }
 
 void CircuitBreaker::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_breaker_ = ring_->Intern(obs::spans::kAccelBreaker);
-      ring_arg_state_ = ring_->Intern(obs::spans::kArgState);
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_breaker_ = ring_->Intern(obs::spans::kAccelBreaker);
+    ring_arg_state_ = ring_->Intern(obs::spans::kArgState);
+  }
 }
 
 Result<uint64_t> AccelDispatchGate::Dispatch(accel::AcceleratorType type,
@@ -151,17 +145,17 @@ Result<uint64_t> AccelDispatchGate::Dispatch(accel::AcceleratorType type,
                                              uint64_t now) {
   if (!breaker_.AllowRequest(now)) {
     ++stats_.software_fallbacks;
-    SNIC_TRACE_RING(if (ring_ != nullptr) {
+    if (ring_ != nullptr) {
       ring_->EmitInstant(ring_fallback_, now,
                          static_cast<uint32_t>(breaker_.nf_id()), /*tid=*/2);
-    });
+    }
     return Unavailable("accelerator breaker open: take the software path");
   }
   ++stats_.dispatches;
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_dispatch_, now,
                        static_cast<uint32_t>(breaker_.nf_id()), /*tid=*/2);
-  });
+  }
   auto access = pool_->ThreadAccess(type, cluster, virt_addr, is_write);
   if (access.ok()) {
     breaker_.RecordSuccess(now);
@@ -175,15 +169,12 @@ Result<uint64_t> AccelDispatchGate::Dispatch(accel::AcceleratorType type,
 }
 
 void AccelDispatchGate::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_dispatch_ = ring_->Intern(obs::spans::kAccelDispatch);
-      ring_fallback_ = ring_->Intern(obs::spans::kAccelFallback);
-    }
-    breaker_.AttachTraceRing(ring);
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_dispatch_ = ring_->Intern(obs::spans::kAccelDispatch);
+    ring_fallback_ = ring_->Intern(obs::spans::kAccelFallback);
+  }
+  breaker_.AttachTraceRing(ring);
 }
 
 }  // namespace snic::core

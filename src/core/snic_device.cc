@@ -32,32 +32,25 @@ SnicDevice::SnicDevice(const SnicConfig& config,
       root_of_trust_(vendor, config.rsa_modulus_bits, rng_) {
   SNIC_CHECK(config_.num_cores >= 2);  // NIC-OS core + at least one NF core
   SNIC_CHECK(config_.num_cores <= 64);
-  SNIC_OBS(AttachObs(&obs::DefaultRegistry()));
+  AttachObs(&obs::DefaultRegistry());
 }
 
 void SnicDevice::AttachObs(obs::MetricRegistry* registry) {
-  SNIC_OBS({
-    obs_registry_ = registry;
-    obs_launches_ = &registry->GetCounter("snic.nf.launches");
-    obs_launch_failures_ = &registry->GetCounter("snic.nf.launch_failures");
-    obs_teardowns_ = &registry->GetCounter("snic.nf.teardowns");
-    obs_attests_ = &registry->GetCounter("snic.nf.attests");
-    obs_denylist_rejections_ =
-        &registry->GetCounter("snic.denylist.rejections");
-    obs_unmatched_drops_ = &registry->GetCounter("snic.rx.unmatched_drops");
-    obs_live_nfs_ = &registry->GetGauge("snic.nf.live");
-  });
-  (void)registry;
+  obs_registry_ = registry;
+  obs_launches_ = &registry->GetCounter("snic.nf.launches");
+  obs_launch_failures_ = &registry->GetCounter("snic.nf.launch_failures");
+  obs_teardowns_ = &registry->GetCounter("snic.nf.teardowns");
+  obs_attests_ = &registry->GetCounter("snic.nf.attests");
+  obs_denylist_rejections_ = &registry->GetCounter("snic.denylist.rejections");
+  obs_unmatched_drops_ = &registry->GetCounter("snic.rx.unmatched_drops");
+  obs_live_nfs_ = &registry->GetGauge("snic.nf.live");
 }
 
 void SnicDevice::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    trace_ring_ = ring;
-    for (auto& [id, record] : nfs_) {
-      if (record->vpp != nullptr) record->vpp->AttachTraceRing(ring);
-    }
-  });
-  (void)ring;
+  trace_ring_ = ring;
+  for (auto& [id, record] : nfs_) {
+    record->vpp->AttachTraceRing(ring);
+  }
 }
 
 Result<const SnicDevice::NfRecord*> SnicDevice::FindNf(uint64_t nf_id) const {
@@ -109,11 +102,11 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     return FailedPrecondition("nf_launch requires S-NIC mode");
   }
   if (SNIC_FAULT_FIRES(fault::sites::kNfLaunch, next_nf_id_)) {
-    SNIC_OBS(if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc());
+    if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
     return ResourceExhausted("injected transient launch failure");
   }
   if (Status check = CheckLaunchArgs(args); !check.ok()) {
-    SNIC_OBS(if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc());
+    if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
     return check;
   }
   // Reserve accelerator clusters first (atomic failure path: nothing else
@@ -128,8 +121,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
                                           args.accel_clusters[t], nf_id);
     if (!allocated.ok()) {
       accel_pool_.ReleaseAll(nf_id);
-      SNIC_OBS(
-          if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc());
+      if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
       return allocated.status();
     }
     clusters[t] = std::move(allocated.value());
@@ -141,8 +133,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     auto heap = memory_.AllocatePages(args.heap_pages, nf_id);
     if (!heap.ok()) {
       accel_pool_.ReleaseAll(nf_id);
-      SNIC_OBS(
-          if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc());
+      if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
       return heap.status();
     }
     pages.insert(pages.end(), heap.value().begin(), heap.value().end());
@@ -151,11 +142,11 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // Commit: build the record.
   ++next_nf_id_;
   auto record = std::make_unique<NfRecord>(nf_id, config_.core_tlb_entries);
-  SNIC_OBS(if (obs_registry_ != nullptr) {
+  if (obs_registry_ != nullptr) {
     obs::Labels tlb_labels;
     tlb_labels.emplace_back("nf_id", std::to_string(nf_id));
     record->tlb.AttachObs(obs_registry_, tlb_labels);
-  });
+  }
   record->core_mask = args.core_mask;
   record->pages = pages;
   record->clusters = clusters;
@@ -230,22 +221,20 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // the device's own counters live.
   record->vpp = std::make_unique<VirtualPacketPipeline>(nf_id, args.vpp);
   record->vpp->AdvanceClockTo(now_);
-  SNIC_OBS(if (obs_registry_ != nullptr) {
+  if (obs_registry_ != nullptr) {
     record->vpp->AttachObs(obs_registry_);
-  });
-  SNIC_TRACE_RING(if (trace_ring_ != nullptr) {
+  }
+  if (trace_ring_ != nullptr) {
     record->vpp->AttachTraceRing(trace_ring_);
-  });
+  }
 
   nfs_[nf_id] = std::move(record);
-  SNIC_OBS({
-    if (obs_launches_ != nullptr) {
-      obs_launches_->Inc();
-    }
-    if (obs_live_nfs_ != nullptr) {
-      obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
-    }
-  });
+  if (obs_launches_ != nullptr) {
+    obs_launches_->Inc();
+  }
+  if (obs_live_nfs_ != nullptr) {
+    obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
+  }
   return nf_id;
 }
 
@@ -276,14 +265,12 @@ Status SnicDevice::NfTeardown(uint64_t nf_id) {
   core_allocation_mask_ &= ~record->core_mask;
   accel_pool_.ReleaseAll(nf_id);
   nfs_.erase(nf_id);
-  SNIC_OBS({
-    if (obs_teardowns_ != nullptr) {
-      obs_teardowns_->Inc();
-    }
-    if (obs_live_nfs_ != nullptr) {
-      obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
-    }
-  });
+  if (obs_teardowns_ != nullptr) {
+    obs_teardowns_->Inc();
+  }
+  if (obs_live_nfs_ != nullptr) {
+    obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
+  }
   return OkStatus();
 }
 
@@ -308,7 +295,7 @@ Result<AttestationQuote> SnicDevice::NfAttest(uint64_t nf_id,
   coproc_.AccountRsaSign();
   quote.signature = root_of_trust_.SignWithAk(
       std::span<const uint8_t>(payload.data(), payload.size()));
-  SNIC_OBS(if (obs_attests_ != nullptr) obs_attests_->Inc());
+  if (obs_attests_ != nullptr) obs_attests_->Inc();
   quote.ak_public = root_of_trust_.ak_public();
   quote.ak_endorsement = root_of_trust_.ak_endorsement();
   quote.ek_certificate = root_of_trust_.ek_certificate();
@@ -382,9 +369,9 @@ Result<uint8_t> SnicDevice::MgmtReadPhys(uint64_t paddr) const {
   }
   if (config_.mode == SecurityMode::kSnic &&
       mgmt_denylist_->IsDenied(paddr / memory_.page_bytes())) {
-    SNIC_OBS(if (obs_denylist_rejections_ != nullptr) {
+    if (obs_denylist_rejections_ != nullptr) {
       obs_denylist_rejections_->Inc();
-    });
+    }
     return PermissionDenied("denylisted page (owned by a live NF)");
   }
   return memory_.ReadByte(paddr);
@@ -396,9 +383,9 @@ Status SnicDevice::MgmtWritePhys(uint64_t paddr, uint8_t value) {
   }
   if (config_.mode == SecurityMode::kSnic &&
       mgmt_denylist_->IsDenied(paddr / memory_.page_bytes())) {
-    SNIC_OBS(if (obs_denylist_rejections_ != nullptr) {
+    if (obs_denylist_rejections_ != nullptr) {
       obs_denylist_rejections_->Inc();
-    });
+    }
     return PermissionDenied("denylisted page (owned by a live NF)");
   }
   memory_.WriteByte(paddr, value);
@@ -438,13 +425,13 @@ Status SnicDevice::DeliverFromWire(net::Packet packet) {
   const auto parsed = net::Parse(packet.bytes());
   if (!parsed.ok()) {
     ++unmatched_rx_drops_;
-    SNIC_OBS(if (obs_unmatched_drops_ != nullptr) {
+    if (obs_unmatched_drops_ != nullptr) {
       obs_unmatched_drops_->Inc();
-    });
+    }
     return parsed.status();
   }
   for (auto& [id, record] : nfs_) {
-    if (record->vpp != nullptr && record->vpp->Matches(parsed.value())) {
+    if (record->vpp->Matches(parsed.value())) {
       // With the vNIC front-end attached, a matched frame goes through the
       // owning VF's descriptor ring and quotas first; NFs without a VF keep
       // the direct path.
@@ -458,9 +445,9 @@ Status SnicDevice::DeliverFromWire(net::Packet packet) {
     }
   }
   ++unmatched_rx_drops_;
-  SNIC_OBS(if (obs_unmatched_drops_ != nullptr) {
+  if (obs_unmatched_drops_ != nullptr) {
     obs_unmatched_drops_->Inc();
-  });
+  }
   return NotFound("no switch rule matched");
 }
 
@@ -469,11 +456,7 @@ Result<net::Packet> SnicDevice::NfReceive(uint64_t nf_id) {
   if (!found.ok()) {
     return found.status();
   }
-  NfRecord* record = found.value();
-  if (record->vpp == nullptr) {
-    return FailedPrecondition("function has no VPP");
-  }
-  return record->vpp->DequeueRx();
+  return found.value()->vpp->DequeueRx();
 }
 
 Status SnicDevice::NfSend(uint64_t nf_id, net::Packet packet) {
@@ -481,11 +464,7 @@ Status SnicDevice::NfSend(uint64_t nf_id, net::Packet packet) {
   if (!found.ok()) {
     return found.status();
   }
-  NfRecord* record = found.value();
-  if (record->vpp == nullptr) {
-    return FailedPrecondition("function has no VPP");
-  }
-  return record->vpp->EnqueueTx(std::move(packet));
+  return found.value()->vpp->EnqueueTx(std::move(packet));
 }
 
 Result<net::Packet> SnicDevice::TransmitToWire() {
@@ -502,8 +481,7 @@ Result<net::Packet> SnicDevice::TransmitToWire() {
     NfRecord* record = records[(rr_tx_cursor_ + k + 1) % records.size()];
     // PeekTx sheds stale frames first, so a queue holding only expired
     // frames does not stall the round-robin on a NotFound dequeue.
-    if (record->vpp != nullptr && !record->tx_chained &&
-        record->vpp->PeekTx() != nullptr) {
+    if (!record->tx_chained && record->vpp->PeekTx() != nullptr) {
       rr_tx_cursor_ = (rr_tx_cursor_ + k + 1) % records.size();
       return record->vpp->DequeueTx();
     }
@@ -526,9 +504,7 @@ void SnicDevice::AdvanceClockTo(uint64_t cycle) {
   }
   now_ = cycle;
   for (auto& [id, record] : nfs_) {
-    if (record->vpp != nullptr) {
-      record->vpp->AdvanceClockTo(cycle);
-    }
+    record->vpp->AdvanceClockTo(cycle);
   }
   if (vnic_front_end_ != nullptr) {
     vnic_front_end_->AdvanceClockTo(cycle);

@@ -208,7 +208,7 @@ class SnicDevice {
     uint64_t core_mask;
     std::vector<uint64_t> pages;  // physical page indices, in vaddr order
     sim::LockedTlb tlb;           // per-function core TLB (shared mapping)
-    std::unique_ptr<VirtualPacketPipeline> vpp;
+    std::unique_ptr<VirtualPacketPipeline> vpp;  // non-null once in nfs_
     crypto::Sha256Digest measurement;
     std::array<std::vector<uint32_t>, accel::kNumAcceleratorTypes> clusters;
     bool tx_chained = false;  // TX drains through a chain link, not the wire

@@ -101,12 +101,11 @@ void PfVfManager::ResetLocked(uint32_t vf_id, Vf& vf) {
     strikes = 0;
   }
   ++vf.stats.resets;
-  SNIC_OBS(if (vf.m_resets != nullptr) vf.m_resets->Inc());
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (vf.m_resets != nullptr) vf.m_resets->Inc();
+  if (ring_ != nullptr) {
     ring_->EmitInstant(span_reset_, now_, static_cast<uint32_t>(vf.nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
-  });
-  (void)vf_id;
+  }
 }
 
 Status PfVfManager::ResetVf(uint32_t vf_id) {
@@ -136,12 +135,12 @@ void PfVfManager::Strike(uint32_t vf_id, Vf& vf, VfAbuse kind) {
   }
   vf.abuse_latched[index] = true;
   ++vf.stats.abuse_flags;
-  SNIC_OBS(if (vf.m_abuse != nullptr) vf.m_abuse->Inc());
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (vf.m_abuse != nullptr) vf.m_abuse->Inc();
+  if (ring_ != nullptr) {
     ring_->EmitInstant(span_abuse_, now_, static_cast<uint32_t>(vf.nf_id),
                        /*tid=*/0, /*span=*/0, static_cast<uint64_t>(index),
                        arg_cause_);
-  });
+  }
   if (abuse_callback_) {
     abuse_callback_(vf_id, kind);
   }
@@ -176,7 +175,7 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
   }
   if (!status.ok()) {
     ++vf->stats.post_rejected_decode;
-    SNIC_OBS(if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc());
+    if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc();
     Strike(vf_id, *vf, VfAbuse::kBadDescriptor);
     return status;
   }
@@ -192,7 +191,7 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
     if (vf->posted_bytes + vf->churn_penalty_bytes + descriptor.buffer_len >
         vf->quota.posted_bytes_limit) {
       ++vf->stats.post_rejected_quota;
-      SNIC_OBS(if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc());
+      if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc();
       Strike(vf_id, *vf, VfAbuse::kQuotaChurn);
       return ResourceExhausted("vf: posted-byte quota exhausted");
     }
@@ -200,28 +199,27 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
     if (!posted.ok()) {
       if (posted.code() == ErrorCode::kInvalidArgument) {
         ++vf->stats.post_rejected_stale;
-        SNIC_OBS(if (vf->m_post_rejected != nullptr) {
+        if (vf->m_post_rejected != nullptr) {
           vf->m_post_rejected->Inc();
-        });
+        }
         Strike(vf_id, *vf, VfAbuse::kBadDescriptor);
       } else {
         ++vf->stats.post_rejected_full;
-        SNIC_OBS(if (vf->m_post_rejected != nullptr) {
+        if (vf->m_post_rejected != nullptr) {
           vf->m_post_rejected->Inc();
-        });
+        }
       }
       return posted;
     }
     vf->posted_bytes += descriptor.buffer_len;
     ++vf->stats.posts_accepted;
     ++accepted;
-    SNIC_OBS(if (vf->m_posted != nullptr) vf->m_posted->Inc());
+    if (vf->m_posted != nullptr) vf->m_posted->Inc();
   }
-  SNIC_TRACE_RING(if (ring_ != nullptr && accepted > 0) {
+  if (ring_ != nullptr && accepted > 0) {
     ring_->EmitInstant(span_post_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
-  });
-  (void)accepted;
+  }
   return OkStatus();
 }
 
@@ -236,16 +234,16 @@ bool PfVfManager::RingDoorbell(uint32_t vf_id) {
   }
   if (!vf->doorbell.Ring()) {
     ++vf->stats.doorbell_rejected;
-    SNIC_OBS(if (vf->m_rings_rejected != nullptr) vf->m_rings_rejected->Inc());
+    if (vf->m_rings_rejected != nullptr) vf->m_rings_rejected->Inc();
     Strike(vf_id, *vf, VfAbuse::kDoorbellFlood);
     return false;
   }
   ++vf->stats.doorbell_rings;
-  SNIC_OBS(if (vf->m_rings != nullptr) vf->m_rings->Inc());
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (vf->m_rings != nullptr) vf->m_rings->Inc();
+  if (ring_ != nullptr) {
     ring_->EmitInstant(span_doorbell_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
-  });
+  }
   return true;
 }
 
@@ -266,11 +264,11 @@ Result<CompletionQueue::Completion> PfVfManager::Harvest(uint32_t vf_id) {
     return completion;
   }
   ++vf->stats.harvested;
-  SNIC_OBS(if (vf->m_harvested != nullptr) vf->m_harvested->Inc());
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (vf->m_harvested != nullptr) vf->m_harvested->Inc();
+  if (ring_ != nullptr) {
     ring_->EmitInstant(span_harvest_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, completion.value().span_id, vf_id, arg_vf_);
-  });
+  }
   return completion;
 }
 
@@ -281,15 +279,15 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   }
   if (vf->quarantined) {
     ++vf->stats.dropped_quarantined;
-    SNIC_OBS(if (vf->m_drops_quarantined != nullptr) {
+    if (vf->m_drops_quarantined != nullptr) {
       vf->m_drops_quarantined->Inc();
-    });
+    }
     return Unavailable("vf: quarantined");
   }
   const auto posted = vf->ring.Peek();
   if (!posted.ok()) {
     ++vf->stats.dropped_no_descriptor;
-    SNIC_OBS(if (vf->m_drops_no_desc != nullptr) vf->m_drops_no_desc->Inc());
+    if (vf->m_drops_no_desc != nullptr) vf->m_drops_no_desc->Inc();
     return ResourceExhausted("vf: no posted descriptor");
   }
   if (packet.size() > posted.value().descriptor.buffer_len) {
@@ -300,7 +298,7 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   }
   if (vf->cq.Full()) {
     ++vf->stats.dropped_cq_full;
-    SNIC_OBS(if (vf->m_drops_cq_full != nullptr) vf->m_drops_cq_full->Inc());
+    if (vf->m_drops_cq_full != nullptr) vf->m_drops_cq_full->Inc();
     Strike(vf_id, *vf, VfAbuse::kCqSquat);
     return ResourceExhausted("vf: completion queue full");
   }
@@ -311,7 +309,7 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
     // VPP backpressure (or an injected ingress fault): leave the descriptor
     // posted so the ring stops draining — that is the backpressure signal.
     ++vf->stats.dropped_vpp;
-    SNIC_OBS(if (vf->m_drops_vpp != nullptr) vf->m_drops_vpp->Inc());
+    if (vf->m_drops_vpp != nullptr) vf->m_drops_vpp->Inc();
     return enqueued;
   }
   const auto consumed = vf->ring.Consume();
@@ -331,11 +329,11 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   completion.span_id = span_id;
   SNIC_CHECK_OK(vf->cq.Push(completion));  // Full() was checked above
   ++vf->stats.delivered;
-  SNIC_OBS(if (vf->m_delivered != nullptr) vf->m_delivered->Inc());
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (vf->m_delivered != nullptr) vf->m_delivered->Inc();
+  if (ring_ != nullptr) {
     ring_->EmitInstant(span_deliver_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, span_id, wait, arg_residency_);
-  });
+  }
   return OkStatus();
 }
 
@@ -402,60 +400,50 @@ void PfVfManager::SetAbuseCallback(AbuseCallback callback) {
 }
 
 void PfVfManager::AttachVfObs(uint32_t vf_id, Vf& vf) {
-  SNIC_OBS({
-    if (registry_ == nullptr) {
-      return;
-    }
-    const std::string id = std::to_string(vf_id);
-    vf.m_posted = &registry_->GetCounter("vnic.posted", {{"vf", id}});
-    vf.m_post_rejected =
-        &registry_->GetCounter("vnic.post_rejected", {{"vf", id}});
-    vf.m_rings = &registry_->GetCounter("vnic.doorbell.rings", {{"vf", id}});
-    vf.m_rings_rejected =
-        &registry_->GetCounter("vnic.doorbell.rejected", {{"vf", id}});
-    vf.m_delivered = &registry_->GetCounter("vnic.delivered", {{"vf", id}});
-    vf.m_drops_no_desc = &registry_->GetCounter(
-        "vnic.drops", {{"vf", id}, {"reason", "no_descriptor"}});
-    vf.m_drops_cq_full = &registry_->GetCounter(
-        "vnic.drops", {{"vf", id}, {"reason", "cq_full"}});
-    vf.m_drops_vpp = &registry_->GetCounter(
-        "vnic.drops", {{"vf", id}, {"reason", "vpp_backpressure"}});
-    vf.m_drops_quarantined = &registry_->GetCounter(
-        "vnic.drops", {{"vf", id}, {"reason", "quarantined"}});
-    vf.m_harvested = &registry_->GetCounter("vnic.harvested", {{"vf", id}});
-    vf.m_resets = &registry_->GetCounter("vnic.vf.resets", {{"vf", id}});
-    vf.m_abuse = &registry_->GetCounter("vnic.abuse.flagged", {{"vf", id}});
-  });
-  (void)vf_id;
-  (void)vf;
+  if (registry_ == nullptr) {
+    return;
+  }
+  const std::string id = std::to_string(vf_id);
+  vf.m_posted = &registry_->GetCounter("vnic.posted", {{"vf", id}});
+  vf.m_post_rejected =
+      &registry_->GetCounter("vnic.post_rejected", {{"vf", id}});
+  vf.m_rings = &registry_->GetCounter("vnic.doorbell.rings", {{"vf", id}});
+  vf.m_rings_rejected =
+      &registry_->GetCounter("vnic.doorbell.rejected", {{"vf", id}});
+  vf.m_delivered = &registry_->GetCounter("vnic.delivered", {{"vf", id}});
+  vf.m_drops_no_desc = &registry_->GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "no_descriptor"}});
+  vf.m_drops_cq_full = &registry_->GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "cq_full"}});
+  vf.m_drops_vpp = &registry_->GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "vpp_backpressure"}});
+  vf.m_drops_quarantined = &registry_->GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "quarantined"}});
+  vf.m_harvested = &registry_->GetCounter("vnic.harvested", {{"vf", id}});
+  vf.m_resets = &registry_->GetCounter("vnic.vf.resets", {{"vf", id}});
+  vf.m_abuse = &registry_->GetCounter("vnic.abuse.flagged", {{"vf", id}});
 }
 
 void PfVfManager::AttachObs(obs::MetricRegistry* registry) {
-  SNIC_OBS({
-    registry_ = registry;
-    for (auto& [vf_id, vf] : vfs_) {
-      AttachVfObs(vf_id, *vf);
-    }
-  });
-  (void)registry;
+  registry_ = registry;
+  for (auto& [vf_id, vf] : vfs_) {
+    AttachVfObs(vf_id, *vf);
+  }
 }
 
 void PfVfManager::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      span_post_ = ring_->Intern(obs::spans::kVnicDescPost);
-      span_doorbell_ = ring_->Intern(obs::spans::kVnicDoorbellRing);
-      span_deliver_ = ring_->Intern(obs::spans::kVnicDeliver);
-      span_harvest_ = ring_->Intern(obs::spans::kVnicHarvest);
-      span_reset_ = ring_->Intern(obs::spans::kVnicVfReset);
-      span_abuse_ = ring_->Intern(obs::spans::kVnicAbuseFlagged);
-      arg_vf_ = ring_->Intern(obs::spans::kArgVf);
-      arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
-      arg_cause_ = ring_->Intern(obs::spans::kArgCause);
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    span_post_ = ring_->Intern(obs::spans::kVnicDescPost);
+    span_doorbell_ = ring_->Intern(obs::spans::kVnicDoorbellRing);
+    span_deliver_ = ring_->Intern(obs::spans::kVnicDeliver);
+    span_harvest_ = ring_->Intern(obs::spans::kVnicHarvest);
+    span_reset_ = ring_->Intern(obs::spans::kVnicVfReset);
+    span_abuse_ = ring_->Intern(obs::spans::kVnicAbuseFlagged);
+    arg_vf_ = ring_->Intern(obs::spans::kArgVf);
+    arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
+    arg_cause_ = ring_->Intern(obs::spans::kArgCause);
+  }
 }
 
 }  // namespace snic::core::vnic

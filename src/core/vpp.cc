@@ -84,9 +84,9 @@ bool VirtualPacketPipeline::DeadlineExpired(uint64_t enqueue_cycle) const {
 }
 
 void VirtualPacketPipeline::UpdateRxDepthObs() {
-  SNIC_OBS(if (obs_rx_depth_ != nullptr) {
+  if (obs_rx_depth_ != nullptr) {
     obs_rx_depth_->Set(static_cast<double>(rx_queue_.size()));
-  });
+  }
 }
 
 void VirtualPacketPipeline::ShedRxAt(size_t index) {
@@ -94,26 +94,22 @@ void VirtualPacketPipeline::ShedRxAt(size_t index) {
   rx_buffered_bytes_ -= bytes;
   ++stats_.rx_shed_deadline;
   stats_.shed_bytes += bytes;
-  SNIC_OBS({
-    if (obs_shed_rx_ != nullptr) obs_shed_rx_->Inc();
-    if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
-  });
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (obs_shed_rx_ != nullptr) obs_shed_rx_->Inc();
+  if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_shed_, now_, RingPid(), /*tid=*/0,
                        rx_queue_[index].packet.span_id(),
                        now_ - rx_queue_[index].enqueue_cycle,
                        ring_arg_residency_);
-  });
+  }
   rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(index));
 }
 
 void VirtualPacketPipeline::EmitRingRejected(uint64_t span, uint64_t cause) {
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_rx_rejected_, now_, RingPid(), /*tid=*/0, span,
                        cause, ring_arg_cause_);
-  });
-  (void)span;
-  (void)cause;
+  }
 }
 
 bool VirtualPacketPipeline::MakeRoomByEarlyDrop(uint64_t incoming_bytes) {
@@ -143,7 +139,7 @@ bool VirtualPacketPipeline::MakeRoomByEarlyDrop(uint64_t incoming_bytes) {
     }
     rx_buffered_bytes_ -= victim_bytes;
     ++stats_.rx_dropped_early;
-    SNIC_OBS(if (obs_drops_early_ != nullptr) obs_drops_early_->Inc());
+    if (obs_drops_early_ != nullptr) obs_drops_early_->Inc();
     rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(victim));
   }
   return true;
@@ -153,9 +149,9 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
   // Mint the causal span id at ingress — before any admission decision, so
   // even rejected frames are reconstructable. (nf_id << 32 | seq) keeps one
   // tenant's ids independent of every other tenant's traffic.
-  SNIC_TRACE_RING(if (ring_ != nullptr && packet.span_id() == 0) {
+  if (ring_ != nullptr && packet.span_id() == 0) {
     packet.set_span_id((nf_id_ << 32) | ++span_seq_);
-  });
+  }
   if (SNIC_FAULT_FIRES(fault::sites::kVppRxDrop, nf_id_)) {
     ++stats_.rx_dropped_fault;
     EmitRingRejected(packet.span_id(), kRejectFault);
@@ -173,13 +169,13 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
   // rejecting frames the bucket would have admitted.
   if (SNIC_FAULT_FIRES(fault::sites::kVppRxAdmissionReject, nf_id_)) {
     ++stats_.rx_dropped_admission;
-    SNIC_OBS(if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc());
+    if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc();
     EmitRingRejected(packet.span_id(), kRejectAdmission);
     return ResourceExhausted("injected admission reject");
   }
   if (!admission_.HasToken()) {
     ++stats_.rx_dropped_admission;
-    SNIC_OBS(if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc());
+    if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc();
     EmitRingRejected(packet.span_id(), kRejectAdmission);
     return ResourceExhausted("admission token bucket empty");
   }
@@ -192,7 +188,7 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
         MakeRoomByEarlyDrop(packet.size());
     if (!admitted) {
       ++stats_.rx_dropped_full;
-      SNIC_OBS(if (obs_drops_full_rx_ != nullptr) obs_drops_full_rx_->Inc());
+      if (obs_drops_full_rx_ != nullptr) obs_drops_full_rx_->Inc();
       EmitRingRejected(packet.span_id(), kRejectFull);
       return ResourceExhausted("RX buffer reservation full");
     }
@@ -206,11 +202,11 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
       std::max<uint64_t>(stats_.rx_peak_frames, rx_queue_.size());
   stats_.rx_peak_bytes = std::max(stats_.rx_peak_bytes, rx_buffered_bytes_);
   UpdateRxDepthObs();
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_rx_enq_, now_, RingPid(), /*tid=*/0,
                        rx_queue_.back().packet.span_id(), rx_queue_.size(),
                        ring_arg_depth_);
-  });
+  }
   return OkStatus();
 }
 
@@ -238,12 +234,11 @@ Result<net::Packet> VirtualPacketPipeline::DequeueRx() {
     rx_buffered_bytes_ -= packet.size();
     rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(pick));
     UpdateRxDepthObs();
-    SNIC_TRACE_RING(if (ring_ != nullptr) {
+    if (ring_ != nullptr) {
       ring_->EmitInstant(ring_rx_deq_, now_, RingPid(), /*tid=*/0,
                          packet.span_id(), now_ - queued_at,
                          ring_arg_residency_);
-    });
-    (void)queued_at;
+    }
     return packet;
   }
 }
@@ -252,17 +247,17 @@ Status VirtualPacketPipeline::EnqueueTx(net::Packet packet) {
   // TX reservation: the ODB bounds outstanding descriptors (64 B each).
   if (tx_queue_.size() >= TxCapacityFrames()) {
     ++stats_.tx_dropped_full;
-    SNIC_OBS(if (obs_drops_full_tx_ != nullptr) obs_drops_full_tx_->Inc());
+    if (obs_drops_full_tx_ != nullptr) obs_drops_full_tx_->Inc();
     return ResourceExhausted("TX descriptor reservation full");
   }
   stats_.tx_bytes += packet.size();
   ++stats_.tx_packets;
   tx_queue_.push_back(QueuedFrame{std::move(packet), now_});
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_tx_enq_, now_, RingPid(), /*tid=*/1,
                        tx_queue_.back().packet.span_id(), tx_queue_.size(),
                        ring_arg_depth_);
-  });
+  }
   return OkStatus();
 }
 
@@ -272,16 +267,14 @@ const net::Packet* VirtualPacketPipeline::PeekTx() {
     const uint64_t bytes = tx_queue_.front().packet.size();
     ++stats_.tx_shed_deadline;
     stats_.shed_bytes += bytes;
-    SNIC_OBS({
-      if (obs_shed_tx_ != nullptr) obs_shed_tx_->Inc();
-      if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
-    });
-    SNIC_TRACE_RING(if (ring_ != nullptr) {
+    if (obs_shed_tx_ != nullptr) obs_shed_tx_->Inc();
+    if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
+    if (ring_ != nullptr) {
       ring_->EmitInstant(ring_shed_, now_, RingPid(), /*tid=*/1,
                          tx_queue_.front().packet.span_id(),
                          now_ - tx_queue_.front().enqueue_cycle,
                          ring_arg_residency_);
-    });
+    }
     tx_queue_.pop_front();
   }
   return tx_queue_.empty() ? nullptr : &tx_queue_.front().packet;
@@ -294,56 +287,48 @@ Result<net::Packet> VirtualPacketPipeline::DequeueTx() {
   const uint64_t queued_at = tx_queue_.front().enqueue_cycle;
   net::Packet packet = std::move(tx_queue_.front().packet);
   tx_queue_.pop_front();
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(ring_tx_deq_, now_, RingPid(), /*tid=*/1,
                        packet.span_id(), now_ - queued_at,
                        ring_arg_residency_);
-  });
-  (void)queued_at;
+  }
   return packet;
 }
 
 void VirtualPacketPipeline::AttachObs(obs::MetricRegistry* registry) {
-  SNIC_OBS({
-    const std::string nf = std::to_string(nf_id_);
-    obs_rx_depth_ = &registry->GetGauge("vpp.rx_queue_depth", {{"nf", nf}});
-    obs_drops_full_rx_ =
-        &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "rx"}});
-    obs_drops_full_tx_ =
-        &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "tx"}});
-    obs_drops_admission_ =
-        &registry->GetCounter("vpp.drops.admission", {{"nf", nf}});
-    obs_drops_early_ = &registry->GetCounter("vpp.drops.early", {{"nf", nf}});
-    obs_shed_rx_ = &registry->GetCounter("overload.shed.deadline",
-                                         {{"nf", nf}, {"path", "rx"}});
-    obs_shed_tx_ = &registry->GetCounter("overload.shed.deadline",
-                                         {{"nf", nf}, {"path", "tx"}});
-    obs_shed_bytes_ =
-        &registry->GetCounter("overload.shed.bytes", {{"nf", nf}});
-    UpdateRxDepthObs();
-  });
-  (void)registry;
+  const std::string nf = std::to_string(nf_id_);
+  obs_rx_depth_ = &registry->GetGauge("vpp.rx_queue_depth", {{"nf", nf}});
+  obs_drops_full_rx_ =
+      &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "rx"}});
+  obs_drops_full_tx_ =
+      &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "tx"}});
+  obs_drops_admission_ =
+      &registry->GetCounter("vpp.drops.admission", {{"nf", nf}});
+  obs_drops_early_ = &registry->GetCounter("vpp.drops.early", {{"nf", nf}});
+  obs_shed_rx_ = &registry->GetCounter("overload.shed.deadline",
+                                       {{"nf", nf}, {"path", "rx"}});
+  obs_shed_tx_ = &registry->GetCounter("overload.shed.deadline",
+                                       {{"nf", nf}, {"path", "tx"}});
+  obs_shed_bytes_ = &registry->GetCounter("overload.shed.bytes", {{"nf", nf}});
+  UpdateRxDepthObs();
 }
 
 void VirtualPacketPipeline::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_rx_enq_ = ring_->Intern(obs::spans::kVppRxEnqueue);
-      ring_rx_deq_ = ring_->Intern(obs::spans::kVppRxDequeue);
-      ring_tx_enq_ = ring_->Intern(obs::spans::kVppTxEnqueue);
-      ring_tx_deq_ = ring_->Intern(obs::spans::kVppTxDequeue);
-      ring_rx_rejected_ = ring_->Intern(obs::spans::kVppRxRejected);
-      ring_shed_ = ring_->Intern(obs::spans::kVppDeadlineShed);
-      ring_arg_depth_ = ring_->Intern(obs::spans::kArgDepth);
-      ring_arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
-      ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
-      ring_->SetProcessName(RingPid(), "nf" + std::to_string(nf_id_));
-      ring_->SetThreadName(RingPid(), 0, "rx");
-      ring_->SetThreadName(RingPid(), 1, "tx");
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_rx_enq_ = ring_->Intern(obs::spans::kVppRxEnqueue);
+    ring_rx_deq_ = ring_->Intern(obs::spans::kVppRxDequeue);
+    ring_tx_enq_ = ring_->Intern(obs::spans::kVppTxEnqueue);
+    ring_tx_deq_ = ring_->Intern(obs::spans::kVppTxDequeue);
+    ring_rx_rejected_ = ring_->Intern(obs::spans::kVppRxRejected);
+    ring_shed_ = ring_->Intern(obs::spans::kVppDeadlineShed);
+    ring_arg_depth_ = ring_->Intern(obs::spans::kArgDepth);
+    ring_arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
+    ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
+    ring_->SetProcessName(RingPid(), "nf" + std::to_string(nf_id_));
+    ring_->SetThreadName(RingPid(), 0, "rx");
+    ring_->SetThreadName(RingPid(), 1, "tx");
+  }
 }
 
 }  // namespace snic::core

@@ -27,11 +27,11 @@ void FaultPlane::AddRule(FaultRule rule) {
   if (registry_ != nullptr) {
     PublishRule(rules_.back());
   }
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     // Rule sites are schedule data, not compile-time span names; they live
     // in the fault-site registry. snic-lint: allow(span-name-registry)
     rules_.back().ring_site = ring_->Intern(rules_.back().rule.site);
-  });
+  }
 }
 
 void FaultPlane::PublishRule(RuleState& state) {
@@ -57,18 +57,15 @@ void FaultPlane::AttachObs(obs::MetricRegistry* registry) {
 }
 
 void FaultPlane::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_fired_ = ring_->Intern(obs::spans::kFaultFired);
-      ring_arg_site_ = ring_->Intern(obs::spans::kArgSite);
-      for (RuleState& state : rules_) {
-        // snic-lint: allow(span-name-registry) — see AddRule.
-        state.ring_site = ring_->Intern(state.rule.site);
-      }
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_fired_ = ring_->Intern(obs::spans::kFaultFired);
+    ring_arg_site_ = ring_->Intern(obs::spans::kArgSite);
+    for (RuleState& state : rules_) {
+      // snic-lint: allow(span-name-registry) — see AddRule.
+      state.ring_site = ring_->Intern(state.rule.site);
     }
-  });
-  (void)ring;
+  }
 }
 
 bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
@@ -110,11 +107,11 @@ bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
     if (state.obs_injected != nullptr) {
       state.obs_injected->Inc();
     }
-    SNIC_TRACE_RING(if (ring_ != nullptr) {
+    if (ring_ != nullptr) {
       ring_->EmitInstant(ring_fired_, now_, static_cast<uint32_t>(nf_id),
                          /*tid=*/0, /*span=*/0, state.ring_site,
                          ring_arg_site_, /*arg_is_name=*/true);
-    });
+    }
   }
   return fired;
 }

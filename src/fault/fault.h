@@ -18,11 +18,7 @@
 //
 // Installation is scoped and thread-local (like obs::ScopedDefaultRegistry):
 // with no plane installed every site is one thread-local load plus a null
-// check. Compile-out: building with -DSNIC_FAULTS_DISABLED turns every site
-// into the constant `false` / `0`, so the hot path provably carries zero
-// fault-plane code (tests/fault_disabled_test.cc proves it per-TU; the CI
-// faults-off job proves the whole build and re-runs the obs_overhead
-// budget).
+// check.
 
 #ifndef SNIC_FAULT_FAULT_H_
 #define SNIC_FAULT_FAULT_H_
@@ -37,14 +33,9 @@
 #include "src/obs/trace_ring.h"
 
 // Injection-site check: true when an installed FaultPlane schedules a fault
-// for this execution of the site. Compiles to the constant `false` under
-// -DSNIC_FAULTS_DISABLED (the arguments are not evaluated).
+// for this execution of the site. The macros name every site in one greppable
+// form, which the snic_lint fault-site rule audits against fault_sites.txt.
 // Usage: if (SNIC_FAULT_FIRES(fault::sites::kVppRxDrop, nf_id)) { ... }
-#ifdef SNIC_FAULTS_DISABLED
-#define SNIC_FAULT_FIRES(site, nf_id) (false)
-#define SNIC_FAULT_STALL(site, nf_id) (uint64_t{0})
-#define SNIC_FAULT_FIRES_ATTEMPT(site, nf_id, attempt) (false)
-#else
 #define SNIC_FAULT_FIRES(site, nf_id) \
   (::snic::fault::SiteFires((site), (nf_id)))
 #define SNIC_FAULT_STALL(site, nf_id) \
@@ -55,7 +46,6 @@
 // restart" without counting unrelated hits at the site.
 #define SNIC_FAULT_FIRES_ATTEMPT(site, nf_id, attempt) \
   (::snic::fault::SiteFiresAttempt((site), (nf_id), (attempt)))
-#endif
 
 namespace snic::fault {
 

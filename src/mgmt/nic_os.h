@@ -47,7 +47,7 @@ struct FunctionImage {
 class NicOs {
  public:
   explicit NicOs(core::SnicDevice* device) : device_(device) {
-    SNIC_OBS(AttachObs(&obs::DefaultRegistry()));
+    AttachObs(&obs::DefaultRegistry());
   }
 
   // NF_create: stage pages, pick cores, invoke nf_launch.

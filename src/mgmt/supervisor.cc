@@ -48,40 +48,32 @@ Supervisor::Supervisor(NicOs* nic_os, crypto::RsaPublicKey vendor_key,
       rng_(config.seed) {}
 
 void Supervisor::AttachObs(obs::MetricRegistry* registry) {
-  SNIC_OBS({
-    obs_crashes_ = &registry->GetCounter("mgmt.supervisor.crashes");
-    obs_restarts_ = &registry->GetCounter("mgmt.supervisor.restarts");
-    obs_quarantines_ = &registry->GetCounter("mgmt.supervisor.quarantines");
-    obs_downgrades_ = &registry->GetCounter("mgmt.supervisor.downgrades");
-    obs_restart_queue_depth_ =
-        &registry->GetGauge("mgmt.supervisor.restart_queue_depth");
-  });
-  (void)registry;
+  obs_crashes_ = &registry->GetCounter("mgmt.supervisor.crashes");
+  obs_restarts_ = &registry->GetCounter("mgmt.supervisor.restarts");
+  obs_quarantines_ = &registry->GetCounter("mgmt.supervisor.quarantines");
+  obs_downgrades_ = &registry->GetCounter("mgmt.supervisor.downgrades");
+  obs_restart_queue_depth_ =
+      &registry->GetGauge("mgmt.supervisor.restart_queue_depth");
 }
 
 void Supervisor::AttachTraceRing(obs::TraceRing* ring) {
-  SNIC_TRACE_RING({
-    ring_ = ring;
-    if (ring_ != nullptr) {
-      ring_crash_ = ring_->Intern(obs::spans::kSupervisorCrash);
-      ring_restart_ = ring_->Intern(obs::spans::kSupervisorRestart);
-      ring_downgrade_ = ring_->Intern(obs::spans::kSupervisorDowngrade);
-      ring_quarantine_ = ring_->Intern(obs::spans::kSupervisorQuarantine);
-      ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
-    }
-  });
-  (void)ring;
+  ring_ = ring;
+  if (ring_ != nullptr) {
+    ring_crash_ = ring_->Intern(obs::spans::kSupervisorCrash);
+    ring_restart_ = ring_->Intern(obs::spans::kSupervisorRestart);
+    ring_downgrade_ = ring_->Intern(obs::spans::kSupervisorDowngrade);
+    ring_quarantine_ = ring_->Intern(obs::spans::kSupervisorQuarantine);
+    ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
+  }
 }
 
 void Supervisor::Emit(uint16_t event, const Child& child) {
-  SNIC_TRACE_RING(if (ring_ != nullptr) {
+  if (ring_ != nullptr) {
     ring_->EmitInstant(
         event, now_, static_cast<uint32_t>(child.nf_id), /*tid=*/0, /*span=*/0,
         static_cast<uint64_t>(static_cast<uint8_t>(child.last_cause)),
         ring_arg_cause_);
-  });
-  (void)event;
-  (void)child;
+  }
 }
 
 Status Supervisor::LaunchChild(const std::string& name, Child& child,
@@ -145,7 +137,6 @@ Status Supervisor::LaunchChild(const std::string& name, Child& child,
     }
     ++stats_.reattestations;
   }
-  (void)attempt;  // read only by the fault site, which may be compiled out
 
   child.nf_id = nf_id;
   return OkStatus();
@@ -196,7 +187,7 @@ uint64_t Supervisor::BackoffCycles(uint32_t consecutive_failures) {
 
 void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   ++stats_.crashes;
-  SNIC_OBS(if (obs_crashes_ != nullptr) obs_crashes_->Inc());
+  if (obs_crashes_ != nullptr) obs_crashes_->Inc();
   child.last_cause = cause;
   Emit(ring_crash_, child);
 
@@ -221,7 +212,7 @@ void Supervisor::HandleCrash(Child& child, CrashCause cause) {
     if (has_accel) {
       child.degraded = true;
       ++stats_.accel_downgrades;
-      SNIC_OBS(if (obs_downgrades_ != nullptr) obs_downgrades_->Inc());
+      if (obs_downgrades_ != nullptr) obs_downgrades_->Inc();
       Emit(ring_downgrade_, child);
     }
   }
@@ -229,7 +220,7 @@ void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   if (child.consecutive_failures > config_.quarantine_after) {
     child.health = NfHealth::kQuarantined;
     ++stats_.quarantines;
-    SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
+    if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
     Emit(ring_quarantine_, child);
     return;
   }
@@ -279,9 +270,9 @@ void Supervisor::Tick(uint64_t now_cycles) {
   restart_queue_depth_ = due.size() - budget;
   restart_queue_peak_ = std::max(restart_queue_peak_, restart_queue_depth_);
   stats_.restart_deferrals += restart_queue_depth_;
-  SNIC_OBS(if (obs_restart_queue_depth_ != nullptr) {
+  if (obs_restart_queue_depth_ != nullptr) {
     obs_restart_queue_depth_->Set(static_cast<double>(restart_queue_depth_));
-  });
+  }
   for (size_t i = 0; i < budget; ++i) {
     const std::string& name = due[i].second;
     Child& child = children_.find(name)->second;
@@ -293,7 +284,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
       if (child.consecutive_failures > config_.quarantine_after) {
         child.health = NfHealth::kQuarantined;
         ++stats_.quarantines;
-        SNIC_OBS(if (obs_quarantines_ != nullptr) obs_quarantines_->Inc());
+        if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
         Emit(ring_quarantine_, child);
       } else {
         child.restart_due = now_ + BackoffCycles(child.consecutive_failures);
@@ -304,7 +295,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
     child.last_launch = now_;
     child.last_heartbeat = now_;
     ++stats_.restarts;
-    SNIC_OBS(if (obs_restarts_ != nullptr) obs_restarts_->Inc());
+    if (obs_restarts_ != nullptr) obs_restarts_->Inc();
     Emit(ring_restart_, child);
     if (restart_callback_) {
       restart_callback_(name, old_id, child.nf_id);

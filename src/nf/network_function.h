@@ -36,7 +36,7 @@ class NetworkFunction {
  public:
   explicit NetworkFunction(std::string name)
       : name_(std::move(name)), arena_(name_) {
-    SNIC_OBS(AttachObs(&obs::DefaultRegistry()));
+    AttachObs(&obs::DefaultRegistry());
   }
   virtual ~NetworkFunction() = default;
 

@@ -25,10 +25,8 @@
 // series — only raw pointer-cached Inc/Set/Record on the *same* registry
 // must stay single-threaded.
 //
-// Compile-out: building with -DSNIC_OBS_DISABLED turns every statement
-// wrapped in SNIC_OBS() into nothing, so the instrumentation can be proven
-// free (bench/obs_overhead.cc tracks the enabled cost; the acceptance bar is
-// <2% on the Fig. 5 replay path).
+// Cost: a site with no registry attached is one null check;
+// bench/obs_overhead.cc tracks the attached cost on the Fig. 5 replay path.
 
 #ifndef SNIC_OBS_METRICS_H_
 #define SNIC_OBS_METRICS_H_
@@ -45,19 +43,6 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
-
-// Wraps one instrumentation statement; compiles to nothing under
-// -DSNIC_OBS_DISABLED. Usage: SNIC_OBS(if (hits_) hits_->Inc());
-#ifdef SNIC_OBS_DISABLED
-#define SNIC_OBS(stmt) \
-  do {                 \
-  } while (0)
-#else
-#define SNIC_OBS(stmt) \
-  do {                 \
-    stmt;              \
-  } while (0)
-#endif
 
 namespace snic::obs {
 

@@ -15,8 +15,8 @@
 //
 // Bounded rings overwrite their oldest record once full and count the
 // evictions; capacity 0 means unbounded (used for merge sinks and parsed
-// files). Compile-out: wrap emission sites in SNIC_TRACE_RING(), which —
-// like SNIC_OBS() — becomes nothing under -DSNIC_OBS_DISABLED.
+// files). Emitters hold a nullable ring pointer: with no ring attached an
+// emission site is one null check.
 
 #ifndef SNIC_OBS_TRACE_RING_H_
 #define SNIC_OBS_TRACE_RING_H_
@@ -29,20 +29,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-
-// Wraps one ring/span emission statement; compiles to nothing under
-// -DSNIC_OBS_DISABLED. Usage:
-//   SNIC_TRACE_RING(if (ring_) ring_->EmitInstant(rx_enq_, now_, pid, 0));
-#ifdef SNIC_OBS_DISABLED
-#define SNIC_TRACE_RING(stmt) \
-  do {                        \
-  } while (0)
-#else
-#define SNIC_TRACE_RING(stmt) \
-  do {                        \
-    stmt;                     \
-  } while (0)
-#endif
 
 namespace snic::obs {
 

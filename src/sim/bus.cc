@@ -14,23 +14,16 @@ void AttachDomainObs(obs::MetricRegistry* registry, const obs::Labels& labels,
                      uint32_t num_domains,
                      std::vector<obs::Counter*>* requests,
                      std::vector<obs::LatencyHistogram*>* wait_cycles) {
-  SNIC_OBS({
-    requests->clear();
-    wait_cycles->clear();
-    for (uint32_t d = 0; d < num_domains; ++d) {
-      obs::Labels domain_labels = labels;
-      domain_labels.emplace_back("domain", std::to_string(d));
-      requests->push_back(
-          &registry->GetCounter("sim.bus.requests", domain_labels));
-      wait_cycles->push_back(&registry->GetHistogram(
-          "sim.bus.wait_cycles", domain_labels, 0.0, 4096.0, 64));
-    }
-  });
-  (void)registry;
-  (void)labels;
-  (void)num_domains;
-  (void)requests;
-  (void)wait_cycles;
+  requests->clear();
+  wait_cycles->clear();
+  for (uint32_t d = 0; d < num_domains; ++d) {
+    obs::Labels domain_labels = labels;
+    domain_labels.emplace_back("domain", std::to_string(d));
+    requests->push_back(
+        &registry->GetCounter("sim.bus.requests", domain_labels));
+    wait_cycles->push_back(&registry->GetHistogram(
+        "sim.bus.wait_cycles", domain_labels, 0.0, 4096.0, 64));
+  }
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ class BusArbiter {
   // Registers `sim.bus.requests{domain=d}` counters and
   // `sim.bus.wait_cycles{domain=d}` histograms for domains [0, num_domains)
   // under `labels`. Per-grant cost when attached: one increment plus one
-  // histogram add; zero under SNIC_OBS_DISABLED.
+  // histogram add; a size check when not attached.
   void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels,
                  uint32_t num_domains);
 
@@ -159,11 +159,10 @@ class BusArbiter {
     ++stats_.requests;
     stats_.total_wait_cycles += grant - arrival;
     stats_.total_busy_cycles += transfer_cycles();
-    SNIC_OBS(if (domain < obs_requests_.size()) {
+    if (domain < obs_requests_.size()) {
       obs_requests_[domain]->Inc();
       obs_wait_cycles_[domain]->Record(static_cast<double>(grant - arrival));
-    });
-    (void)domain;
+    }
   }
 
   BusStats stats_;
@@ -303,11 +302,11 @@ class InlineBus {
     ++stats_.requests;
     stats_.total_wait_cycles += grant - arrival_cycle;
     stats_.total_busy_cycles += transfer_cycles_;
-    SNIC_OBS(if (domain < obs_requests_.size()) {
+    if (domain < obs_requests_.size()) {
       obs_requests_[domain]->Inc();
       obs_wait_cycles_[domain]->Record(
           static_cast<double>(grant - arrival_cycle));
-    });
+    }
     return grant;
   }
 

@@ -41,13 +41,9 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
 
 void Cache::AttachObs(obs::MetricRegistry* registry,
                       const obs::Labels& labels) {
-  SNIC_OBS({
-    obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
-    obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
-    obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
-  });
-  (void)registry;
-  (void)labels;
+  obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
+  obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
+  obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
 }
 
 void Cache::DomainWayRange(uint32_t domain, uint32_t* begin,
@@ -101,7 +97,7 @@ uint32_t Cache::WaysForDomain(uint32_t domain) const {
 bool Cache::MissFill(uint64_t tag, uint32_t domain, size_t base,
                      uint32_t begin, uint32_t end) {
   ++stats_.misses;
-  SNIC_OBS(if (obs_misses_ != nullptr) obs_misses_->Inc());
+  if (obs_misses_ != nullptr) obs_misses_->Inc();
   // Victim: first invalid way, else LRU within the allowed range (with
   // occasional random-way eviction under pseudo-LRU). Both rules collapse
   // into ONE scan through the lru==0-means-invalid invariant (see cache.h):
@@ -121,7 +117,7 @@ bool Cache::MissFill(uint64_t tag, uint32_t domain, size_t base,
   }
   if (evicting) {
     ++stats_.evictions;
-    SNIC_OBS(if (obs_evictions_ != nullptr) obs_evictions_->Inc());
+    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
   }
   tags_[base + victim] = tag;
   domains_[base + victim] = domain;
@@ -138,12 +134,12 @@ bool Cache::AccessWide(uint64_t tag, uint32_t domain, size_t base,
       lru_[base + w] = tick_;
       domains_[base + w] = domain;
       ++stats_.hits;
-      SNIC_OBS(if (obs_hits_ != nullptr) obs_hits_->Inc());
+      if (obs_hits_ != nullptr) obs_hits_->Inc();
       return true;
     }
   }
   ++stats_.misses;
-  SNIC_OBS(if (obs_misses_ != nullptr) obs_misses_->Inc());
+  if (obs_misses_ != nullptr) obs_misses_->Inc();
   uint32_t victim = end;
   for (uint32_t w = begin; w < end; ++w) {
     if (tags_[base + w] == kInvalidTag) {
@@ -165,7 +161,7 @@ bool Cache::AccessWide(uint64_t tag, uint32_t domain, size_t base,
   }
   if (evicting) {
     ++stats_.evictions;
-    SNIC_OBS(if (obs_evictions_ != nullptr) obs_evictions_->Inc());
+    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
   }
   tags_[base + victim] = tag;
   domains_[base + victim] = domain;

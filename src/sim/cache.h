@@ -261,7 +261,7 @@ class Cache {
 
   // Registers `sim.cache.{hits,misses,evictions}` counters under `labels`
   // (callers add `level`/`core`/`config` dimensions). Hot-path cost when
-  // attached: one pointer increment per event; zero under SNIC_OBS_DISABLED.
+  // attached: one pointer increment per event; one null check when not.
   void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels);
 
   uint32_t num_sets() const { return num_sets_; }
@@ -355,7 +355,7 @@ inline bool Cache::Access(uint64_t addr, uint32_t domain) {
     lru_[base + w] = tick_;
     domains_[base + w] = domain;
     ++stats_.hits;
-    SNIC_OBS(if (obs_hits_ != nullptr) obs_hits_->Inc());
+    if (obs_hits_ != nullptr) obs_hits_->Inc();
     return true;
   }
   return MissFill(tag, domain, base, begin, end);

@@ -39,13 +39,9 @@ ReferenceCache::ReferenceCache(const CacheConfig& config) : config_(config) {
 
 void ReferenceCache::AttachObs(obs::MetricRegistry* registry,
                                const obs::Labels& labels) {
-  SNIC_OBS({
-    obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
-    obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
-    obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
-  });
-  (void)registry;
-  (void)labels;
+  obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
+  obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
+  obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
 }
 
 void ReferenceCache::DomainWayRange(uint32_t domain, uint32_t* begin,
@@ -107,13 +103,13 @@ bool ReferenceCache::Access(uint64_t addr, uint32_t domain) {
       line.lru = tick_;
       line.domain = domain;
       ++stats_.hits;
-      SNIC_OBS(if (obs_hits_ != nullptr) obs_hits_->Inc());
+      if (obs_hits_ != nullptr) obs_hits_->Inc();
       return true;
     }
   }
 
   ++stats_.misses;
-  SNIC_OBS(if (obs_misses_ != nullptr) obs_misses_->Inc());
+  if (obs_misses_ != nullptr) obs_misses_->Inc();
   // Victim: invalid way first, else LRU within the allowed range (with
   // occasional random-way eviction under pseudo-LRU).
   Line* victim = nullptr;
@@ -137,7 +133,7 @@ bool ReferenceCache::Access(uint64_t addr, uint32_t domain) {
   }
   if (victim->valid) {
     ++stats_.evictions;
-    SNIC_OBS(if (obs_evictions_ != nullptr) obs_evictions_->Inc());
+    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
   }
   victim->valid = true;
   victim->tag = tag;
@@ -206,17 +202,16 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
       MakeArbiter(config.bus_policy, config.bus_transfer_cycles, num_cores,
                   config.bus_epoch_cycles, config.bus_dead_time_cycles);
 
-  // Observability sinks. Both stay null under SNIC_OBS_DISABLED, so every
-  // `if (trace != nullptr)` below is dead code in that build.
+  // Observability sinks. Both stay null without obs hooks, so every
+  // `if (trace != nullptr)` below is then one untaken branch.
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
   uint32_t trace_pid_base = 0;
-  SNIC_OBS(if (obs_hooks != nullptr) {
+  if (obs_hooks != nullptr) {
     metrics = obs_hooks->metrics;
     trace = obs_hooks->trace;
     trace_pid_base = obs_hooks->trace_pid_base;
-  });
-  (void)obs_hooks;
+  }
   const uint32_t bus_pid = trace_pid_base + num_cores;
   // Interned once per replay; each hot-path emission below is then a
   // fixed-size record store (docs/OBSERVABILITY.md "Binary tracing & spans").

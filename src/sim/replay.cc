@@ -454,17 +454,16 @@ ReplayResult Replay(const MachineConfig& config,
   InlineBus bus(config.bus_policy, config.bus_transfer_cycles, num_cores,
                 config.bus_epoch_cycles, config.bus_dead_time_cycles);
 
-  // Observability sinks. Both stay null under SNIC_OBS_DISABLED, so every
-  // `if (trace != nullptr)` below is dead code in that build.
+  // Observability sinks. Both stay null without obs hooks, so every
+  // `if (trace != nullptr)` below is then one untaken branch.
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
   uint32_t trace_pid_base = 0;
-  SNIC_OBS(if (obs_hooks != nullptr) {
+  if (obs_hooks != nullptr) {
     metrics = obs_hooks->metrics;
     trace = obs_hooks->trace;
     trace_pid_base = obs_hooks->trace_pid_base;
-  });
-  (void)obs_hooks;
+  }
   const uint32_t bus_pid = trace_pid_base + num_cores;
   // Interned once per replay; each hot-path emission below is then a
   // fixed-size record store (docs/OBSERVABILITY.md "Binary tracing & spans").

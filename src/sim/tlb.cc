@@ -33,31 +33,27 @@ Status LockedTlb::Install(const TlbEntry& entry) {
     }
   }
   entries_.push_back(entry);
-  SNIC_OBS(if (obs_installs_ != nullptr) obs_installs_->Inc());
+  if (obs_installs_ != nullptr) obs_installs_->Inc();
   return OkStatus();
 }
 
 std::optional<Translation> LockedTlb::Translate(uint64_t virt_addr) const {
-  SNIC_OBS(if (obs_translations_ != nullptr) obs_translations_->Inc());
+  if (obs_translations_ != nullptr) obs_translations_->Inc();
   for (const TlbEntry& e : entries_) {
     if (virt_addr >= e.virt_base && virt_addr < e.virt_base + e.page_bytes) {
       return Translation{e.phys_base + (virt_addr - e.virt_base), e.writable};
     }
   }
-  SNIC_OBS(if (obs_misses_ != nullptr) obs_misses_->Inc());
+  if (obs_misses_ != nullptr) obs_misses_->Inc();
   return std::nullopt;
 }
 
 void LockedTlb::AttachObs(obs::MetricRegistry* registry,
                           const obs::Labels& labels) {
-  SNIC_OBS({
-    obs_translations_ = &registry->GetCounter("sim.tlb.translations", labels);
-    obs_misses_ = &registry->GetCounter("sim.tlb.misses", labels);
-    obs_installs_ = &registry->GetCounter("sim.tlb.installs", labels);
-    obs_locks_ = &registry->GetCounter("sim.tlb.locks", labels);
-  });
-  (void)registry;
-  (void)labels;
+  obs_translations_ = &registry->GetCounter("sim.tlb.translations", labels);
+  obs_misses_ = &registry->GetCounter("sim.tlb.misses", labels);
+  obs_installs_ = &registry->GetCounter("sim.tlb.installs", labels);
+  obs_locks_ = &registry->GetCounter("sim.tlb.locks", labels);
 }
 
 void LockedTlb::Reset() {

@@ -45,7 +45,7 @@ class LockedTlb {
   // the owning virtual NIC; Reset() models nf_teardown.
   void Lock() {
     locked_ = true;
-    SNIC_OBS(if (obs_locks_ != nullptr) obs_locks_->Inc());
+    if (obs_locks_ != nullptr) obs_locks_->Inc();
   }
   bool locked() const { return locked_; }
 

@@ -190,8 +190,6 @@ TEST_F(AutoscalerTest, NoFlappingAtSteadyLoad) {
   EXPECT_EQ(scaler.stats().teardowns, 0u);
 }
 
-#ifndef SNIC_FAULTS_DISABLED
-
 TEST_F(AutoscalerTest, RetriesTransientLaunchFailuresWithBackoff) {
   fault::FaultPlane plane(9);
   fault::FaultRule rule;
@@ -276,8 +274,6 @@ TEST_F(AutoscalerTest, AbandonsLaunchAfterRetryBudgetExhausted) {
   EXPECT_FALSE(scaler.RetryPending());
   EXPECT_EQ(scaler.instances(), 1u);  // never over-provisioned a failed slot
 }
-
-#endif  // SNIC_FAULTS_DISABLED
 
 // ---- Trace serialization -------------------------------------------------------
 

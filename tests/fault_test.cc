@@ -194,7 +194,6 @@ TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
       "fault.injected", {{"site", "unit.site"}, {"nf", "3"}});
   ASSERT_NE(injected, nullptr);
   EXPECT_EQ(injected->value(), 2u);
-#ifndef SNIC_OBS_DISABLED
   // One fault.fired instant per injection, on the faulted NF's lane, whose
   // arg names the rule's site.
   ASSERT_EQ(ring.size(), 2u);
@@ -208,9 +207,6 @@ TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
     ASSERT_EQ(r.arg_is_name, 1u);
     EXPECT_EQ(ring.NameOf(static_cast<uint16_t>(r.arg)), "unit.site");
   }
-#else
-  EXPECT_TRUE(ring.empty());
-#endif
 }
 
 TEST(FaultPlaneTest, ClockIsMonotonic) {
@@ -220,9 +216,7 @@ TEST(FaultPlaneTest, ClockIsMonotonic) {
   EXPECT_EQ(plane.now(), 100u);
 }
 
-#ifndef SNIC_FAULTS_DISABLED
-
-// ---- Wired-in sites (compiled out under -DSNIC_FAULTS_DISABLED) ----------
+// ---- Wired-in sites -------------------------------------------------------
 
 TEST(FaultSitesTest, AcceleratorThreadAccessFailsTransiently) {
   accel::ClusterConfig config;
@@ -368,8 +362,6 @@ TEST(FaultSitesTest, TemporalPartitionStallDoesNotShiftOtherDomain) {
   }
   EXPECT_GT(stall.InjectedAt(sites::kBusTimeout), 0u);
 }
-
-#endif  // SNIC_FAULTS_DISABLED
 
 }  // namespace
 }  // namespace snic::fault

@@ -127,21 +127,6 @@ TEST(SnicLintTest, FaultSiteRegistryFiresAndInlineSuppressionHolds) {
   EXPECT_FALSE(HasFinding(findings, "fault-site-registry", "another_unknown"));
 }
 
-TEST(SnicLintTest, ScenarioSpecRuleFiresOnRottedSpecs) {
-  const auto findings = LintFixture("scenario_spec");
-  EXPECT_EQ(findings.size(), 3u) << FormatFindings(findings);
-  EXPECT_EQ(CountRule(findings, "scenario-spec"), 3u);
-  EXPECT_TRUE(HasFinding(findings, "scenario-spec", "not valid JSON"));
-  EXPECT_TRUE(HasFinding(findings, "scenario-spec",
-                         "\"vpp.rx.made_up\" is not listed"));
-  EXPECT_TRUE(
-      HasFinding(findings, "scenario-spec", "without a string `site` key"));
-  // good.json references only registered sites: no finding mentions it.
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.file.find("good.json"), std::string::npos) << f.file;
-  }
-}
-
 TEST(SnicLintTest, MetricNameDriftFiresAndInlineSuppressionHolds) {
   const auto findings = LintFixture("metrics");
   EXPECT_EQ(findings.size(), 1u) << FormatFindings(findings);

@@ -168,9 +168,7 @@ TEST(JsonParser, HandlesEscapesAndRejectsGarbage) {
 
 // End-to-end: a small two-core replay must publish per-core cache counters,
 // per-domain bus histograms, and a trace whose spans never overlap within
-// one (pid, tid) lane. Skipped in -DSNIC_OBS_DISABLED builds, where the
-// instrumentation sites (deliberately) emit nothing.
-#ifndef SNIC_OBS_DISABLED
+// one (pid, tid) lane.
 TEST(ReplayObservability, PublishesSeriesAndWellFormedTrace) {
   sim::InstructionTrace t0;
   sim::InstructionTrace t1;
@@ -233,9 +231,9 @@ TEST(ReplayObservability, PublishesSeriesAndWellFormedTrace) {
     }
   }
 }
+
 // Lifecycle counters on the NIC-OS management path: both the create and the
-// destroy direction publish ok/failure series. Skipped when observability is
-// compiled out (the counters do not exist then).
+// destroy direction publish ok/failure series.
 TEST(MgmtObservability, NfDestroyPublishesOkAndFailureCounters) {
   Rng rng(17);
   crypto::VendorAuthority vendor(512, rng);
@@ -270,7 +268,6 @@ TEST(MgmtObservability, NfDestroyPublishesOkAndFailureCounters) {
   EXPECT_EQ(registry.GetCounter("mgmt.nf_destroy.ok").value(), 1u);
   EXPECT_EQ(registry.GetCounter("mgmt.nf_destroy.failures").value(), 2u);
 }
-#endif  // SNIC_OBS_DISABLED
 
 TEST(GlobalRegistry, IsASingleton) {
   MetricRegistry& a = GlobalRegistry();

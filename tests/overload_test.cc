@@ -265,7 +265,6 @@ TEST(CircuitBreakerTest, HalfOpenFailureReopens) {
   EXPECT_TRUE(breaker.AllowRequest(300));
 }
 
-#ifndef SNIC_FAULTS_DISABLED
 TEST(CircuitBreakerTest, InjectedProbeFaultReopensWithoutDispatch) {
   fault::FaultPlane plane(0xbeef);
   fault::FaultRule rule;
@@ -292,7 +291,6 @@ TEST(CircuitBreakerTest, InjectedProbeFaultReopensWithoutDispatch) {
   breaker.RecordSuccess(310);
   EXPECT_EQ(breaker.state(), core::BreakerState::kClosed);
 }
-#endif  // SNIC_FAULTS_DISABLED
 
 TEST(CircuitBreakerTest, SuccessResetsConsecutiveFailureStreak) {
   core::CircuitBreaker breaker(7, BreakerConfig());
@@ -348,7 +346,6 @@ class OverloadDeviceTest : public ::testing::Test {
 
 // ---- AccelDispatchGate ------------------------------------------------------
 
-#ifndef SNIC_FAULTS_DISABLED
 TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
   const uint64_t nf = Launch("gated", 1000, {}, /*zip_clusters=*/1);
   const auto zip = accel::AcceleratorType::kZip;
@@ -392,7 +389,6 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
           .ok());
   EXPECT_EQ(gate.breaker().state(), core::BreakerState::kClosed);
 }
-#endif  // SNIC_FAULTS_DISABLED
 
 // ---- Chain credit backpressure ----------------------------------------------
 
@@ -442,7 +438,6 @@ TEST_F(OverloadDeviceTest, CreditFlowStallsInsteadOfDropping) {
   EXPECT_TRUE(device_.TransmitToWire().ok());
 }
 
-#ifndef SNIC_FAULTS_DISABLED
 TEST_F(OverloadDeviceTest, CreditGrantFaultStallsOneTick) {
   const uint64_t producer = Launch("p", 1000);
   const uint64_t consumer = Launch("c", 2000);
@@ -469,7 +464,6 @@ TEST_F(OverloadDeviceTest, CreditGrantFaultStallsOneTick) {
   EXPECT_EQ(stats.frames_moved, 1u);
   EXPECT_TRUE(device_.NfReceive(consumer).ok());
 }
-#endif  // SNIC_FAULTS_DISABLED
 
 // ---- Autoscaler pressure ----------------------------------------------------
 

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/scenario/digest.h"
@@ -259,10 +261,14 @@ TEST(ScenarioGeneratorTest, EveryGeneratedSpecSurvivesRoundTrip) {
   EXPECT_EQ(all.h, 0x394629b7b483e9caull);
 }
 
-TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
+// The checked-in specs under bench/scenarios/ as (file name, text) pairs,
+// in file-name order; empty when the directory cannot be opened.
+std::vector<std::pair<std::string, std::string>> ReadCuratedSpecs() {
   std::vector<std::string> files;
   DIR* dir = opendir(SNIC_CURATED_SPECS_DIR);
-  ASSERT_NE(dir, nullptr) << SNIC_CURATED_SPECS_DIR;
+  if (dir == nullptr) {
+    return {};
+  }
   while (const dirent* entry = readdir(dir)) {
     const std::string name = entry->d_name;
     if (name.size() > 5 && name.substr(name.size() - 5) == ".json") {
@@ -271,13 +277,22 @@ TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
   }
   closedir(dir);
   std::sort(files.begin(), files.end());
-  ASSERT_EQ(files.size(), 18u);
-  Fnv all;
+  std::vector<std::pair<std::string, std::string>> specs;
   for (const std::string& file : files) {
     std::ifstream in(std::string(SNIC_CURATED_SPECS_DIR) + "/" + file);
     std::stringstream text;
     text << in.rdbuf();
-    const auto spec = ParseScenarioSpec(text.str());
+    specs.emplace_back(file, text.str());
+  }
+  return specs;
+}
+
+TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
+  const auto curated = ReadCuratedSpecs();
+  ASSERT_EQ(curated.size(), 18u) << SNIC_CURATED_SPECS_DIR;
+  Fnv all;
+  for (const auto& [file, text] : curated) {
+    const auto spec = ParseScenarioSpec(text);
     ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().message();
     const std::string canonical = SerializeScenarioSpec(spec.value());
     const auto reparsed = ParseScenarioSpec(canonical);
@@ -324,10 +339,6 @@ TEST(ScenarioRunnerTest, SameSeedSameReports) {
 }
 
 TEST(ScenarioRunnerTest, VerdictsPassAcrossFamilies) {
-#ifdef SNIC_FAULTS_DISABLED
-  GTEST_SKIP() << "fault sites are compiled out: the families' containment "
-                  "and recovery verdicts need injected faults to fire";
-#endif
   const auto specs = GenerateScenarios(kSeed);
   // One representative per family: single-site, correlated burst,
   // crash-during-recovery, overload ladder, vNIC attack, compound.
@@ -368,10 +379,6 @@ TEST(ScenarioRunnerTest, AttackedVictimWaitStaysBoundedAndUnflagged) {
 }
 
 TEST(ScenarioRunnerTest, CompoundScenarioContainsWithBystanderIdentity) {
-#ifdef SNIC_FAULTS_DISABLED
-  GTEST_SKIP() << "fault sites are compiled out: containment needs the "
-                  "injected faults to fire";
-#endif
   // The acceptance-criteria shape: fault-during-recovery + overload, the
   // victim quarantined, the bystander provably untouched.
   const auto specs = GenerateScenarios(kSeed);
@@ -425,7 +432,6 @@ TEST(ScenarioRunnerTest, OverloadChainLadderDegradesGracefully) {
   }
 }
 
-#ifndef SNIC_FAULTS_DISABLED
 TEST(ScenarioRunnerTest, OverloadChainRelinksAcrossRelaunches) {
   // D crashes early and O later (injected DMA faults); each relaunch
   // recreates the link, so the chain keeps moving frames to the end.
@@ -461,7 +467,52 @@ TEST(ScenarioRunnerTest, OverloadChainRelinksAcrossRelaunches) {
   EXPECT_EQ(stranded.tenants[kLadderO].restarts, 1u);
   EXPECT_LE(stranded.target_goodput, stranded.chain_frames_moved);
 }
-#endif  // SNIC_FAULTS_DISABLED
+
+// The `<tenant>.ring: N` lane count in one tenant's report; -1 when the
+// report has no ring line.
+int64_t RingLaneCount(const std::string& report, const std::string& tenant) {
+  const std::string key = tenant + ".ring: ";
+  std::istringstream lines(report);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::stoll(line.substr(key.size()));
+    }
+  }
+  return -1;
+}
+
+// bystander_identical compares each bystander's trace-ring lane digest
+// between the subject run and its baseline twin. Two empty lanes compare
+// equal, so the verdict is evidence only if every bystander lane holds
+// records in both runs.
+TEST(ScenarioRunnerTest, CuratedBystanderRingLanesAreNonEmpty) {
+  const auto curated = ReadCuratedSpecs();
+  ASSERT_EQ(curated.size(), 18u) << SNIC_CURATED_SPECS_DIR;
+  size_t lanes = 0;
+  for (const auto& [file, text] : curated) {
+    const auto parsed = ParseScenarioSpec(text);
+    ASSERT_TRUE(parsed.ok()) << file;
+    const ScenarioSpec& spec = parsed.value();
+    if (!spec.verdicts.bystander_identical) {
+      continue;
+    }
+    const RunResult subject = RunConstellation(spec, kSeed);
+    const RunResult twin = RunConstellation(BaselineTwin(spec), kSeed);
+    for (size_t i = 0; i < spec.tenants.size(); ++i) {
+      const TenantSpec& tenant = spec.tenants[i];
+      if (tenant.role != TenantRole::kBystander) {
+        continue;
+      }
+      EXPECT_GT(RingLaneCount(subject.tenants[i].report, tenant.name), 0)
+          << file << ": subject lane of " << tenant.name;
+      EXPECT_GT(RingLaneCount(twin.tenants[i].report, tenant.name), 0)
+          << file << ": twin lane of " << tenant.name;
+      ++lanes;
+    }
+  }
+  EXPECT_GE(lanes, curated.size());  // every curated spec has a bystander
+}
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {
   // Flip a passing scenario into a failing one: demand containment of a

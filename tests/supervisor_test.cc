@@ -119,7 +119,6 @@ TEST_F(SupervisorTest, CrashRestartsWithBackoffAndFreshAttestation) {
   EXPECT_EQ(supervisor.stats().restarts, 1u);
   EXPECT_EQ(supervisor.stats().reattestations, 2u);  // adopt + restart
 
-#ifndef SNIC_OBS_DISABLED
   // The ring holds the crash instant on the crashed instance's lane, then
   // the restart instant on the relaunched instance's lane, both carrying
   // the crash cause.
@@ -138,9 +137,6 @@ TEST_F(SupervisorTest, CrashRestartsWithBackoffAndFreshAttestation) {
     EXPECT_EQ(ring.NameOf(r->arg_name), obs::spans::kArgCause);
     EXPECT_EQ(r->arg, static_cast<uint64_t>(CrashCause::kGeneric));
   }
-#else
-  EXPECT_TRUE(ring.empty());
-#endif
 }
 
 TEST_F(SupervisorTest, RestartSequenceIsSeedDeterministic) {
@@ -287,8 +283,6 @@ TEST_F(SupervisorTest, RestartCallbackReportsIdChange) {
   EXPECT_EQ(seen_new, supervisor.NfIdOf("fw").value());
 }
 
-#ifndef SNIC_FAULTS_DISABLED
-
 TEST_F(SupervisorTest, TransientLaunchFaultsDelayButDoNotKillRecovery) {
   fault::FaultPlane plane(5);
   fault::FaultRule rule;
@@ -341,8 +335,6 @@ TEST_F(SupervisorTest, CrashDuringRecoveryFailsExactlyTheTargetedAttempt) {
   EXPECT_EQ(supervisor.stats().failed_restarts, 2u);
   EXPECT_EQ(supervisor.stats().restarts, 1u);
 }
-
-#endif  // SNIC_FAULTS_DISABLED
 
 TEST_F(SupervisorTest, RestartCapDefersBurstToOnePerTick) {
   SupervisorConfig config = SupConfig();

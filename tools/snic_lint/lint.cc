@@ -11,7 +11,6 @@
 #include <string_view>
 #include <tuple>
 
-#include "src/obs/json.h"
 #include "src/runtime/thread_pool.h"
 #include "tools/snic_lint/symbol_graph.h"
 
@@ -178,7 +177,6 @@ class Linter {
     CheckTransitive();
     CheckLayerDag();
     CheckFaultSites();
-    CheckScenarioSpecs();
     CheckMetricNames();
     CheckSpanNames();
     CheckIncludeCycles();
@@ -1112,85 +1110,6 @@ class Linter {
                      "registry lists \"" + site +
                          "\" but no such site is declared or used (stale "
                          "entry?)");
-      }
-    }
-  }
-
-  // ---- scenario-spec ------------------------------------------------------
-
-  // Every checked-in scenario spec (bench/scenarios/*.json) must parse as
-  // JSON and reference only fault sites listed in the fault-site registry.
-  // The full decode-or-reject semantic check lives in src/scenario/spec.cc
-  // (`snic_scenarios validate`, run by CI); this rule is the cheap
-  // structural subset so a rotted spec fails `ctest -R lint` locally too.
-  void CheckScenarioSpecs() {
-    const fs::path dir = fs::path(options_.root) / options_.scenarios_dir;
-    if (!fs::exists(dir)) {
-      return;  // fixture trees without checked-in specs
-    }
-    std::set<std::string> registered;
-    {
-      std::istringstream in(ReadFileOrEmpty(fs::path(options_.root) /
-                                            options_.fault_registry_path));
-      std::string line;
-      while (std::getline(in, line)) {
-        const size_t hash = line.find('#');
-        if (hash != std::string::npos) {
-          line = line.substr(0, hash);
-        }
-        std::istringstream fields(line);
-        std::string site;
-        if (fields >> site) {
-          registered.insert(site);
-        }
-      }
-    }
-    std::vector<fs::path> files;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (entry.path().extension() == ".json") {
-        files.push_back(entry.path());
-      }
-    }
-    std::sort(files.begin(), files.end());
-    for (const fs::path& path : files) {
-      const std::string rel =
-          options_.scenarios_dir + "/" + path.filename().string();
-      const auto parsed = obs::json::Value::Parse(ReadFileOrEmpty(path));
-      if (!parsed.ok()) {
-        ReportGlobal("scenario-spec", rel, 0, path.filename().string(),
-                     "scenario spec is not valid JSON: " +
-                         parsed.status().message());
-        continue;
-      }
-      const obs::json::Value& spec = parsed.value();
-      if (!spec.is_object()) {
-        ReportGlobal("scenario-spec", rel, 0, path.filename().string(),
-                     "scenario spec must be a JSON object");
-        continue;
-      }
-      const obs::json::Value* faults = spec.Find("faults");
-      if (faults == nullptr) {
-        continue;  // no fault schedule: nothing to cross-check
-      }
-      if (!faults->is_array()) {
-        ReportGlobal("scenario-spec", rel, 0, path.filename().string(),
-                     "`faults` must be an array of fault rules");
-        continue;
-      }
-      for (const obs::json::Value& rule : faults->AsArray()) {
-        const obs::json::Value* site =
-            rule.is_object() ? rule.Find("site") : nullptr;
-        if (site == nullptr || !site->is_string()) {
-          ReportGlobal("scenario-spec", rel, 0, path.filename().string(),
-                       "fault rule without a string `site` key");
-          continue;
-        }
-        if (registered.count(site->AsString()) == 0) {
-          ReportGlobal("scenario-spec", rel, 0, site->AsString(),
-                       "fault site \"" + site->AsString() +
-                           "\" is not listed in " +
-                           options_.fault_registry_path);
-        }
       }
     }
   }

@@ -44,9 +44,6 @@
 //                           named constants, globally unique strings, listed
 //                           in tools/snic_lint/fault_sites.txt and
 //                           docs/ROBUSTNESS.md
-//   scenario-spec           checked-in scenario specs (bench/scenarios/)
-//                           parse as JSON and reference only registered
-//                           fault sites
 //   metric-name-drift       literal metric/trace names documented in
 //                           docs/OBSERVABILITY.md
 //   span-name-registry      TraceRing::Intern span/arg names in src/ and
@@ -87,9 +84,6 @@ struct Options {
   std::string impure_roots_path = "tools/snic_lint/impure_roots.txt";
   std::string obs_doc_path = "docs/OBSERVABILITY.md";
   std::string robustness_doc_path = "docs/ROBUSTNESS.md";
-  // Checked-in scenario specs (scenario-spec rule); a missing directory
-  // disables the rule.
-  std::string scenarios_dir = "bench/scenarios";
 
   // Worker threads for the file-indexing pass (pass 1), fanned over the
   // deterministic runtime::ThreadPool. Findings are byte-identical at any
