@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/nf/compressor.h"
 #include "src/snic.h"
 
 using namespace snic;

@@ -6,6 +6,10 @@
 // length-prefixed, fixed byte order — with strict-parse semantics: any
 // trailing bytes, truncation, or malformed length is rejected (a verifier
 // must never sign-check attacker-shaped garbage).
+//
+// No bench, tool or example ships quotes over a wire yet, so only tests
+// reach this codec; tools/snic_lint/allowlist.txt exempts it from the
+// unreached-module rule until a remote-verifier path uses it.
 
 #ifndef SNIC_CORE_ATTESTATION_WIRE_H_
 #define SNIC_CORE_ATTESTATION_WIRE_H_

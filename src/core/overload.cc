@@ -29,18 +29,6 @@ bool TokenBucket::TryConsume() {
   return true;
 }
 
-std::string_view BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 void CircuitBreaker::TransitionTo(BreakerState next, uint64_t now) {
   state_ = next;
   switch (next) {

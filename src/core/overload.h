@@ -111,8 +111,6 @@ enum class BreakerState : uint8_t {
   kHalfOpen = 2,  // probe requests allowed; outcome decides reopen/close
 };
 
-std::string_view BreakerStateName(BreakerState state);
-
 struct CircuitBreakerConfig {
   // Consecutive failures (while closed) that trip the breaker.
   uint32_t failures_to_open = 3;

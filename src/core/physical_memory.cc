@@ -12,16 +12,10 @@ PhysicalMemory::PhysicalMemory(uint64_t total_bytes, uint64_t page_bytes)
   owners_.assign(total_bytes_ / page_bytes_, kPageFree);
 }
 
-const std::vector<uint8_t>* PhysicalMemoryPageLookup(
-    const std::unordered_map<uint64_t, std::vector<uint8_t>>& pages,
-    uint64_t page_index) {
-  const auto it = pages.find(page_index);
-  return it == pages.end() ? nullptr : &it->second;
-}
-
 const std::vector<uint8_t>* PhysicalMemory::PageData(
     uint64_t page_index) const {
-  return PhysicalMemoryPageLookup(pages_, page_index);
+  const auto it = pages_.find(page_index);
+  return it == pages_.end() ? nullptr : &it->second;
 }
 
 std::vector<uint8_t>& PhysicalMemory::MutablePageData(uint64_t page_index) {

@@ -9,24 +9,7 @@ namespace {
 // Placeholder stats returned for unknown VF ids so the const accessors stay
 // total (callers are expected to hold valid ids; tests use this leniency).
 const VfStats kEmptyVfStats;
-const RxDescriptorRing::Stats kEmptyRingStats;
-const CompletionQueue::Stats kEmptyCqStats;
-const Doorbell::Stats kEmptyDoorbellStats;
 }  // namespace
-
-std::string_view VfAbuseName(VfAbuse abuse) {
-  switch (abuse) {
-    case VfAbuse::kDoorbellFlood:
-      return "doorbell_flood";
-    case VfAbuse::kCqSquat:
-      return "cq_squat";
-    case VfAbuse::kBadDescriptor:
-      return "bad_descriptor";
-    case VfAbuse::kQuotaChurn:
-      return "quota_churn";
-  }
-  return "unknown";
-}
 
 PfVfManager::Vf* PfVfManager::Find(uint32_t vf_id) {
   const auto it = vfs_.find(vf_id);
@@ -368,21 +351,6 @@ uint64_t PfVfManager::NfOf(uint32_t vf_id) const {
 const VfStats& PfVfManager::StatsOf(uint32_t vf_id) const {
   const Vf* vf = Find(vf_id);
   return vf == nullptr ? kEmptyVfStats : vf->stats;
-}
-
-const RxDescriptorRing::Stats& PfVfManager::RingStatsOf(uint32_t vf_id) const {
-  const Vf* vf = Find(vf_id);
-  return vf == nullptr ? kEmptyRingStats : vf->ring.stats();
-}
-
-const CompletionQueue::Stats& PfVfManager::CqStatsOf(uint32_t vf_id) const {
-  const Vf* vf = Find(vf_id);
-  return vf == nullptr ? kEmptyCqStats : vf->cq.stats();
-}
-
-const Doorbell::Stats& PfVfManager::DoorbellStatsOf(uint32_t vf_id) const {
-  const Vf* vf = Find(vf_id);
-  return vf == nullptr ? kEmptyDoorbellStats : vf->doorbell.stats();
 }
 
 uint32_t PfVfManager::RingOccupancy(uint32_t vf_id) const {

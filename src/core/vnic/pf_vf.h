@@ -69,10 +69,9 @@ enum class VfAbuse : uint8_t {
   kQuotaChurn = 3,      // posted-byte quota rejections
 };
 inline constexpr int kNumVfAbuseKinds = 4;
-std::string_view VfAbuseName(VfAbuse abuse);
 
-// Manager-level per-VF counters (ring/CQ/doorbell internals are exposed via
-// their own stats structs through the accessors below).
+// Manager-level per-VF counters (ring/CQ/doorbell internals keep their own
+// stats structs).
 struct VfStats {
   uint64_t posts_accepted = 0;
   uint64_t post_rejected_decode = 0;
@@ -144,9 +143,6 @@ class PfVfManager {
   bool IsQuarantined(uint32_t vf_id) const;
   uint64_t NfOf(uint32_t vf_id) const;  // 0 when unknown
   const VfStats& StatsOf(uint32_t vf_id) const;
-  const RxDescriptorRing::Stats& RingStatsOf(uint32_t vf_id) const;
-  const CompletionQueue::Stats& CqStatsOf(uint32_t vf_id) const;
-  const Doorbell::Stats& DoorbellStatsOf(uint32_t vf_id) const;
   uint32_t RingOccupancy(uint32_t vf_id) const;
   uint32_t CqPending(uint32_t vf_id) const;
 

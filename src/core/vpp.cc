@@ -58,16 +58,6 @@ uint32_t VirtualPacketPipeline::TxCapacityFrames() const {
   return derived > 0 ? static_cast<uint32_t>(derived) : 1;
 }
 
-uint64_t VirtualPacketPipeline::RxFreeFrames() const {
-  const uint32_t capacity = RxCapacityFrames();
-  return rx_queue_.size() >= capacity ? 0 : capacity - rx_queue_.size();
-}
-
-double VirtualPacketPipeline::RxFillFraction() const {
-  const uint32_t capacity = RxCapacityFrames();
-  return static_cast<double>(rx_queue_.size()) / static_cast<double>(capacity);
-}
-
 bool VirtualPacketPipeline::CanAdmitRx(uint64_t bytes) const {
   if (rx_queue_.size() >= RxCapacityFrames()) {
     return false;

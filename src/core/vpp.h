@@ -110,10 +110,6 @@ class VirtualPacketPipeline {
   // `bytes` would currently be admitted (capacity and token availability;
   // fault injection excluded). Does not consume a token.
   bool CanAdmitRx(uint64_t bytes) const;
-  uint64_t RxFreeFrames() const;
-  // Queue occupancy as a fraction of the frame capacity, in [0, 1] — the
-  // sustained-pressure signal the management plane consumes.
-  double RxFillFraction() const;
 
   const VppStats& stats() const { return stats_; }
   uint64_t RxQueuedFrames() const { return rx_queue_.size(); }

@@ -24,22 +24,6 @@ std::string_view NfHealthName(NfHealth health) {
   return "UNKNOWN";
 }
 
-std::string_view CrashCauseName(CrashCause cause) {
-  switch (cause) {
-    case CrashCause::kGeneric:
-      return "generic";
-    case CrashCause::kAccelFault:
-      return "accel_fault";
-    case CrashCause::kDmaFault:
-      return "dma_fault";
-    case CrashCause::kWatchdog:
-      return "watchdog";
-    case CrashCause::kVnicAbuse:
-      return "vnic_abuse";
-  }
-  return "unknown";
-}
-
 Supervisor::Supervisor(NicOs* nic_os, crypto::RsaPublicKey vendor_key,
                        SupervisorConfig config)
     : nic_os_(nic_os),

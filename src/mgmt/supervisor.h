@@ -60,8 +60,6 @@ enum class CrashCause : uint8_t {
   kVnicAbuse = 4,
 };
 
-std::string_view CrashCauseName(CrashCause cause);
-
 struct SupervisorConfig {
   uint64_t seed = 0;  // jitter stream; part of the determinism contract
 

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace snic::net {
 
@@ -25,8 +24,6 @@ struct FiveTuple {
   FiveTuple Reversed() const {
     return FiveTuple{dst_ip, src_ip, dst_port, src_port, protocol};
   }
-
-  std::string ToString() const;
 };
 
 // 64-bit mix of the tuple fields (splittable into bucket indices). Stable

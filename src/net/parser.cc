@@ -52,14 +52,6 @@ uint32_t Ipv4FromString(const char* dotted) {
   return (a << 24) | (b << 16) | (c << 8) | d;
 }
 
-std::string FiveTuple::ToString() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s:%u -> %s:%u proto=%u",
-                Ipv4ToString(src_ip).c_str(), src_port,
-                Ipv4ToString(dst_ip).c_str(), dst_port, protocol);
-  return buf;
-}
-
 FiveTuple ParsedPacket::Tuple() const {
   FiveTuple t;
   t.src_ip = ip.src_addr;

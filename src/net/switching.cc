@@ -1,7 +1,5 @@
 #include "src/net/switching.h"
 
-#include <algorithm>
-
 namespace snic::net {
 
 bool SwitchRule::Matches(const ParsedPacket& pkt) const {
@@ -68,31 +66,6 @@ std::string SwitchRule::ToString() const {
     out = "<any>";
   }
   return out;
-}
-
-void SwitchRuleTable::Add(SwitchRule rule, uint32_t destination) {
-  entries_.push_back(Entry{std::move(rule), destination});
-}
-
-std::optional<uint32_t> SwitchRuleTable::Lookup(const ParsedPacket& pkt) const {
-  for (const Entry& e : entries_) {
-    if (e.rule.Matches(pkt)) {
-      return e.destination;
-    }
-  }
-  return std::nullopt;
-}
-
-void SwitchRuleTable::RemoveDestination(uint32_t destination) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [destination](const Entry& e) {
-                                  return e.destination == destination;
-                                }),
-                 entries_.end());
-}
-
-size_t SwitchRuleTable::MemoryBytes() const {
-  return entries_.size() * sizeof(Entry);
 }
 
 }  // namespace snic::net

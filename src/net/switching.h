@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/net/five_tuple.h"
 #include "src/net/headers.h"
@@ -49,31 +48,6 @@ struct SwitchRule {
   bool Matches(const ParsedPacket& pkt) const;
 
   std::string ToString() const;
-};
-
-// An ordered rule table mapping predicates to a destination id (an NF id in
-// the NIC, an action id in the firewall). First match wins.
-class SwitchRuleTable {
- public:
-  void Add(SwitchRule rule, uint32_t destination);
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-
-  // Returns the destination of the first matching rule, or nullopt.
-  std::optional<uint32_t> Lookup(const ParsedPacket& pkt) const;
-
-  // Removes every rule mapped to `destination` (NF teardown).
-  void RemoveDestination(uint32_t destination);
-
-  // In-memory footprint in bytes (denylisted alongside NF state, §4.4).
-  size_t MemoryBytes() const;
-
- private:
-  struct Entry {
-    SwitchRule rule;
-    uint32_t destination;
-  };
-  std::vector<Entry> entries_;
 };
 
 }  // namespace snic::net

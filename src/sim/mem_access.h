@@ -130,10 +130,6 @@ class EncodedTrace {
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
 
-  // Event count from the header; 0 if the header is absent or malformed
-  // (the decoder performs the authoritative validation).
-  uint64_t event_count() const;
-
  private:
   std::vector<uint8_t> bytes_;
 };

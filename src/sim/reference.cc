@@ -412,16 +412,4 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
   return result;
 }
 
-ReplayResult ReferenceReplay(const MachineConfig& config,
-                             const std::vector<InstructionTrace>& traces,
-                             double warmup_fraction,
-                             const ReplayObs* obs_hooks) {
-  std::vector<const InstructionTrace*> ptrs;
-  ptrs.reserve(traces.size());
-  for (const InstructionTrace& t : traces) {
-    ptrs.push_back(&t);
-  }
-  return ReferenceReplay(config, ptrs, warmup_fraction, obs_hooks);
-}
-
 }  // namespace snic::sim

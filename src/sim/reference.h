@@ -87,11 +87,6 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
                              double warmup_fraction = 0.1,
                              const ReplayObs* obs_hooks = nullptr);
 
-ReplayResult ReferenceReplay(const MachineConfig& config,
-                             const std::vector<InstructionTrace>& traces,
-                             double warmup_fraction = 0.1,
-                             const ReplayObs* obs_hooks = nullptr);
-
 }  // namespace snic::sim
 
 #endif  // SNIC_SIM_REFERENCE_H_

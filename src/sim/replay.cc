@@ -126,11 +126,6 @@ EncodedTrace EncodedTrace::Encode(const InstructionTrace& trace) {
   return out;
 }
 
-uint64_t EncodedTrace::event_count() const {
-  TraceDecoder d(bytes_.data(), bytes_.size());
-  return d.event_count();
-}
-
 TraceDecoder::TraceDecoder(const uint8_t* data, size_t size)
     : data_(data), size_(size) {
   if (size_ < kHeaderSize) {

@@ -183,6 +183,71 @@ TEST_F(DeviceTest, AcceleratorClustersBoundAndReleased) {
             16u);
 }
 
+// nf_launch programs each accelerator cluster's TLB bank with its owner's
+// mapping; ThreadAccess is the check every accelerator fetch goes through.
+TEST_F(DeviceTest, ClusterTlbConfinesAcceleratorFetchesToOwner) {
+  constexpr auto kDpi = accel::AcceleratorType::kDpi;
+  auto clusters_of = [&](uint64_t nf) {
+    std::vector<uint32_t> out;
+    for (uint32_t c = 0; c < device_.accel_pool().NumClusters(kDpi); ++c) {
+      if (device_.accel_pool().Owner(kDpi, c) == nf) {
+        out.push_back(c);
+      }
+    }
+    return out;
+  };
+  NfLaunchArgs args = StageFunction(0x06, 0b10);
+  args.accel_clusters[static_cast<size_t>(kDpi)] = 2;
+  const auto owner = device_.NfLaunch(args);
+  ASSERT_TRUE(owner.ok());
+  NfLaunchArgs other = StageFunction(0x07, 0b100);
+  other.accel_clusters[static_cast<size_t>(kDpi)] = 1;
+  const auto cotenant = device_.NfLaunch(other);
+  ASSERT_TRUE(cotenant.ok());
+  const std::vector<uint32_t> owner_clusters = clusters_of(owner.value());
+  const std::vector<uint32_t> cotenant_clusters = clusters_of(cotenant.value());
+  ASSERT_EQ(owner_clusters.size(), 2u);
+  ASSERT_EQ(cotenant_clusters.size(), 1u);
+
+  // A heap vaddr resolves to the physical bytes the function wrote there.
+  const std::vector<uint8_t> payload = {'a', 't', 't', 'a', 'c', 'k'};
+  const uint64_t heap_vaddr = device_.memory().page_bytes() + 64;
+  ASSERT_TRUE(device_
+                  .NfWriteBlock(owner.value(), heap_vaddr,
+                                std::span<const uint8_t>(payload.data(),
+                                                         payload.size()))
+                  .ok());
+  for (uint32_t c : owner_clusters) {
+    const auto paddr =
+        device_.accel_pool().ThreadAccess(kDpi, c, heap_vaddr, false);
+    ASSERT_TRUE(paddr.ok());
+    std::vector<uint8_t> fetched(payload.size());
+    device_.memory().Read(paddr.value(),
+                          std::span<uint8_t>(fetched.data(), fetched.size()));
+    EXPECT_EQ(fetched, payload);
+    // Past the owner's mapping the bank misses: fatal for the owner.
+    EXPECT_EQ(device_.accel_pool()
+                  .ThreadAccess(kDpi, c, 64ull << 20, false)
+                  .status()
+                  .code(),
+              ErrorCode::kPermissionDenied);
+  }
+
+  // The co-tenant's cluster reaches only co-tenant pages, at every vaddr.
+  const uint64_t page = device_.memory().page_bytes();
+  int mapped = 0;
+  for (uint64_t vaddr = 0; vaddr < (64ull << 20); vaddr += page) {
+    const auto paddr = device_.accel_pool().ThreadAccess(
+        kDpi, cotenant_clusters[0], vaddr, false);
+    if (paddr.ok()) {
+      ++mapped;
+      EXPECT_EQ(device_.memory().OwnerOf(paddr.value() / page),
+                cotenant.value());
+    }
+  }
+  EXPECT_EQ(mapped, 3);  // one image page + two heap pages
+}
+
 TEST_F(DeviceTest, LaunchFailsAtomicallyOnAccelExhaustion) {
   NfLaunchArgs args = StageFunction(0x05);
   args.accel_clusters[static_cast<size_t>(accel::AcceleratorType::kZip)] = 99;

@@ -1,18 +1,15 @@
-// Tests for the second wave of extensions: the packet-compressor NF, the
-// §4.8 autoscaler, trace serialization, and the HMAC-DRBG.
+// Tests for the second wave of extensions: the packet-compressor NF and the
+// §4.8 autoscaler.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <string>
 
-#include "src/crypto/drbg.h"
 #include "src/fault/fault.h"
 #include "src/mgmt/autoscaler.h"
 #include "src/net/parser.h"
 #include "src/nf/compressor.h"
-#include "src/trace/trace_gen.h"
-#include "src/trace/trace_io.h"
 
 namespace snic {
 namespace {
@@ -273,123 +270,6 @@ TEST_F(AutoscalerTest, AbandonsLaunchAfterRetryBudgetExhausted) {
   EXPECT_EQ(scaler.stats().launch_retries, 3u);
   EXPECT_FALSE(scaler.RetryPending());
   EXPECT_EQ(scaler.instances(), 1u);  // never over-provisioned a failed slot
-}
-
-// ---- Trace serialization -------------------------------------------------------
-
-TEST(TraceIoTest, SerializeDeserializeRoundTrip) {
-  trace::PacketStream stream(trace::TraceConfig::CaidaLike(3));
-  const auto packets = stream.Generate(200);
-  const auto bytes = trace::SerializeTrace(packets);
-  const auto restored =
-      trace::DeserializeTrace(std::span<const uint8_t>(bytes.data(),
-                                                       bytes.size()));
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored.value().size(), packets.size());
-  for (size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_EQ(restored.value()[i].arrival_ns(), packets[i].arrival_ns());
-    EXPECT_EQ(restored.value()[i].flow_rank(), packets[i].flow_rank());
-    ASSERT_EQ(restored.value()[i].size(), packets[i].size());
-    EXPECT_TRUE(std::equal(packets[i].bytes().begin(),
-                           packets[i].bytes().end(),
-                           restored.value()[i].bytes().begin()));
-  }
-}
-
-TEST(TraceIoTest, RejectsCorruptedInput) {
-  trace::PacketStream stream(trace::TraceConfig::CaidaLike(3));
-  auto bytes = trace::SerializeTrace(stream.Generate(5));
-  // Bad magic.
-  auto bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(trace::DeserializeTrace(
-                   std::span<const uint8_t>(bad_magic.data(),
-                                            bad_magic.size()))
-                   .ok());
-  // Truncation.
-  EXPECT_FALSE(trace::DeserializeTrace(
-                   std::span<const uint8_t>(bytes.data(), bytes.size() / 2))
-                   .ok());
-  // Empty input.
-  EXPECT_FALSE(trace::DeserializeTrace({}).ok());
-}
-
-TEST(TraceIoTest, FileRoundTrip) {
-  trace::PacketStream stream(trace::TraceConfig::IctfLike(4));
-  const auto packets = stream.Generate(50);
-  const std::string path = "/tmp/snic_trace_io_test.sntr";
-  ASSERT_TRUE(trace::WriteTraceFile(path, packets).ok());
-  const auto restored = trace::ReadTraceFile(path);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().size(), packets.size());
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, MissingFileReported) {
-  EXPECT_FALSE(trace::ReadTraceFile("/nonexistent/snic.sntr").ok());
-}
-
-// ---- HMAC-DRBG ----------------------------------------------------------------
-
-TEST(DrbgTest, DeterministicForSeed) {
-  const std::vector<uint8_t> entropy = {1, 2, 3, 4, 5, 6, 7, 8};
-  crypto::HmacDrbg a(std::span<const uint8_t>(entropy.data(), entropy.size()));
-  crypto::HmacDrbg b(std::span<const uint8_t>(entropy.data(), entropy.size()));
-  EXPECT_EQ(a.Generate(64), b.Generate(64));
-}
-
-TEST(DrbgTest, DifferentSeedsDiffer) {
-  const std::vector<uint8_t> e1 = {1, 2, 3};
-  const std::vector<uint8_t> e2 = {1, 2, 4};
-  crypto::HmacDrbg a(std::span<const uint8_t>(e1.data(), e1.size()));
-  crypto::HmacDrbg b(std::span<const uint8_t>(e2.data(), e2.size()));
-  EXPECT_NE(a.Generate(32), b.Generate(32));
-}
-
-TEST(DrbgTest, PersonalizationSeparatesStreams) {
-  const std::vector<uint8_t> entropy = {9, 9, 9};
-  const std::vector<uint8_t> p1 = {'a'};
-  const std::vector<uint8_t> p2 = {'b'};
-  crypto::HmacDrbg a(std::span<const uint8_t>(entropy.data(), entropy.size()),
-                     std::span<const uint8_t>(p1.data(), p1.size()));
-  crypto::HmacDrbg b(std::span<const uint8_t>(entropy.data(), entropy.size()),
-                     std::span<const uint8_t>(p2.data(), p2.size()));
-  EXPECT_NE(a.Generate(32), b.Generate(32));
-}
-
-TEST(DrbgTest, SequentialOutputsDiffer) {
-  const std::vector<uint8_t> entropy = {7};
-  crypto::HmacDrbg drbg(
-      std::span<const uint8_t>(entropy.data(), entropy.size()));
-  const auto first = drbg.Generate(32);
-  const auto second = drbg.Generate(32);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(drbg.generate_calls(), 2u);
-}
-
-TEST(DrbgTest, ReseedChangesStream) {
-  const std::vector<uint8_t> entropy = {7};
-  crypto::HmacDrbg a(std::span<const uint8_t>(entropy.data(), entropy.size()));
-  crypto::HmacDrbg b(std::span<const uint8_t>(entropy.data(), entropy.size()));
-  const std::vector<uint8_t> extra = {0xaa};
-  b.Reseed(std::span<const uint8_t>(extra.data(), extra.size()));
-  EXPECT_NE(a.Generate(32), b.Generate(32));
-}
-
-TEST(DrbgTest, OutputBytesWellDistributed) {
-  const std::vector<uint8_t> entropy = {42};
-  crypto::HmacDrbg drbg(
-      std::span<const uint8_t>(entropy.data(), entropy.size()));
-  const auto bytes = drbg.Generate(65536);
-  // Crude uniformity check: each byte value within 3x of expectation.
-  std::vector<int> counts(256, 0);
-  for (uint8_t b : bytes) {
-    ++counts[b];
-  }
-  for (int c : counts) {
-    EXPECT_GT(c, 256 / 3);
-    EXPECT_LT(c, 256 * 3);
-  }
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
-// Tests for the extension features: cross-VPP function chaining (§4.8),
-// the LiquidIO MIPS segment/execution models (§3.2), the flow-watermarking
-// side channel (§4.5), and the functional virtual-DPI device (Fig. 3b).
+// Tests for the extension features: cross-VPP function chaining (§4.8) and
+// the flow-watermarking side channel (§4.5).
 
 #include <gtest/gtest.h>
 
 #include "src/core/chaining.h"
-#include "src/core/dpi_device.h"
-#include "src/core/mips_segments.h"
 #include "src/core/watermark.h"
 #include "src/mgmt/nic_os.h"
 #include "src/net/parser.h"
@@ -28,12 +25,11 @@ class ExtensionTest : public ::testing::Test {
     return config;
   }
 
-  uint64_t Launch(const char* name, uint16_t port, uint32_t dpi_clusters = 0) {
+  uint64_t Launch(const char* name, uint16_t port) {
     mgmt::FunctionImage image;
     image.name = name;
     image.code_and_data.assign(1024, 0x33);
     image.memory_bytes = 4ull << 20;
-    image.accel_clusters[0] = dpi_clusters;
     net::SwitchRule rule;
     rule.dst_port = port;
     image.switch_rules.push_back(rule);
@@ -142,82 +138,6 @@ TEST_F(ExtensionTest, ChainThreeStagePipeline) {
   EXPECT_TRUE(device_.NfReceive(s3).ok());
 }
 
-// ---- MIPS segments -----------------------------------------------------------
-
-TEST(MipsSegmentsTest, SegmentDecoding) {
-  using core::MipsSegment;
-  EXPECT_EQ(core::SegmentFor(0x0), MipsSegment::kXuseg);
-  EXPECT_EQ(core::SegmentFor(0x3fffffffffffffffull), MipsSegment::kXuseg);
-  EXPECT_EQ(core::SegmentFor(core::kXkphysBase), MipsSegment::kXkphys);
-  EXPECT_EQ(core::SegmentFor(core::kXksegBase), MipsSegment::kXkseg);
-  EXPECT_EQ(core::SegmentFor(0x4000000000000000ull), MipsSegment::kInvalid);
-}
-
-class MipsModelTest : public ::testing::Test {
- protected:
-  MipsModelTest() : memory_(16ull << 20, 2ull << 20), addressing_(&memory_) {}
-
-  core::PhysicalMemory memory_;
-  core::LiquidIoAddressing addressing_;
-};
-
-TEST_F(MipsModelTest, SeSFunctionsHaveFullPhysicalAccess) {
-  const auto context = core::LiquidIoAddressing::FunctionContext(
-      core::LiquidIoMode::kSeS, nullptr);
-  memory_.WriteByte(0x1234, 0xab);
-  const auto read = addressing_.Read(context, core::kXkphysBase + 0x1234);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value(), 0xab);
-  EXPECT_TRUE(addressing_.Write(context, core::kXkphysBase + 0x99, 1).ok());
-}
-
-TEST_F(MipsModelTest, SeUmWithXkphysStillExposesEverything) {
-  const auto context = core::LiquidIoAddressing::FunctionContext(
-      core::LiquidIoMode::kSeUm, nullptr);
-  // User mode, but xkphys enabled: the §3.3 attacks still work.
-  EXPECT_TRUE(addressing_.Read(context, core::kXkphysBase).ok());
-}
-
-TEST_F(MipsModelTest, SeUmNoXkphysBlocksUserPhysicalAccess) {
-  const auto context = core::LiquidIoAddressing::FunctionContext(
-      core::LiquidIoMode::kSeUmNoXkphys, nullptr);
-  EXPECT_EQ(addressing_.Read(context, core::kXkphysBase).status().code(),
-            ErrorCode::kPermissionDenied);
-  // ...and xkseg needs the privilege bit.
-  EXPECT_EQ(addressing_.Read(context, core::kXksegBase).status().code(),
-            ErrorCode::kPermissionDenied);
-}
-
-TEST_F(MipsModelTest, KernelSeesFunctionMemoryRegardless) {
-  // Even with xkphys disabled for functions, the kernel context reaches any
-  // physical byte — the paper's point that SE-UM functions "cannot protect
-  // themselves from a buggy or malicious OS".
-  const auto kernel = core::LiquidIoAddressing::KernelContext();
-  memory_.WriteByte(0x5000, 0x77);
-  EXPECT_EQ(addressing_.Read(kernel, core::kXkphysBase + 0x5000).value(),
-            0x77);
-  EXPECT_TRUE(addressing_.Read(kernel, core::kXksegBase + 0x5000).ok());
-}
-
-TEST_F(MipsModelTest, XusegGoesThroughTlb) {
-  sim::LockedTlb tlb(4);
-  ASSERT_TRUE(tlb.Install(sim::TlbEntry{0, 2ull << 20, 2ull << 20}).ok());
-  const auto context = core::LiquidIoAddressing::FunctionContext(
-      core::LiquidIoMode::kSeUmNoXkphys, &tlb);
-  memory_.WriteByte((2ull << 20) + 5, 0x42);
-  EXPECT_EQ(addressing_.Read(context, 5).value(), 0x42);
-  EXPECT_EQ(addressing_.Read(context, 4ull << 20).status().code(),
-            ErrorCode::kPermissionDenied);  // TLB refill failure
-}
-
-TEST_F(MipsModelTest, OutOfRangePhysicalRejected) {
-  const auto kernel = core::LiquidIoAddressing::KernelContext();
-  EXPECT_EQ(addressing_.Read(kernel, core::kXkphysBase + (1ull << 40))
-                .status()
-                .code(),
-            ErrorCode::kInvalidArgument);
-}
-
 // ---- Watermarking ------------------------------------------------------------
 
 TEST(WatermarkTest, FcfsLeaksTheWatermark) {
@@ -236,103 +156,6 @@ TEST(WatermarkTest, TemporalPartitionDestroysTheWatermark) {
 TEST(WatermarkTest, RoundRobinStillLeaks) {
   const auto result = core::RunWatermarkAttack(sim::BusPolicy::kRoundRobin);
   EXPECT_GT(result.bit_accuracy, 0.75);
-}
-
-// ---- Virtual DPI device --------------------------------------------------------
-
-class VirtualDpiTest : public ExtensionTest {
- protected:
-  VirtualDpiTest()
-      : graph_(std::make_shared<const accel::AhoCorasick>(
-            std::vector<std::string>{"attack", "evil"})) {}
-
-  std::shared_ptr<const accel::AhoCorasick> graph_;
-};
-
-TEST_F(VirtualDpiTest, ScansPayloadFromOwnerMemory) {
-  const uint64_t nf = Launch("ids", 1000, /*dpi_clusters=*/2);
-  const auto clusters = [&] {
-    std::vector<uint32_t> out;
-    for (uint32_t c = 0;
-         c < device_.accel_pool().NumClusters(accel::AcceleratorType::kDpi);
-         ++c) {
-      if (device_.accel_pool().Owner(accel::AcceleratorType::kDpi, c) == nf) {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }();
-  ASSERT_EQ(clusters.size(), 2u);
-
-  core::VirtualDpi dpi(&device_, nf, clusters, graph_);
-
-  // The function writes a payload into its own heap and submits it.
-  const std::string payload = "contains an attack signature";
-  const uint64_t vaddr = 2ull << 20;  // heap page
-  ASSERT_TRUE(device_
-                  .NfWriteBlock(nf, vaddr,
-                                std::span<const uint8_t>(
-                                    reinterpret_cast<const uint8_t*>(
-                                        payload.data()),
-                                    payload.size()))
-                  .ok());
-  ASSERT_TRUE(dpi.Submit({vaddr, static_cast<uint32_t>(payload.size()), 7})
-                  .ok());
-  const auto completions = dpi.ProcessPending();
-  ASSERT_EQ(completions.size(), 1u);
-  EXPECT_EQ(completions[0].tag, 7u);
-  EXPECT_EQ(completions[0].result.match_count, 1u);
-  EXPECT_GT(dpi.bytes_scanned(), 0u);
-}
-
-TEST_F(VirtualDpiTest, FetchOutsideOwnerMemoryDenied) {
-  const uint64_t nf = Launch("ids", 1000, 1);
-  std::vector<uint32_t> clusters;
-  for (uint32_t c = 0;
-       c < device_.accel_pool().NumClusters(accel::AcceleratorType::kDpi);
-       ++c) {
-    if (device_.accel_pool().Owner(accel::AcceleratorType::kDpi, c) == nf) {
-      clusters.push_back(c);
-    }
-  }
-  core::VirtualDpi dpi(&device_, nf, clusters, graph_);
-  // Descriptor pointing beyond the function's mapping: the cluster TLB
-  // denies the fetch; the completion carries no matches.
-  ASSERT_TRUE(dpi.Submit({64ull << 20, 128, 9}).ok());
-  const auto completions = dpi.ProcessPending();
-  ASSERT_EQ(completions.size(), 1u);
-  EXPECT_EQ(completions[0].result.match_count, 0u);
-  EXPECT_EQ(dpi.denied_fetches(), 1u);
-}
-
-TEST_F(VirtualDpiTest, BatchRespectsThreadCount) {
-  const uint64_t nf = Launch("ids", 1000, 1);  // 1 cluster = 4 threads
-  std::vector<uint32_t> clusters;
-  for (uint32_t c = 0;
-       c < device_.accel_pool().NumClusters(accel::AcceleratorType::kDpi);
-       ++c) {
-    if (device_.accel_pool().Owner(accel::AcceleratorType::kDpi, c) == nf) {
-      clusters.push_back(c);
-    }
-  }
-  core::VirtualDpi dpi(&device_, nf, clusters, graph_);
-  const std::string payload = "benign";
-  const uint64_t vaddr = 2ull << 20;
-  ASSERT_TRUE(device_
-                  .NfWriteBlock(nf, vaddr,
-                                std::span<const uint8_t>(
-                                    reinterpret_cast<const uint8_t*>(
-                                        payload.data()),
-                                    payload.size()))
-                  .ok());
-  for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        dpi.Submit({vaddr, static_cast<uint32_t>(payload.size()), i}).ok());
-  }
-  EXPECT_EQ(dpi.ProcessPending().size(), 4u);  // one pass = 4 hw threads
-  EXPECT_EQ(dpi.pending(), 6u);
-  EXPECT_EQ(dpi.ProcessPending().size(), 4u);
-  EXPECT_EQ(dpi.ProcessPending().size(), 2u);
 }
 
 }  // namespace

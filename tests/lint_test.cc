@@ -169,6 +169,17 @@ TEST(SnicLintTest, IncludeCycleAllowlistSilences) {
   EXPECT_TRUE(findings.empty()) << FormatFindings(findings);
 }
 
+// Roots are the bench/, tools/ and examples/ sources. used.h is reached
+// directly, impl_only.h through used.h's .cc, example_only.h from a .cpp
+// example. orphan.h is reached only by a test and by the umbrella header,
+// neither of which counts; allowed.h is unreached but allowlisted.
+TEST(SnicLintTest, UnreachedModuleFiresOnlyOnHeadersNoProductReaches) {
+  const auto findings = LintFixture("unreached_module");
+  EXPECT_EQ(findings.size(), 1u) << FormatFindings(findings);
+  EXPECT_EQ(CountRule(findings, "unreached-module"), 1u);
+  EXPECT_TRUE(HasFindingOnLine(findings, "src/core/orphan.h", 0));
+}
+
 // The shipped allowlist is audited: every entry must still correspond to a
 // real declaration, so deleting the code deletes the exception. Run the
 // real tree's linter with an empty allowlist and check that exactly the
@@ -184,8 +195,11 @@ TEST(SnicLintTest, TreeAllowlistEntriesAreAllLive) {
   EXPECT_TRUE(
       HasFinding(findings, "no-mutable-file-static", "tls_default_registry"));
   EXPECT_TRUE(HasFinding(findings, "no-mutable-file-static", "tls_plane"));
-  // And nothing beyond the allowlisted statics is outstanding.
-  EXPECT_EQ(findings.size(), 3u) << FormatFindings(findings);
+  EXPECT_EQ(CountRule(findings, "unreached-module"), 1u);
+  EXPECT_TRUE(
+      HasFindingOnLine(findings, "src/core/attestation_wire.h", 0));
+  // And nothing beyond the allowlisted entries is outstanding.
+  EXPECT_EQ(findings.size(), 4u) << FormatFindings(findings);
 }
 
 // ---------------------------------------------------------------------------

@@ -218,45 +218,5 @@ TEST(SwitchRuleTest, VniMatching) {
   EXPECT_FALSE(rule.Matches(plain.value()));
 }
 
-TEST(SwitchRuleTableTest, FirstMatchWins) {
-  SwitchRuleTable table;
-  SwitchRule specific;
-  specific.dst_port = 443;
-  table.Add(specific, 1);
-  table.Add(SwitchRule{}, 2);  // catch-all
-
-  const auto https = Parse(PacketBuilder().SetTuple(TestTuple()).Build().bytes());
-  ASSERT_TRUE(https.ok());
-  EXPECT_EQ(table.Lookup(https.value()).value_or(0), 1u);
-
-  FiveTuple http = TestTuple();
-  http.dst_port = 80;
-  const auto other = Parse(PacketBuilder().SetTuple(http).Build().bytes());
-  ASSERT_TRUE(other.ok());
-  EXPECT_EQ(table.Lookup(other.value()).value_or(0), 2u);
-}
-
-TEST(SwitchRuleTableTest, RemoveDestination) {
-  SwitchRuleTable table;
-  table.Add(SwitchRule{}, 7);
-  table.Add(SwitchRule{}, 8);
-  EXPECT_EQ(table.size(), 2u);
-  table.RemoveDestination(7);
-  EXPECT_EQ(table.size(), 1u);
-  const auto parsed = Parse(PacketBuilder().Build().bytes());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(table.Lookup(parsed.value()).value_or(0), 8u);
-}
-
-TEST(SwitchRuleTableTest, NoMatchReturnsNullopt) {
-  SwitchRuleTable table;
-  SwitchRule rule;
-  rule.dst_port = 9999;
-  table.Add(rule, 1);
-  const auto parsed = Parse(PacketBuilder().SetTuple(TestTuple()).Build().bytes());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(table.Lookup(parsed.value()).has_value());
-}
-
 }  // namespace
 }  // namespace snic::net

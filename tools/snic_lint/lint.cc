@@ -35,7 +35,7 @@ std::string ReadFileOrEmpty(const fs::path& path) {
 
 bool IsSourceExtension(const fs::path& p) {
   const std::string ext = p.extension().string();
-  return ext == ".cc" || ext == ".h";
+  return ext == ".cc" || ext == ".h" || ext == ".cpp";  // examples/ are .cpp
 }
 
 std::vector<std::string> GatherSources(const Options& options) {
@@ -180,6 +180,7 @@ class Linter {
     CheckMetricNames();
     CheckSpanNames();
     CheckIncludeCycles();
+    CheckUnreachedModules();
     CheckStaleSuppressions();  // last: audits every suppression's liveness
     std::sort(findings_.begin(), findings_.end(),
               [](const Finding& a, const Finding& b) {
@@ -1348,6 +1349,59 @@ class Linter {
     for (const auto& [node, file] : by_path) {
       if (color[node] == 0) {
         visit(node);
+      }
+    }
+  }
+
+  // ---- unreached-module ---------------------------------------------------
+
+  // A src/ header that no bench/, tools/ or examples/ file reaches through
+  // #include edges runs only under tests. A reached header reaches its
+  // same-named .cc. Edges out of the src/snic.h umbrella are ignored: one
+  // include of it would otherwise reach every module. Inert in a tree with
+  // no such roots.
+  void CheckUnreachedModules() {
+    std::map<std::string, const SourceFile*> by_path;
+    std::vector<std::string> frontier;
+    for (const FileIndex& index : indexes_) {
+      const std::string& path = index.source.path;
+      by_path[path] = &index.source;
+      if (StartsWith(path, "bench/") || StartsWith(path, "tools/") ||
+          StartsWith(path, "examples/")) {
+        frontier.push_back(path);
+      }
+    }
+    if (frontier.empty()) {
+      return;
+    }
+    std::set<std::string> reached(frontier.begin(), frontier.end());
+    auto reach = [&](const std::string& path) {
+      if (by_path.count(path) != 0 && reached.insert(path).second) {
+        frontier.push_back(path);
+      }
+    };
+    auto is_header = [](const std::string& path) {
+      return fs::path(path).extension() == ".h";
+    };
+    while (!frontier.empty()) {
+      const std::string path = frontier.back();
+      frontier.pop_back();
+      if (is_header(path)) {
+        reach(path.substr(0, path.size() - 2) + ".cc");
+      }
+      if (path == "src/snic.h") {
+        continue;
+      }
+      for (const auto& inc : by_path.at(path)->includes) {
+        reach(inc.first);
+      }
+    }
+    for (const auto& [path, file] : by_path) {
+      if (StartsWith(path, "src/") && is_header(path) &&
+          reached.count(path) == 0) {
+        Report("unreached-module", *file, 0, "",
+               "no bench/, tools/ or examples/ file reaches this header "
+               "through #include: only tests use the module");
       }
     }
   }

@@ -51,6 +51,10 @@
 //                           at lint time, listed in
 //                           tools/snic_lint/span_names.txt
 //   include-cycle           no #include cycles across src/
+//   unreached-module        a src/ header that no bench/, tools/ or
+//                           examples/ file reaches through #include edges
+//                           (a header reaches its same-named .cc; edges out
+//                           of the src/snic.h umbrella do not count)
 
 #ifndef SNIC_TOOLS_SNIC_LINT_LINT_H_
 #define SNIC_TOOLS_SNIC_LINT_LINT_H_
@@ -68,8 +72,8 @@ struct Finding {
 };
 
 struct Options {
-  // Tree root. Rules scan src/, bench/, tools/, tests/ and examples/ below
-  // it (skipping any directory named lint_fixtures, which holds the
+  // Tree root. Rules scan the .h, .cc and .cpp files of src/, bench/, tools/,
+  // tests/ and examples/ below it (skipping any directory named lint_fixtures, which holds the
   // checker's own known-bad test inputs).
   std::string root = ".";
 
