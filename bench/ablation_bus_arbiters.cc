@@ -64,6 +64,7 @@ double LeakageCycles(sim::BusPolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   using snic::TablePrinter;
 

@@ -48,8 +48,7 @@ double VictimHitRate(sim::PartitionPolicy policy, uint64_t working_set,
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using snic::TablePrinter;
 
   snic::bench::PrintHeader(

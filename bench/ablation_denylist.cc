@@ -14,8 +14,7 @@
 #include "src/core/denylist.h"
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using namespace snic;
   using namespace snic::core;
 
@@ -27,23 +26,23 @@ int main(int argc, char** argv) {
   for (uint64_t dram_gib : {2ull, 8ull, 32ull}) {
     const uint64_t pages = dram_gib * kGiB / MiB(2);
     for (uint64_t functions : {1ull, 8ull, 64ull}) {
-      auto bitmap = MakeDenylist(DenylistKind::kBitmap, pages);
-      auto pagetable = MakeDenylist(DenylistKind::kPageTable, pages);
+      BitmapDenylist bitmap(pages);
+      PageTableDenylist pagetable(pages);
       // Each function denylists a 64 MB image (32 pages), clustered.
       const uint64_t denied = functions * 32;
       for (uint64_t f = 0; f < functions; ++f) {
         for (uint64_t p = 0; p < 32; ++p) {
           const uint64_t page = (f * 97) % (pages - 32) + p;
-          bitmap->Deny(page);
-          pagetable->Deny(page);
+          bitmap.Deny(page);
+          pagetable.Deny(page);
         }
       }
       table.AddRow({std::to_string(dram_gib) + " GiB",
                     std::to_string(denied),
-                    std::to_string(bitmap->StateBytes()),
-                    std::to_string(pagetable->StateBytes()),
-                    std::to_string(bitmap->LookupSteps()),
-                    std::to_string(pagetable->LookupSteps())});
+                    std::to_string(bitmap.StateBytes()),
+                    std::to_string(pagetable.StateBytes()),
+                    std::to_string(bitmap.LookupSteps()),
+                    std::to_string(pagetable.LookupSteps())});
     }
   }
   std::printf("%s\n", table.ToString().c_str());

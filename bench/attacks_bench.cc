@@ -24,8 +24,7 @@ snic::core::SnicDevice MakeDevice(snic::core::SecurityMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using namespace snic;
   using namespace snic::core;
 

@@ -13,9 +13,8 @@
 int main(int argc, char** argv) {
   using namespace snic;
   using namespace snic::bench;
-
-  PrintHeader("Fig. 5a: IPC degradation vs L2 cache size (2 colocated NFs)",
-              "S-NIC (EuroSys'24) Figure 5a");
+  RequireKnownFlags(argc, argv, {"--quick", "--jobs=", "--metrics-out=",
+                                 "--trace-out=", "--trace-bin-out="});
 
   // --metrics-out=<file>: JSON snapshot of every replay series (per-core
   // L1/L2 hit+miss counters, per-domain bus wait-cycle histograms, ...).
@@ -24,6 +23,8 @@ int main(int argc, char** argv) {
   // --trace-bin-out=<file>: the raw binary ring image (tools/snic_trace).
   // --jobs=N: sweep workers; output is byte-identical at every N.
   Fig5Session session(argc, argv);
+  PrintHeader("Fig. 5a: IPC degradation vs L2 cache size (2 colocated NFs)",
+              "S-NIC (EuroSys'24) Figure 5a");
   session.RecordTraces(2024);
 
   const std::vector<uint64_t> cache_sizes = session.quick()

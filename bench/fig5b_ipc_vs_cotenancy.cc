@@ -16,13 +16,14 @@
 int main(int argc, char** argv) {
   using namespace snic;
   using namespace snic::bench;
-
-  PrintHeader("Fig. 5b: IPC degradation vs co-tenancy (4MB L2)",
-              "S-NIC (EuroSys'24) Figure 5b");
+  RequireKnownFlags(argc, argv, {"--quick", "--jobs=", "--metrics-out=",
+                                 "--trace-out=", "--trace-bin-out="});
 
   // --metrics-out=<file>: JSON replay-series snapshot.
   // --jobs=N: sweep workers; output is byte-identical at every N.
   Fig5Session session(argc, argv);
+  PrintHeader("Fig. 5b: IPC degradation vs co-tenancy (4MB L2)",
+              "S-NIC (EuroSys'24) Figure 5b");
   session.RecordTraces(2024);
 
   const std::vector<uint32_t> arities = session.quick()

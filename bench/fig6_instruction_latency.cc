@@ -15,6 +15,7 @@
 #include "src/crypto/diffie_hellman.h"
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   using namespace snic;
   using namespace snic::core;

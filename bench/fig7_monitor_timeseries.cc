@@ -14,6 +14,7 @@
 #include "src/trace/trace_gen.h"
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   using namespace snic;
 

@@ -14,6 +14,7 @@
 #include "src/common/table_printer.h"
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   using namespace snic;
   using namespace snic::accel;

@@ -54,9 +54,11 @@ double MinMs(const std::vector<double>& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = snic::bench::QuickMode(argc, argv);
   using namespace snic;
   using namespace snic::bench;
+  RequireKnownFlags(argc, argv, {"--quick", "--jobs=", "--seed=", "--out="});
+  const size_t jobs = JobsFlag(argc, argv);
+  const bool quick = QuickMode(argc, argv);
 
   PrintHeader("Observability overhead on the Fig. 5a replay path",
               "budgets: metrics <30%, metrics+trace <=80% vs the "
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
   // way. The budgets are calibrated on the serial path — at jobs > 1 the
   // measured ratio also absorbs scheduler noise (worst when workers
   // oversubscribe the cores), so gate the budgets with --jobs=1.
-  const auto pool = MakePool(JobsFlag(argc, argv));
+  const auto pool = MakePool(jobs);
 
   // --seed=S varies the synthetic NF workload (default matches the
   // committed pin); the seed is echoed into the verdict JSON.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/table_printer.h"
 #include "src/obs/json.h"
 
@@ -132,6 +133,7 @@ void PrintHistogramSection(const Value& doc) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--all"}, "<metrics.json>");
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s <metrics.json> [--all]\n", argv[0]);
     return 2;

@@ -49,9 +49,10 @@ double MinMs(const std::vector<double>& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = snic::bench::QuickMode(argc, argv);
   using namespace snic;
   using namespace snic::bench;
+  RequireKnownFlags(argc, argv, {"--quick", "--seed=", "--out="});
+  const bool quick = QuickMode(argc, argv);
 
   PrintHeader("Replay throughput: fast streaming engine vs reference oracle",
               "gate: >= 5x events/sec on the Fig. 5a workload");

@@ -112,6 +112,9 @@ std::vector<Entry> LoadCurated(const std::string& dir) {
 int main(int argc, char** argv) {
   using namespace snic;
 
+  bench::RequireKnownFlags(argc, argv,
+                           {"--quick", "--jobs=", "--seed=", "--out=",
+                            "--limit=", "--specs="});
   const bool quick = bench::QuickMode(argc, argv);
   const size_t jobs = bench::JobsFlag(argc, argv);
   const std::string seed_flag = bench::FlagValue(argc, argv, "--seed");

@@ -27,8 +27,7 @@ size_t EntriesForProfile(const snic::accel::AcceleratorMemoryProfile& profile) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using snic::MiB;
   using snic::TablePrinter;
   using namespace snic::accel;

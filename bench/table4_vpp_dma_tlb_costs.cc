@@ -12,8 +12,7 @@
 #include "src/hwmodel/tlb_cost.h"
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using snic::KiB;
   using snic::MiB;
   using snic::TablePrinter;

@@ -59,6 +59,7 @@ void DriveWithStream(nf::NetworkFunction& nf, size_t distinct_flows,
 }  // namespace
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   bench::PrintHeader(
       "Table 6 / Table 8: NF memory profiles, TLB entries, and MURs",

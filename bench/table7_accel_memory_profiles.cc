@@ -13,6 +13,7 @@
 #include "src/core/tlb_sizing.h"
 
 int main(int argc, char** argv) {
+  snic::bench::RequireKnownFlags(argc, argv, {"--quick"});
   const bool quick = snic::bench::QuickMode(argc, argv);
   using snic::TablePrinter;
   using namespace snic::accel;

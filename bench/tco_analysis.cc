@@ -10,8 +10,7 @@
 #include "src/hwmodel/tlb_cost.h"
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  snic::bench::RequireKnownFlags(argc, argv, {});
   using snic::TablePrinter;
   using namespace snic::hwmodel;
 

@@ -44,8 +44,9 @@ int main() {
               static_cast<unsigned long long>(nf_id.value()));
 
   // Constellation parties.
-  mgmt::SnicFunctionParty ids("detour-ids", &device, nf_id.value(),
-                              nic_vendor.public_key());
+  mgmt::SnicFunctionParty ids(
+      "detour-ids", &device, nf_id.value(), nic_vendor.public_key(),
+      mgmt::ExpectedMeasurement(image, device.config().page_bytes));
   Rng enclave_rng(78);
   mgmt::EnclaveParty client_gw("client-gateway", {0x01, 0x02}, enclave_vendor,
                                768, enclave_rng);

@@ -18,7 +18,6 @@ void ChainLink::AttachTraceRing(obs::TraceRing* ring) {
 
 void ChainLink::Tick() {
   ++stats_.ticks;
-  backpressured_ = false;
   VirtualPacketPipeline* producer = device_->Vpp(config_.producer_nf);
   VirtualPacketPipeline* consumer = device_->Vpp(config_.consumer_nf);
   if (producer == nullptr || consumer == nullptr) {
@@ -71,10 +70,8 @@ void ChainLink::Tick() {
     }
   }
   // Ending the tick with fresh producer TX still queued means the link ran
-  // out of usable credits — the backpressure signal the management plane
-  // polls between ticks.
+  // out of usable credits.
   if (producer->PeekTx() != nullptr) {
-    backpressured_ = true;
     ++stats_.stall_ticks;
   }
 }
@@ -141,15 +138,6 @@ void ChainManager::TickAll() {
   for (ChainLink& link : links_) {
     link.Tick();
   }
-}
-
-bool ChainManager::AnyBackpressure(uint64_t nf_id) const {
-  for (const ChainLink& link : links_) {
-    if (link.config().producer_nf == nf_id && link.backpressured()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace snic::core

@@ -61,10 +61,6 @@ class ChainLink {
   // bound.
   void Tick();
 
-  // True when the last tick ended with fresh producer TX it could not move
-  // — the sustained-pressure signal mgmt::Autoscaler consumes.
-  bool backpressured() const { return backpressured_; }
-
   const ChainLinkConfig& config() const { return config_; }
   const ChainLinkStats& stats() const { return stats_; }
 
@@ -76,7 +72,6 @@ class ChainLink {
   SnicDevice* device_;
   ChainLinkConfig config_;
   ChainLinkStats stats_;
-  bool backpressured_ = false;
 
   obs::TraceRing* ring_ = nullptr;
   uint16_t ring_hop_ = 0;
@@ -102,9 +97,6 @@ class ChainManager {
 
   // Advances every link by one tick, in creation order.
   void TickAll();
-
-  // True when any link touching `nf_id` as producer is backpressured.
-  bool AnyBackpressure(uint64_t nf_id) const;
 
   size_t link_count() const { return links_.size(); }
   const ChainLink& link(size_t index) const { return links_[index]; }

@@ -72,16 +72,4 @@ uint64_t PageTableDenylist::StateBytes() const {
   return root_slots * 8 + leaves_.size() * (kLeafSize / 8);
 }
 
-std::unique_ptr<MemoryDenylist> MakeDenylist(DenylistKind kind,
-                                             uint64_t total_pages) {
-  switch (kind) {
-    case DenylistKind::kBitmap:
-      return std::make_unique<BitmapDenylist>(total_pages);
-    case DenylistKind::kPageTable:
-      return std::make_unique<PageTableDenylist>(total_pages);
-  }
-  SNIC_CHECK(false);
-  return nullptr;
-}
-
 }  // namespace snic::core

@@ -6,14 +6,14 @@
 // touch) a denylisted physical page is rejected by hardware. Footnote 1 of
 // the paper notes two implementation strategies with an area/latency trade:
 // a literal bitmap (fast, more die area) or a walk of a denylist page table
-// (slower, less area, EPT-style). Both are implemented here behind one
-// interface so the ablation bench can compare them.
+// (slower, less area, EPT-style). The device uses the bitmap; both are
+// implemented here behind one interface so the ablation bench can compare
+// them.
 
 #ifndef SNIC_CORE_DENYLIST_H_
 #define SNIC_CORE_DENYLIST_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -75,11 +75,6 @@ class PageTableDenylist : public MemoryDenylist {
   uint64_t total_pages_;
   std::unordered_map<uint64_t, std::vector<bool>> leaves_;
 };
-
-enum class DenylistKind { kBitmap, kPageTable };
-
-std::unique_ptr<MemoryDenylist> MakeDenylist(DenylistKind kind,
-                                             uint64_t total_pages);
 
 }  // namespace snic::core
 

@@ -41,7 +41,6 @@ enum class DropPolicy : uint8_t {
   // Deterministic priority-aware early drop: evict the lowest-priority
   // buffered frame (largest; latest arrival among equals) when the incoming
   // frame has higher priority (is smaller), else reject the incoming frame.
-  // Matches the kPriorityBySize scheduler's notion of priority.
   kPriorityEarlyDrop = 1,
 };
 

@@ -7,6 +7,12 @@
 #include "src/net/parser.h"
 
 namespace snic::core {
+namespace {
+
+constexpr size_t kCoreTlbEntries = 512;  // per programmable core (Table 2)
+constexpr uint64_t kBootSeed = 0x51c0b007ULL;  // boot-time entropy stream
+
+}  // namespace
 
 std::vector<accel::ClusterConfig> SnicConfig::DefaultAccelClusters() {
   std::vector<accel::ClusterConfig> configs;
@@ -26,9 +32,9 @@ SnicDevice::SnicDevice(const SnicConfig& config,
                        const crypto::VendorAuthority& vendor)
     : config_(config),
       memory_(config.dram_bytes, config.page_bytes),
-      mgmt_denylist_(MakeDenylist(config.denylist_kind, memory_.num_pages())),
+      mgmt_denylist_(memory_.num_pages()),
       accel_pool_(config.accel_clusters),
-      rng_(config.boot_seed),
+      rng_(kBootSeed),
       root_of_trust_(vendor, config.rsa_modulus_bits, rng_) {
   SNIC_CHECK(config_.num_cores >= 2);  // NIC-OS core + at least one NF core
   SNIC_CHECK(config_.num_cores <= 64);
@@ -141,7 +147,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
 
   // Commit: build the record.
   ++next_nf_id_;
-  auto record = std::make_unique<NfRecord>(nf_id, config_.core_tlb_entries);
+  auto record = std::make_unique<NfRecord>(nf_id, kCoreTlbEntries);
   if (obs_registry_ != nullptr) {
     obs::Labels tlb_labels;
     tlb_labels.emplace_back("nf_id", std::to_string(nf_id));
@@ -164,7 +170,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   for (size_t i = 0; i < record->pages.size(); ++i) {
     const uint64_t page = record->pages[i];
     memory_.SetOwner(page, nf_id);
-    mgmt_denylist_->Deny(page);
+    mgmt_denylist_.Deny(page);
     sim::TlbEntry entry;
     entry.virt_base = static_cast<uint64_t>(i) * memory_.page_bytes();
     entry.phys_base = page * memory_.page_bytes();
@@ -256,7 +262,7 @@ Status SnicDevice::NfTeardown(uint64_t nf_id) {
     memory_.ZeroPage(page);
     coproc_.AccountScrub(memory_.page_bytes());
     memory_.SetOwner(page, kPageFree);
-    mgmt_denylist_->Allow(page);
+    mgmt_denylist_.Allow(page);
   }
   teardown_latency_.scrub_ms = coproc_.elapsed_ms() - scrub_before;
   coproc_.AccountAllowlistUpdate();
@@ -368,7 +374,7 @@ Result<uint8_t> SnicDevice::MgmtReadPhys(uint64_t paddr) const {
     return InvalidArgument("physical address out of range");
   }
   if (config_.mode == SecurityMode::kSnic &&
-      mgmt_denylist_->IsDenied(paddr / memory_.page_bytes())) {
+      mgmt_denylist_.IsDenied(paddr / memory_.page_bytes())) {
     if (obs_denylist_rejections_ != nullptr) {
       obs_denylist_rejections_->Inc();
     }
@@ -382,7 +388,7 @@ Status SnicDevice::MgmtWritePhys(uint64_t paddr, uint8_t value) {
     return InvalidArgument("physical address out of range");
   }
   if (config_.mode == SecurityMode::kSnic &&
-      mgmt_denylist_->IsDenied(paddr / memory_.page_bytes())) {
+      mgmt_denylist_.IsDenied(paddr / memory_.page_bytes())) {
     if (obs_denylist_rejections_ != nullptr) {
       obs_denylist_rejections_->Inc();
     }

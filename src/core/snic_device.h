@@ -54,13 +54,10 @@ struct SnicConfig {
   uint32_t num_cores = 16;        // core 0 is the dedicated NIC-OS core
   uint64_t dram_bytes = 4ull << 30;
   uint64_t page_bytes = 2ull << 20;
-  size_t core_tlb_entries = 512;  // per programmable core (Table 2)
-  DenylistKind denylist_kind = DenylistKind::kBitmap;
   // Accelerator pools (defaults: 64 threads each of DPI/ZIP/RAID in
   // 4-thread clusters, i.e. 16 clusters — the Table 3 middle column).
   std::vector<accel::ClusterConfig> accel_clusters = DefaultAccelClusters();
   size_t rsa_modulus_bits = 768;  // root-of-trust key size (tests keep small)
-  uint64_t boot_seed = 0x51c0b007ULL;
 
   static std::vector<accel::ClusterConfig> DefaultAccelClusters();
 };
@@ -176,7 +173,7 @@ class SnicDevice {
   PhysicalMemory& memory() { return memory_; }
   const PhysicalMemory& memory() const { return memory_; }
   accel::VirtualAcceleratorPool& accel_pool() { return accel_pool_; }
-  const MemoryDenylist& mgmt_denylist() const { return *mgmt_denylist_; }
+  const BitmapDenylist& mgmt_denylist() const { return mgmt_denylist_; }
   const crypto::NicRootOfTrust& root_of_trust() const { return root_of_trust_; }
   accel::CryptoCoprocessor& coproc() { return coproc_; }
 
@@ -223,7 +220,7 @@ class SnicDevice {
 
   SnicConfig config_;
   PhysicalMemory memory_;
-  std::unique_ptr<MemoryDenylist> mgmt_denylist_;
+  BitmapDenylist mgmt_denylist_;
   accel::VirtualAcceleratorPool accel_pool_;
   Rng rng_;  // boot-time entropy (declared before the root of trust)
   crypto::NicRootOfTrust root_of_trust_;

@@ -40,16 +40,6 @@ Result<uint32_t> PfVfManager::CreateVf(uint64_t nf_id,
   return vf_id;
 }
 
-Status PfVfManager::DestroyVf(uint32_t vf_id) {
-  const auto it = vfs_.find(vf_id);
-  if (it == vfs_.end()) {
-    return NotFound("vf: unknown id");
-  }
-  nf_to_vf_.erase(it->second->nf_id);
-  vfs_.erase(it);
-  return OkStatus();
-}
-
 Status PfVfManager::RebindVf(uint32_t vf_id, uint64_t new_nf_id,
                              VirtualPacketPipeline* new_vpp) {
   Vf* vf = Find(vf_id);
@@ -67,36 +57,25 @@ Status PfVfManager::RebindVf(uint32_t vf_id, uint64_t new_nf_id,
   vf->nf_id = new_nf_id;
   vf->vpp = new_vpp;
   nf_to_vf_[new_nf_id] = vf_id;
-  ResetLocked(vf_id, *vf);
-  return OkStatus();
-}
-
-void PfVfManager::ResetLocked(uint32_t vf_id, Vf& vf) {
-  vf.ring.Reset();
-  vf.cq.Reset();
-  vf.doorbell.Reset();
-  vf.posted_bytes = 0;
-  vf.churn_penalty_bytes = 0;
-  for (bool& latched : vf.abuse_latched) {
+  // The reset: rings restart, the doorbell refills, churn reservations are
+  // released and abuse verdicts unlatch.
+  vf->ring.Reset();
+  vf->cq.Reset();
+  vf->doorbell.Reset();
+  vf->posted_bytes = 0;
+  vf->churn_penalty_bytes = 0;
+  for (bool& latched : vf->abuse_latched) {
     latched = false;
   }
-  for (uint64_t& strikes : vf.stats.strikes) {
+  for (uint64_t& strikes : vf->stats.strikes) {
     strikes = 0;
   }
-  ++vf.stats.resets;
-  if (vf.m_resets != nullptr) vf.m_resets->Inc();
+  ++vf->stats.resets;
+  if (vf->m_resets != nullptr) vf->m_resets->Inc();
   if (ring_ != nullptr) {
-    ring_->EmitInstant(span_reset_, now_, static_cast<uint32_t>(vf.nf_id),
+    ring_->EmitInstant(span_reset_, now_, static_cast<uint32_t>(new_nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
   }
-}
-
-Status PfVfManager::ResetVf(uint32_t vf_id) {
-  Vf* vf = Find(vf_id);
-  if (vf == nullptr) {
-    return NotFound("vf: unknown id");
-  }
-  ResetLocked(vf_id, *vf);
   return OkStatus();
 }
 

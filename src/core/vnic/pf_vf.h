@@ -16,9 +16,9 @@
 // strike threshold latches the verdict and fires the abuse callback exactly
 // once. The callback layer (bench/tests) routes that to
 // mgmt::Supervisor::ReportCrash(kVnicAbuse); the Supervisor's restart
-// callback then calls ResetVf/RebindVf, and repeat offenders end in
-// QuarantineVf — at which point the VF's traffic drops at the edge. The
-// core library deliberately does not link mgmt, so the coupling stays a
+// callback then calls RebindVf (which resets the VF), and repeat offenders
+// end in QuarantineVf — at which point the VF's traffic drops at the edge.
+// The core library deliberately does not link mgmt, so the coupling stays a
 // callback.
 //
 // Determinism: all state advances on simulated cycles via AdvanceClockTo;
@@ -110,15 +110,14 @@ class PfVfManager {
   // fails with kAlreadyOwned.
   Result<uint32_t> CreateVf(uint64_t nf_id, VirtualPacketPipeline* vpp,
                             const VfQuota& quota);
-  Status DestroyVf(uint32_t vf_id);
-  // Points an existing VF at a restarted NF (new id, new VPP) and resets it.
+  // Points an existing VF at a restarted NF (new id, new VPP) and resets
+  // it: clears rings, refills the doorbell, releases churn reservations,
+  // and unlatches abuse verdicts. The Supervisor's restart path.
   Status RebindVf(uint32_t vf_id, uint64_t new_nf_id,
                   VirtualPacketPipeline* new_vpp);
-  // Clears rings, refills the doorbell, releases churn reservations, and
-  // unlatches abuse verdicts. The Supervisor's restart path.
-  Status ResetVf(uint32_t vf_id);
   // Stops serving the VF: every delivery drops at the edge (counted).
-  // Tenant-side calls fail with kPermissionDenied. Reset does not lift it.
+  // Tenant-side calls fail with kPermissionDenied. RebindVf's reset does not
+  // lift it.
   Status QuarantineVf(uint32_t vf_id);
 
   // --- Tenant-side API (MMIO surface) -------------------------------------
@@ -186,7 +185,6 @@ class PfVfManager {
   const Vf* Find(uint32_t vf_id) const;
   void AttachVfObs(uint32_t vf_id, Vf& vf);
   void Strike(uint32_t vf_id, Vf& vf, VfAbuse kind);
-  void ResetLocked(uint32_t vf_id, Vf& vf);
 
   std::map<uint32_t, std::unique_ptr<Vf>> vfs_;
   std::map<uint64_t, uint32_t> nf_to_vf_;

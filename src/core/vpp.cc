@@ -7,6 +7,10 @@
 
 namespace {
 
+// The scheduler unit's locked TLB: one entry per buffer (PB, PDB, ODB), the
+// Table 4 sizing.
+constexpr size_t kVppTlbEntries = 3;
+
 // vpp.rx.rejected cause codes (arg word, key "cause").
 constexpr uint64_t kRejectFault = 0;      // injected ingress drop
 constexpr uint64_t kRejectAdmission = 1;  // policer / token bucket
@@ -23,7 +27,7 @@ VirtualPacketPipeline::VirtualPacketPipeline(uint64_t nf_id,
       admission_(config.overload.admission_burst_frames,
                  config.overload.admission_frames_per_refill,
                  config.overload.admission_refill_cycles),
-      scheduler_tlb_(config.tlb_entries) {}
+      scheduler_tlb_(kVppTlbEntries) {}
 
 void VirtualPacketPipeline::AdvanceClockTo(uint64_t cycle) {
   if (cycle > now_) {
@@ -79,8 +83,9 @@ void VirtualPacketPipeline::UpdateRxDepthObs() {
   }
 }
 
-void VirtualPacketPipeline::ShedRxAt(size_t index) {
-  const uint64_t bytes = rx_queue_[index].packet.size();
+void VirtualPacketPipeline::ShedRxFront() {
+  const QueuedFrame& stale = rx_queue_.front();
+  const uint64_t bytes = stale.packet.size();
   rx_buffered_bytes_ -= bytes;
   ++stats_.rx_shed_deadline;
   stats_.shed_bytes += bytes;
@@ -88,11 +93,10 @@ void VirtualPacketPipeline::ShedRxAt(size_t index) {
   if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
   if (ring_ != nullptr) {
     ring_->EmitInstant(ring_shed_, now_, RingPid(), /*tid=*/0,
-                       rx_queue_[index].packet.span_id(),
-                       now_ - rx_queue_[index].enqueue_cycle,
+                       stale.packet.span_id(), now_ - stale.enqueue_cycle,
                        ring_arg_residency_);
   }
-  rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(index));
+  rx_queue_.pop_front();
 }
 
 void VirtualPacketPipeline::EmitRingRejected(uint64_t span, uint64_t cause) {
@@ -205,24 +209,16 @@ Result<net::Packet> VirtualPacketPipeline::DequeueRx() {
     if (rx_queue_.empty()) {
       return NotFound("RX queue empty");
     }
-    size_t pick = 0;
-    if (config_.scheduler == PacketScheduler::kPriorityBySize) {
-      for (size_t i = 1; i < rx_queue_.size(); ++i) {
-        if (rx_queue_[i].packet.size() < rx_queue_[pick].packet.size()) {
-          pick = i;
-        }
-      }
-    }
     // Stage-boundary deadline check: stale frames are shed, not delivered.
-    if (DeadlineExpired(rx_queue_[pick].enqueue_cycle)) {
-      ShedRxAt(pick);
+    if (DeadlineExpired(rx_queue_.front().enqueue_cycle)) {
+      ShedRxFront();
       UpdateRxDepthObs();
       continue;
     }
-    const uint64_t queued_at = rx_queue_[pick].enqueue_cycle;
-    net::Packet packet = std::move(rx_queue_[pick].packet);
+    const uint64_t queued_at = rx_queue_.front().enqueue_cycle;
+    net::Packet packet = std::move(rx_queue_.front().packet);
     rx_buffered_bytes_ -= packet.size();
-    rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(pick));
+    rx_queue_.pop_front();
     UpdateRxDepthObs();
     if (ring_ != nullptr) {
       ring_->EmitInstant(ring_rx_deq_, now_, RingPid(), /*tid=*/0,

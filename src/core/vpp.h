@@ -36,20 +36,11 @@
 
 namespace snic::core {
 
-// Packet scheduling algorithms a VPP may request (§4.4 cites programmable
-// packet schedulers; functional behaviour differs only in dequeue order).
-enum class PacketScheduler : uint8_t {
-  kFifo = 0,
-  kPriorityBySize = 1,  // shortest frame first
-};
-
 struct VppConfig {
   uint64_t rx_buffer_bytes = 2 * 1024 * 1024;       // PB
   uint64_t descriptor_buffer_bytes = 128 * 1024;    // PDB
   uint64_t output_descriptor_bytes = 1024 * 1024;   // ODB
-  PacketScheduler scheduler = PacketScheduler::kFifo;
   std::vector<net::SwitchRule> rules;
-  size_t tlb_entries = 3;  // Table 4: one per buffer
   OverloadPolicy overload;
 };
 
@@ -93,8 +84,8 @@ class VirtualPacketPipeline {
   // under the configured drop policy. Every rejection is counted.
   [[nodiscard]] Status EnqueueRx(net::Packet packet);
 
-  // The function polls for its next packet per the configured scheduler.
-  // Frames past their deadline are shed (counted) rather than returned.
+  // The function polls for its next packet, oldest first. Frames past
+  // their deadline are shed (counted) rather than returned.
   Result<net::Packet> DequeueRx();
   bool RxPending() const { return !rx_queue_.empty(); }
 
@@ -143,7 +134,7 @@ class VirtualPacketPipeline {
   // frames until `incoming_bytes` fits or no eligible victim remains.
   // Returns true when the incoming frame now fits.
   bool MakeRoomByEarlyDrop(uint64_t incoming_bytes);
-  void ShedRxAt(size_t index);
+  void ShedRxFront();
   void UpdateRxDepthObs();
   uint32_t RingPid() const { return static_cast<uint32_t>(nf_id_); }
   // One vpp.rx.rejected instant; `cause` is the admission-reject reason code.

@@ -16,20 +16,9 @@
 #ifndef SNIC_CORE_WATERMARK_H_
 #define SNIC_CORE_WATERMARK_H_
 
-#include <cstddef>
-#include <cstdint>
-
 #include "src/sim/bus.h"
 
 namespace snic::core {
-
-struct WatermarkConfig {
-  size_t bits = 64;
-  uint64_t window_cycles = 2048;   // one watermark bit per window
-  uint64_t victim_period = 64;     // victim request spacing
-  uint64_t attacker_period = 12;   // attacker spacing during 1-bits
-  uint64_t seed = 0xbeefULL;
-};
 
 struct WatermarkResult {
   // Fraction of watermark bits recovered by threshold decoding. 1.0 =
@@ -40,8 +29,9 @@ struct WatermarkResult {
   double mean_latency_bit0 = 0.0;
 };
 
-WatermarkResult RunWatermarkAttack(sim::BusPolicy policy,
-                                   const WatermarkConfig& config = {});
+// Imprints a fixed 64-bit watermark (one bit per 2048-cycle window) and
+// decodes it from the victim's grant latencies under `policy`.
+WatermarkResult RunWatermarkAttack(sim::BusPolicy policy);
 
 }  // namespace snic::core
 

@@ -169,8 +169,8 @@ class FaultPlane {
   // changes across restarts.
   void RetargetRules(uint64_t old_nf, uint64_t new_nf);
 
-  // The plane's simulated clock. Components that need a time base for
-  // backoff (mgmt::Autoscaler) read now(); the scenario driver advances it.
+  // The plane's simulated clock: the timestamp of its trace-ring instants.
+  // The scenario driver advances it.
   void AdvanceClockTo(uint64_t cycle) { now_ = cycle > now_ ? cycle : now_; }
   uint64_t now() const { return now_; }
 

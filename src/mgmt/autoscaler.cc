@@ -1,16 +1,14 @@
 #include "src/mgmt/autoscaler.h"
 
-#include <algorithm>
-
-#include "src/fault/fault.h"
-
 namespace snic::mgmt {
-
 namespace {
-bool IsTransient(const Status& status) {
-  return status.code() == ErrorCode::kResourceExhausted ||
-         status.code() == ErrorCode::kUnavailable;
-}
+
+// Utilization that triggers +1 instance, and the one that triggers -1; the
+// gap between them is the hysteresis band that keeps a steady load from
+// flapping.
+constexpr double kScaleUpThreshold = 0.85;
+constexpr double kScaleDownThreshold = 0.45;
+
 }  // namespace
 
 Autoscaler::Autoscaler(NicOs* nic_os, AutoscalerConfig config)
@@ -18,7 +16,6 @@ Autoscaler::Autoscaler(NicOs* nic_os, AutoscalerConfig config)
   SNIC_CHECK(config_.capacity_per_instance > 0.0);
   SNIC_CHECK(config_.min_instances >= 1);
   SNIC_CHECK(config_.max_instances >= config_.min_instances);
-  SNIC_CHECK(config_.scale_down_threshold < config_.scale_up_threshold);
   while (instances() < config_.min_instances) {
     SNIC_CHECK_OK(ScaleUp());
   }
@@ -55,50 +52,8 @@ Status Autoscaler::ScaleDown() {
   return OkStatus();
 }
 
-uint64_t Autoscaler::Clock() const {
-  const fault::FaultPlane* plane = fault::CurrentFaultPlane();
-  return plane != nullptr ? plane->now() : stats_.steps;
-}
-
-Status Autoscaler::HandleLaunchFailure(Status status) {
-  if (!IsTransient(status)) {
-    retry_pending_ = false;
-    retry_attempts_ = 0;
-    return status;
-  }
-  ++stats_.launch_failures;
-  if (retry_attempts_ >= config_.max_launch_retries) {
-    // Budget exhausted: give up on this launch; a later step that still
-    // sees pressure starts a fresh attempt sequence.
-    retry_pending_ = false;
-    retry_attempts_ = 0;
-    ++stats_.abandoned_launches;
-    return status;
-  }
-  uint64_t backoff = config_.retry_backoff_base;
-  for (uint32_t i = 0; i < retry_attempts_ && backoff < config_.retry_backoff_max;
-       ++i) {
-    backoff *= 2;
-  }
-  backoff = std::min(backoff, config_.retry_backoff_max);
-  retry_pending_ = true;
-  ++retry_attempts_;
-  retry_due_ = Clock() + backoff;
-  return OkStatus();  // absorbed: the control loop owns the retry
-}
-
 Status Autoscaler::Step(double offered_load) {
-  return Step(offered_load, /*backpressured=*/false);
-}
-
-Status Autoscaler::Step(double offered_load, bool backpressured) {
   ++stats_.steps;
-  if (backpressured) {
-    ++stats_.pressured_steps;
-    ++consecutive_pressure_;
-  } else {
-    consecutive_pressure_ = 0;
-  }
   const double capacity = Capacity();
   const double utilization = capacity == 0.0 ? 1.0 : offered_load / capacity;
   stats_.utilization_sum += utilization > 1.0 ? 1.0 : utilization;
@@ -106,58 +61,17 @@ Status Autoscaler::Step(double offered_load, bool backpressured) {
     ++stats_.overload_steps;
   }
 
-  // A pending retry is committed demand: service it before fresh decisions,
-  // but never past max_instances (pressure may have been satisfied since).
-  if (retry_pending_) {
-    if (instances() >= config_.max_instances ||
-        utilization <= config_.scale_down_threshold) {
-      retry_pending_ = false;
-      retry_attempts_ = 0;
-    } else if (Clock() >= retry_due_) {
-      ++stats_.launch_retries;
-      Status retried = ScaleUp();
-      if (retried.ok()) {
-        retry_pending_ = false;
-        retry_attempts_ = 0;
-      } else if (Status s = HandleLaunchFailure(std::move(retried)); !s.ok()) {
-        return s;
-      }
-      return OkStatus();
-    } else {
-      return OkStatus();  // still backing off
-    }
-  }
-
-  if (utilization > config_.scale_up_threshold &&
-      instances() < config_.max_instances) {
-    Status up = ScaleUp();
-    if (!up.ok()) {
-      return HandleLaunchFailure(std::move(up));
-    }
-    consecutive_pressure_ = 0;
-    return OkStatus();
-  }
-  // Sustained backpressure means queues are growing even though the load
-  // estimate looks fine: trust the data plane and add an instance.
-  if (consecutive_pressure_ >= config_.pressure_scale_up_after &&
-      instances() < config_.max_instances) {
-    Status up = ScaleUp();
-    if (!up.ok()) {
-      return HandleLaunchFailure(std::move(up));
-    }
-    ++stats_.pressure_scale_ups;
-    consecutive_pressure_ = 0;
-    return OkStatus();
+  if (utilization > kScaleUpThreshold && instances() < config_.max_instances) {
+    return ScaleUp();
   }
   // Scale down only if the remaining capacity still clears the up-threshold
-  // margin (hysteresis; avoids flapping at the boundary) — and never while
-  // the data plane is reporting pressure.
-  if (!backpressured && instances() > config_.min_instances &&
-      utilization < config_.scale_down_threshold) {
+  // margin (hysteresis; avoids flapping at the boundary).
+  if (instances() > config_.min_instances &&
+      utilization < kScaleDownThreshold) {
     const double capacity_after =
         capacity - config_.capacity_per_instance;
     if (capacity_after > 0.0 &&
-        offered_load / capacity_after < config_.scale_up_threshold) {
+        offered_load / capacity_after < kScaleUpThreshold) {
       return ScaleDown();
     }
   }

@@ -23,24 +23,8 @@ namespace snic::mgmt {
 struct AutoscalerConfig {
   FunctionImage image;                  // the scale unit (one NF instance)
   double capacity_per_instance = 1.0;   // load one instance absorbs
-  double scale_up_threshold = 0.85;     // utilization that triggers +1
-  double scale_down_threshold = 0.45;   // utilization that triggers -1
   uint32_t min_instances = 1;
   uint32_t max_instances = 8;
-
-  // Transient-launch-failure handling: a scale-up that fails with
-  // kResourceExhausted / kUnavailable is retried up to max_launch_retries
-  // times with doubling backoff (measured on the fault plane's cycle clock
-  // when one is installed, otherwise in control-loop steps).
-  uint32_t max_launch_retries = 3;
-  uint64_t retry_backoff_base = 2;
-  uint64_t retry_backoff_max = 32;
-
-  // Backpressure-driven scale-out (overload plane): after this many
-  // *consecutive* pressured steps an extra instance is launched even if the
-  // utilization estimate alone would not trigger one — queues backing up
-  // mean the load estimate under-reports real demand.
-  uint32_t pressure_scale_up_after = 3;
 };
 
 struct AutoscalerStats {
@@ -49,11 +33,6 @@ struct AutoscalerStats {
   double launch_ms_paid = 0.0;    // modeled nf_launch time spent scaling
   double teardown_ms_paid = 0.0;
   uint64_t overload_steps = 0;    // steps where load exceeded capacity
-  uint64_t launch_failures = 0;   // transient nf_launch errors absorbed
-  uint64_t launch_retries = 0;    // retry attempts issued
-  uint64_t abandoned_launches = 0;  // retry budget exhausted
-  uint64_t pressured_steps = 0;     // steps that reported backpressure
-  uint64_t pressure_scale_ups = 0;  // launches triggered by sustained pressure
   double utilization_sum = 0.0;   // for the mean
   uint64_t steps = 0;
 
@@ -71,13 +50,10 @@ class Autoscaler {
   Autoscaler& operator=(const Autoscaler&) = delete;
 
   // One control-loop step under `offered_load` (same unit as
-  // capacity_per_instance). Launches or destroys at most one instance.
+  // capacity_per_instance). Launches an instance above 85% utilization and
+  // destroys one below 45% when the rest stays under 85%; at most one
+  // action per step. A failed launch or teardown is returned as is.
   Status Step(double offered_load);
-
-  // Overload-aware step: `backpressured` is the sustained-pressure signal
-  // from the data plane (chain credit stalls, RX fill above the high-water
-  // mark). Sustained pressure forces a scale-out and vetoes scale-down.
-  Status Step(double offered_load, bool backpressured);
 
   uint32_t instances() const { return static_cast<uint32_t>(live_.size()); }
   double Capacity() const {
@@ -85,25 +61,15 @@ class Autoscaler {
   }
   const AutoscalerStats& stats() const { return stats_; }
   const std::vector<uint64_t>& live_ids() const { return live_; }
-  bool RetryPending() const { return retry_pending_; }
 
  private:
   Status ScaleUp();
   Status ScaleDown();
-  // Fault-plane cycle clock when a plane is installed, else the step count.
-  uint64_t Clock() const;
-  // Routes a ScaleUp failure: transient codes arm (or re-arm) the retry
-  // state and are absorbed; anything else propagates.
-  Status HandleLaunchFailure(Status status);
 
   NicOs* nic_os_;
   AutoscalerConfig config_;
   std::vector<uint64_t> live_;
   AutoscalerStats stats_;
-  bool retry_pending_ = false;
-  uint32_t retry_attempts_ = 0;
-  uint64_t retry_due_ = 0;
-  uint32_t consecutive_pressure_ = 0;
 };
 
 }  // namespace snic::mgmt

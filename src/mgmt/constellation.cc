@@ -6,21 +6,17 @@ namespace snic::mgmt {
 
 SnicFunctionParty::SnicFunctionParty(std::string name,
                                      core::SnicDevice* device, uint64_t nf_id,
-                                     const crypto::RsaPublicKey& vendor_key)
+                                     const crypto::RsaPublicKey& vendor_key,
+                                     const crypto::Sha256Digest& expected)
     : name_(std::move(name)),
       device_(device),
       nf_id_(nf_id),
-      vendor_key_(vendor_key) {}
+      vendor_key_(vendor_key),
+      expected_(expected) {}
 
 Result<core::AttestationQuote> SnicFunctionParty::Attest(
     const core::AttestationRequest& request) {
   return device_->NfAttest(nf_id_, request);
-}
-
-crypto::Sha256Digest SnicFunctionParty::expected_measurement() const {
-  const auto m = device_->MeasurementOf(nf_id_);
-  SNIC_CHECK(m.ok());
-  return m.value();
 }
 
 EnclaveParty::EnclaveParty(std::string name, std::vector<uint8_t> code,

@@ -45,11 +45,15 @@ class AttestedParty {
   virtual crypto::Sha256Digest expected_measurement() const = 0;
 };
 
-// An S-NIC network function as a constellation party.
+// An S-NIC network function as a constellation party. `expected` is what
+// the tenant computed from its own image (mgmt::ExpectedMeasurement), never
+// what the device reports: a NIC OS that launched another image then fails
+// the peer's check.
 class SnicFunctionParty : public AttestedParty {
  public:
   SnicFunctionParty(std::string name, core::SnicDevice* device, uint64_t nf_id,
-                    const crypto::RsaPublicKey& vendor_key);
+                    const crypto::RsaPublicKey& vendor_key,
+                    const crypto::Sha256Digest& expected);
 
   const std::string& name() const override { return name_; }
   Result<core::AttestationQuote> Attest(
@@ -57,13 +61,16 @@ class SnicFunctionParty : public AttestedParty {
   const crypto::RsaPublicKey& vendor_key() const override {
     return vendor_key_;
   }
-  crypto::Sha256Digest expected_measurement() const override;
+  crypto::Sha256Digest expected_measurement() const override {
+    return expected_;
+  }
 
  private:
   std::string name_;
   core::SnicDevice* device_;
   uint64_t nf_id_;
   crypto::RsaPublicKey vendor_key_;
+  crypto::Sha256Digest expected_;
 };
 
 // A host-level enclave (SGX-like) as a constellation party.

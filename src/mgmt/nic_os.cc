@@ -20,7 +20,6 @@ std::vector<uint8_t> FunctionImage::SerializeConfig() const {
   for (uint32_t c : accel_clusters) {
     push_u64(c);
   }
-  push_u64(static_cast<uint64_t>(scheduler));
   // Overload policy: every knob is measured so the admission contract the
   // tenant launched with is the one attestation vouches for.
   push_u64(overload.rx_queue_capacity_frames);
@@ -129,7 +128,6 @@ Result<uint64_t> NicOs::NfCreate(const FunctionImage& image) {
   args.heap_pages = heap_pages;
   args.config_blob = image.SerializeConfig();
   args.vpp.rules = image.switch_rules;
-  args.vpp.scheduler = image.scheduler;
   args.vpp.overload = image.overload;
   args.accel_clusters = image.accel_clusters;
 

@@ -32,7 +32,6 @@ struct FunctionImage {
   uint64_t memory_bytes = 40ull << 20;
   std::array<uint32_t, accel::kNumAcceleratorTypes> accel_clusters = {0, 0, 0};
   std::vector<net::SwitchRule> switch_rules;
-  core::PacketScheduler scheduler = core::PacketScheduler::kFifo;
   // Overload-control policy for the function's VPP (queue bounds, drop
   // policy, admission bucket, deadline). Serialized into the config blob,
   // so the tenant's admission contract is covered by the launch measurement

@@ -10,6 +10,11 @@
 namespace snic::nf {
 namespace {
 
+// Payloads below this size are never worth the header cost.
+constexpr size_t kMinPayloadBytes = 64;
+// Modeled instruction cost per payload byte (hash-chain matcher).
+constexpr uint32_t kInstructionsPerByte = 12;
+
 void SetTotalLength(std::span<uint8_t> frame, size_t l3_offset,
                     uint16_t total_length) {
   frame[l3_offset + 2] = static_cast<uint8_t>(total_length >> 8);
@@ -18,8 +23,7 @@ void SetTotalLength(std::span<uint8_t> frame, size_t l3_offset,
 
 }  // namespace
 
-Compressor::Compressor(const CompressorConfig& config)
-    : NetworkFunction("ZIPNF"), config_(config) {
+Compressor::Compressor() : NetworkFunction("ZIPNF") {
   window_allocation_ = arena().Alloc(accel::kZipWindowBytes, "zip-window");
   // Hash-chain tables of the matcher (head + prev arrays).
   (void)arena().Alloc(KiB(256), "zip-chains");
@@ -32,7 +36,7 @@ Verdict Compressor::HandlePacket(net::Packet& packet) {
   }
   const auto& pp = parsed.value();
   bytes_in_ += packet.size();
-  if (pp.payload_len < config_.min_payload_bytes || !pp.tcp.has_value()) {
+  if (pp.payload_len < kMinPayloadBytes || !pp.tcp.has_value()) {
     bytes_out_ += packet.size();
     recorder_.Compute(8);
     return Verdict::kForward;
@@ -42,7 +46,7 @@ Verdict Compressor::HandlePacket(net::Packet& packet) {
   // Record the matcher's window/chain traffic: one window touch per byte.
   for (size_t i = 0; i < payload.size(); i += 8) {
     recorder_.Load(window_allocation_.base + (i % accel::kZipWindowBytes));
-    recorder_.Compute(config_.instructions_per_byte * 8);
+    recorder_.Compute(kInstructionsPerByte * 8);
   }
   const accel::ZipResult result = accel::ZipCompress(payload);
   if (result.data.size() >= payload.size()) {

@@ -17,19 +17,12 @@
 
 namespace snic::nf {
 
-struct CompressorConfig {
-  // Payloads below this size are never worth the header cost.
-  size_t min_payload_bytes = 64;
-  // Modeled instruction cost per payload byte (hash-chain matcher).
-  uint32_t instructions_per_byte = 12;
-};
-
 // DSCP marker for compressed payloads (a locally administered codepoint).
 inline constexpr uint8_t kCompressedDscp = 0x2c;
 
 class Compressor : public NetworkFunction {
  public:
-  explicit Compressor(const CompressorConfig& config = {});
+  Compressor();
 
   uint64_t packets_compressed() const { return compressed_; }
   uint64_t bytes_in() const { return bytes_in_; }
@@ -49,7 +42,6 @@ class Compressor : public NetworkFunction {
   ImageSections Image() const override { return {0.88, 0.07, 2.52}; }
 
  private:
-  CompressorConfig config_;
   ArenaAllocation window_allocation_;  // the 32 KB dictionary window
   uint64_t compressed_ = 0;
   uint64_t bytes_in_ = 0;

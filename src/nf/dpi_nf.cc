@@ -5,6 +5,15 @@
 #include "src/net/parser.h"
 
 namespace snic::nf {
+namespace {
+
+// Matching instructions charged per scanned byte (automaton transition +
+// output check).
+constexpr uint32_t kInstructionsPerByte = 6;
+// Hot top-of-graph region: the middle tier of the walk model below.
+constexpr uint64_t kHotGraphBytes = 96 * 1024;
+
+}  // namespace
 
 DpiNf::DpiNf(const DpiConfig& config)
     : DpiNf(std::make_shared<const accel::AhoCorasick>(
@@ -12,8 +21,8 @@ DpiNf::DpiNf(const DpiConfig& config)
             config) {}
 
 DpiNf::DpiNf(std::shared_ptr<const accel::AhoCorasick> automaton,
-             const DpiConfig& config)
-    : NetworkFunction("DPI"), config_(config), automaton_(std::move(automaton)) {
+             const DpiConfig& /*config*/)
+    : NetworkFunction("DPI"), automaton_(std::move(automaton)) {
   RegisterGraph();
 }
 
@@ -46,13 +55,13 @@ Verdict DpiNf::HandlePacket(net::Packet& packet) {
     if (tier == 0) {
       region = graph_allocation_.bytes;  // deep excursion
     } else if (tier < 16) {
-      region = std::min<uint64_t>(config_.hot_graph_bytes,
+      region = std::min<uint64_t>(kHotGraphBytes,
                                   graph_allocation_.bytes);
     } else {
       region = std::min<uint64_t>(24 * 1024, graph_allocation_.bytes);
     }
     recorder_.Load(graph_allocation_.base + ((walk >> 8) % region) / 64 * 64);
-    recorder_.Compute(config_.instructions_per_byte * 4);
+    recorder_.Compute(kInstructionsPerByte * 4);
   }
 
   const accel::MatchResult result = automaton_->ScanFirstMatch(payload);

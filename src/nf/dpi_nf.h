@@ -16,11 +16,6 @@ namespace snic::nf {
 struct DpiConfig {
   size_t num_patterns = 33'471;
   uint64_t seed = 11;
-  // Matching instructions charged per scanned byte (automaton transition +
-  // output check).
-  uint32_t instructions_per_byte = 6;
-  // Hot top-of-graph region that absorbs 31/32 of the walk's node touches.
-  uint64_t hot_graph_bytes = 96 * 1024;
 };
 
 class DpiNf : public NetworkFunction {
@@ -28,7 +23,8 @@ class DpiNf : public NetworkFunction {
   explicit DpiNf(const DpiConfig& config = {});
 
   // Shares a prebuilt automaton (the bench builds the 33K-pattern graph once
-  // and reuses it across co-tenancy mixes).
+  // and reuses it across co-tenancy mixes). `config` is not read: the
+  // automaton already embodies the ruleset it describes.
   DpiNf(std::shared_ptr<const accel::AhoCorasick> automaton,
         const DpiConfig& config);
 
@@ -42,7 +38,6 @@ class DpiNf : public NetworkFunction {
  private:
   void RegisterGraph();
 
-  DpiConfig config_;
   std::shared_ptr<const accel::AhoCorasick> automaton_;
   ArenaAllocation graph_allocation_;
   uint64_t matches_ = 0;

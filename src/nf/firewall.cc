@@ -4,9 +4,15 @@
 #include "src/net/parser.h"
 
 namespace snic::nf {
+namespace {
 
-std::vector<FirewallRule> Firewall::GenerateRules(size_t count, uint64_t seed,
-                                                  double allow_fraction) {
+// Fraction of generated rules that allow (the rest deny).
+constexpr double kAllowFraction = 0.7;
+
+}  // namespace
+
+std::vector<FirewallRule> Firewall::GenerateRules(size_t count,
+                                                  uint64_t seed) {
   Rng rng(seed);
   std::vector<FirewallRule> rules;
   rules.reserve(count);
@@ -36,7 +42,7 @@ std::vector<FirewallRule> Firewall::GenerateRules(size_t count, uint64_t seed,
       rule.match.protocol = static_cast<uint8_t>(
           rng.NextBounded(2) == 0 ? net::IpProto::kTcp : net::IpProto::kUdp);
     }
-    rule.allow = rng.NextDouble() < allow_fraction;
+    rule.allow = rng.NextDouble() < kAllowFraction;
     rules.push_back(rule);
   }
   // Default rule: allow everything not otherwise matched.
@@ -47,8 +53,7 @@ std::vector<FirewallRule> Firewall::GenerateRules(size_t count, uint64_t seed,
 }
 
 Firewall::Firewall(const FirewallConfig& config) : NetworkFunction("FW") {
-  Init(GenerateRules(config.num_rules, config.seed, config.allow_fraction),
-       config.cache_max_entries);
+  Init(GenerateRules(config.num_rules, config.seed), config.cache_max_entries);
 }
 
 Firewall::Firewall(std::vector<FirewallRule> rules, size_t cache_max_entries)

@@ -26,8 +26,6 @@ struct FirewallConfig {
   size_t num_rules = 643;
   size_t cache_max_entries = 200'000;
   uint64_t seed = 7;
-  // Fraction of generated rules that allow (the rest deny).
-  double allow_fraction = 0.7;
 };
 
 class Firewall : public NetworkFunction {
@@ -42,9 +40,9 @@ class Firewall : public NetworkFunction {
   size_t rule_count() const { return rules_.size(); }
 
   // Deterministic ruleset with Emerging-Threats-like structure: CIDR
-  // prefixes over common service ports, final default-allow rule.
-  static std::vector<FirewallRule> GenerateRules(size_t count, uint64_t seed,
-                                                 double allow_fraction);
+  // prefixes over common service ports, 70% of them allow rules, and a
+  // final default-allow rule.
+  static std::vector<FirewallRule> GenerateRules(size_t count, uint64_t seed);
 
  protected:
   Verdict HandlePacket(net::Packet& packet) override;

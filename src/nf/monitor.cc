@@ -4,6 +4,11 @@
 #include "src/net/parser.h"
 
 namespace snic::nf {
+namespace {
+
+constexpr size_t kInitialFlowCapacity = 1024;
+
+}  // namespace
 
 Monitor::Monitor(const MonitorConfig& config) : NetworkFunction("Mon") {
   if (config.model_hugepage_init) {
@@ -18,7 +23,7 @@ Monitor::Monitor(const MonitorConfig& config) : NetworkFunction("Mon") {
     arena().Free(hugepages);
   }
   flows_ = std::make_unique<FlowHashMap<uint64_t>>(
-      &arena(), &recorder_, config.initial_capacity, 0, "mon-flows");
+      &arena(), &recorder_, kInitialFlowCapacity, 0, "mon-flows");
 }
 
 uint64_t Monitor::CountForFlow(const net::FiveTuple& tuple) {

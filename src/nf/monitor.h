@@ -19,7 +19,6 @@
 namespace snic::nf {
 
 struct MonitorConfig {
-  size_t initial_capacity = 1024;
   // Model DPDK hugepage initialization: a transient allocation of
   // `hugepage_pool_mib` staged through an equally sized temporary buffer.
   bool model_hugepage_init = false;

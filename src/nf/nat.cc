@@ -5,6 +5,14 @@
 namespace snic::nf {
 namespace {
 
+// The internal network whose outbound traffic is translated: 10.0.0.0/8.
+constexpr uint32_t kInternalPrefix = 0x0a000000;
+constexpr uint32_t kInternalMask = 0xff000000;
+
+bool IsInternal(uint32_t ip) {
+  return (ip & kInternalMask) == kInternalPrefix;
+}
+
 void WriteU16(std::span<uint8_t> b, size_t off, uint16_t v) {
   b[off] = static_cast<uint8_t>(v >> 8);
   b[off + 1] = static_cast<uint8_t>(v);
@@ -29,14 +37,6 @@ Nat::Nat(const NatConfig& config)
       &arena(), &recorder_, 1024, 0, "nat-in");
 }
 
-bool Nat::IsInternal(uint32_t ip) const {
-  const uint32_t mask =
-      config_.internal_prefix_len == 0
-          ? 0
-          : ~((1u << (32 - config_.internal_prefix_len)) - 1);
-  return (ip & mask) == (config_.internal_prefix & mask);
-}
-
 Verdict Nat::HandlePacket(net::Packet& packet) {
   const auto parsed = net::Parse(packet.bytes());
   if (!parsed.ok()) {
@@ -55,7 +55,7 @@ Verdict Nat::HandlePacket(net::Packet& packet) {
         return Verdict::kForward;  // pass through untranslated
       }
       Translation fresh;
-      fresh.external_ip = config_.external_ip;
+      fresh.external_ip = kNatExternalIp;
       fresh.external_port = static_cast<uint16_t>(next_port_++);
       outbound_->Insert(tuple, fresh);
       net::FiveTuple reverse;

@@ -17,13 +17,12 @@
 
 namespace snic::nf {
 
+// The address outbound flows are rewritten to: 198.51.100.1 (TEST-NET-2).
+inline constexpr uint32_t kNatExternalIp = 0xc6336401;
+
 struct NatConfig {
-  uint32_t external_ip = 0xc6336401;  // 198.51.100.1 (TEST-NET-2)
   uint16_t first_port = 1;
   uint16_t last_port = 65'535;
-  // The internal network whose outbound traffic is translated.
-  uint32_t internal_prefix = 0x0a000000;  // 10.0.0.0/8
-  uint8_t internal_prefix_len = 8;
 };
 
 class Nat : public NetworkFunction {
@@ -60,7 +59,6 @@ class Nat : public NetworkFunction {
     uint64_t bytes = 0;
   };
 
-  bool IsInternal(uint32_t ip) const;
   void RewriteOutbound(net::Packet& packet, size_t l3_offset, size_t l4_offset,
                        const Translation& translation);
   void RewriteInbound(net::Packet& packet, size_t l3_offset, size_t l4_offset,

@@ -120,12 +120,9 @@ struct TenantState {
   uint64_t completions = 0;
   uint64_t posted_total = 0;
   uint64_t resets_seen = 0;
-  uint64_t tx_rejected = 0;
-  uint64_t wire_rejected = 0;
   obs::Counter* rx_counter = nullptr;
   obs::Counter* tx_counter = nullptr;
   // Recovery tracking.
-  mgmt::NfHealth prev_health = mgmt::NfHealth::kRunning;
   uint64_t crash_step = 0;
   bool crash_open = false;
 };
@@ -456,16 +453,12 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
         while (offered_acc >= 100) {
           offered_acc -= 100;
           ++result.offered;
-          if (!device.DeliverFromWire(MakePacket(ts.traffic, t.port)).ok()) {
-            ++ts.wire_rejected;
-          }
+          (void)device.DeliverFromWire(MakePacket(ts.traffic, t.port));
         }
         continue;
       }
       for (uint64_t k = 0; k < t.frames_per_step; ++k) {
-        if (!device.DeliverFromWire(MakePacket(ts.traffic, t.port)).ok()) {
-          ++ts.wire_rejected;
-        }
+        (void)device.DeliverFromWire(MakePacket(ts.traffic, t.port));
       }
     }
 
@@ -562,9 +555,7 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
             (void)gate->Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000,
                                  false, now);
           }
-          if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
-            ++ts.tx_rejected;
-          }
+          (void)device.NfSend(ts.nf_id, std::move(received).value());
         }
       } else {
         for (;;) {
@@ -572,9 +563,7 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
           if (!received.ok()) {
             break;
           }
-          if (!device.NfSend(ts.nf_id, std::move(received).value()).ok()) {
-            ++ts.tx_rejected;
-          }
+          (void)device.NfSend(ts.nf_id, std::move(received).value());
         }
       }
       if (t.dma) {
@@ -642,7 +631,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
         }
         ts.crash_open = false;
       }
-      ts.prev_health = health;
     }
 
     // --- Drain the wire; attribute frames by destination port ------------

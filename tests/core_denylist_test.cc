@@ -1,6 +1,8 @@
 // Tests for the memory denylist implementations (footnote-1 bitmap vs page
 // table variants) and the physical memory ownership substrate.
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/core/denylist.h"
@@ -8,6 +10,17 @@
 
 namespace snic::core {
 namespace {
+
+// Which footnote-1 representation a parameterized case runs against.
+enum class DenylistKind { kBitmap, kPageTable };
+
+std::unique_ptr<MemoryDenylist> MakeDenylist(DenylistKind kind,
+                                             uint64_t total_pages) {
+  if (kind == DenylistKind::kBitmap) {
+    return std::make_unique<BitmapDenylist>(total_pages);
+  }
+  return std::make_unique<PageTableDenylist>(total_pages);
+}
 
 class DenylistTest : public ::testing::TestWithParam<DenylistKind> {};
 
@@ -58,15 +71,15 @@ TEST(DenylistTradeoffTest, BitmapFasterPageTableSmallerWhenSparse) {
   // The footnote-1 trade: bitmap = 1 hardware step but full-size state;
   // page-table walk = 2 steps but state proportional to populated leaves.
   const uint64_t pages = 1 << 20;  // 2 TB of 2 MB pages
-  auto bitmap = MakeDenylist(DenylistKind::kBitmap, pages);
-  auto table = MakeDenylist(DenylistKind::kPageTable, pages);
-  EXPECT_LT(bitmap->LookupSteps(), table->LookupSteps());
+  BitmapDenylist bitmap(pages);
+  PageTableDenylist table(pages);
+  EXPECT_LT(bitmap.LookupSteps(), table.LookupSteps());
   // Sparse occupancy: one function's 64 pages.
   for (uint64_t p = 0; p < 64; ++p) {
-    bitmap->Deny(p);
-    table->Deny(p);
+    bitmap.Deny(p);
+    table.Deny(p);
   }
-  EXPECT_LT(table->StateBytes(), bitmap->StateBytes());
+  EXPECT_LT(table.StateBytes(), bitmap.StateBytes());
 }
 
 TEST(PhysicalMemoryTest, ReadWriteRoundTrip) {

@@ -1,5 +1,5 @@
 // Tests for the virtual packet pipeline: switch-rule steering, buffer
-// reservations, scheduler behaviour, and stats.
+// reservations, FIFO dequeue order, and stats.
 
 #include <gtest/gtest.h>
 
@@ -52,18 +52,6 @@ TEST(VppTest, RxFifoOrder) {
   EXPECT_EQ(vpp.DequeueRx().value().size(), 512u);
   EXPECT_FALSE(vpp.RxPending());
   EXPECT_FALSE(vpp.DequeueRx().ok());
-}
-
-TEST(VppTest, PrioritySchedulerPicksShortest) {
-  VppConfig config = ConfigForPort(80);
-  config.scheduler = PacketScheduler::kPriorityBySize;
-  VirtualPacketPipeline vpp(1, config);
-  ASSERT_TRUE(vpp.EnqueueRx(PacketWithPort(80, 1514)).ok());
-  ASSERT_TRUE(vpp.EnqueueRx(PacketWithPort(80, 64)).ok());
-  ASSERT_TRUE(vpp.EnqueueRx(PacketWithPort(80, 512)).ok());
-  EXPECT_EQ(vpp.DequeueRx().value().size(), 64u);
-  EXPECT_EQ(vpp.DequeueRx().value().size(), 512u);
-  EXPECT_EQ(vpp.DequeueRx().value().size(), 1514u);
 }
 
 TEST(VppTest, RxBufferReservationEnforced) {

@@ -187,89 +187,23 @@ TEST_F(AutoscalerTest, NoFlappingAtSteadyLoad) {
   EXPECT_EQ(scaler.stats().teardowns, 0u);
 }
 
-TEST_F(AutoscalerTest, RetriesTransientLaunchFailuresWithBackoff) {
+TEST_F(AutoscalerTest, StepReturnsLaunchError) {
   fault::FaultPlane plane(9);
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kNfLaunch);
   rule.skip = 1;   // the constructor's min-instance launch must succeed
-  rule.count = 2;  // then the first scale-up fails twice before recovering
-  plane.AddRule(rule);
-  fault::ScopedFaultPlane scoped(&plane);
-
-  mgmt::AutoscalerConfig config = ScalerConfig();
-  config.max_instances = 2;
-  mgmt::Autoscaler scaler(&nic_os_, config);
-  ASSERT_EQ(scaler.instances(), 1u);
-
-  // Overload: the scale-up attempt hits an injected kResourceExhausted,
-  // which the control loop absorbs (Step stays ok) and schedules a retry.
-  ASSERT_TRUE(scaler.Step(500.0).ok());
-  EXPECT_EQ(scaler.instances(), 1u);
-  EXPECT_EQ(scaler.stats().launch_failures, 1u);
-  EXPECT_TRUE(scaler.RetryPending());
-
-  // Still inside the backoff window (plane clock has not advanced): the
-  // pending retry is not issued yet.
-  ASSERT_TRUE(scaler.Step(500.0).ok());
-  EXPECT_EQ(scaler.stats().launch_retries, 0u);
-
-  // First retry fires after the base backoff and fails again (rule count=2),
-  // doubling the backoff.
-  plane.AdvanceClockTo(2);
-  ASSERT_TRUE(scaler.Step(500.0).ok());
-  EXPECT_EQ(scaler.stats().launch_retries, 1u);
-  EXPECT_EQ(scaler.stats().launch_failures, 2u);
-  EXPECT_TRUE(scaler.RetryPending());
-
-  plane.AdvanceClockTo(5);  // doubled backoff (4 cycles from t=2) not yet due
-  ASSERT_TRUE(scaler.Step(500.0).ok());
-  EXPECT_EQ(scaler.stats().launch_retries, 1u);
-
-  // Second retry succeeds: the fault rule is exhausted.
-  plane.AdvanceClockTo(6);
-  ASSERT_TRUE(scaler.Step(500.0).ok());
-  EXPECT_EQ(scaler.stats().launch_retries, 2u);
-  EXPECT_EQ(scaler.instances(), 2u);
-  EXPECT_FALSE(scaler.RetryPending());
-  EXPECT_EQ(scaler.stats().abandoned_launches, 0u);
-
-  // Retry machinery never pushes past max_instances, however hard the load
-  // pressure gets.
-  plane.AdvanceClockTo(1000);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(scaler.Step(10'000.0).ok());
-    EXPECT_LE(scaler.instances(), config.max_instances);
-  }
-  EXPECT_EQ(scaler.instances(), 2u);
-}
-
-TEST_F(AutoscalerTest, AbandonsLaunchAfterRetryBudgetExhausted) {
-  fault::FaultPlane plane(9);
-  fault::FaultRule rule;
-  rule.site = std::string(fault::sites::kNfLaunch);
-  rule.skip = 1;  // spare the constructor's launch
-  rule.count = fault::FaultRule::kForever;
+  rule.count = 1;  // then the first scale-up fails once
   plane.AddRule(rule);
   fault::ScopedFaultPlane scoped(&plane);
 
   mgmt::Autoscaler scaler(&nic_os_, ScalerConfig());
   ASSERT_EQ(scaler.instances(), 1u);
-
-  // Keep stepping under pressure with a generously advanced clock so every
-  // pending retry is due. With max_launch_retries=3 the fourth consecutive
-  // failure abandons the launch and surfaces the error.
-  Status last = OkStatus();
-  uint64_t clock = 0;
-  for (int i = 0; i < 8 && scaler.stats().abandoned_launches == 0; ++i) {
-    clock += 100;
-    plane.AdvanceClockTo(clock);
-    last = scaler.Step(500.0);
-  }
-  EXPECT_EQ(scaler.stats().abandoned_launches, 1u);
-  EXPECT_EQ(last.code(), ErrorCode::kResourceExhausted);
-  EXPECT_EQ(scaler.stats().launch_retries, 3u);
-  EXPECT_FALSE(scaler.RetryPending());
-  EXPECT_EQ(scaler.instances(), 1u);  // never over-provisioned a failed slot
+  EXPECT_EQ(scaler.Step(500.0).code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(scaler.instances(), 1u);
+  EXPECT_EQ(scaler.stats().launches, 1u);
+  // The next step decides afresh from the load and launches.
+  ASSERT_TRUE(scaler.Step(500.0).ok());
+  EXPECT_EQ(scaler.instances(), 2u);
 }
 
 }  // namespace

@@ -295,8 +295,8 @@ TEST_F(QuoteFuzzTest, MutatedQuotesNeverVerify) {
 // ---- Function-image config mutation fuzz ------------------------------------
 //
 // The launch measurement covers FunctionImage::SerializeConfig(), so any
-// tampering with a tenant's configuration — one more core, a different
-// packet scheduler, a rewritten switch rule — must change both the canonical
+// tampering with a tenant's configuration — one more core, more memory, a
+// rewritten switch rule — must change both the canonical
 // config bytes and the expected measurement. Otherwise a hostile NIC OS
 // could substitute configuration without attestation noticing.
 
@@ -317,9 +317,6 @@ mgmt::FunctionImage RandomImage(Rng& rng) {
   for (auto& clusters : image.accel_clusters) {
     clusters = static_cast<uint32_t>(rng.NextBounded(3));
   }
-  image.scheduler = rng.NextBounded(2) == 0
-                        ? core::PacketScheduler::kFifo
-                        : core::PacketScheduler::kPriorityBySize;
   const size_t num_rules = rng.NextBounded(4);
   for (size_t i = 0; i < num_rules; ++i) {
     net::SwitchRule rule;
@@ -344,7 +341,7 @@ mgmt::FunctionImage RandomImage(Rng& rng) {
 // guaranteed to change the logical configuration.
 void MutateImage(Rng& rng, mgmt::FunctionImage& image) {
   for (;;) {
-    switch (rng.NextBounded(7)) {
+    switch (rng.NextBounded(6)) {
       case 0:
         image.cores += 1;
         return;
@@ -355,18 +352,13 @@ void MutateImage(Rng& rng, mgmt::FunctionImage& image) {
         image.accel_clusters[rng.NextBounded(image.accel_clusters.size())] +=
             1;
         return;
-      case 3:
-        image.scheduler = image.scheduler == core::PacketScheduler::kFifo
-                              ? core::PacketScheduler::kPriorityBySize
-                              : core::PacketScheduler::kFifo;
-        return;
-      case 4: {  // flip one bit of one name character, staying printable
+      case 3: {  // flip one bit of one name character, staying printable
         const size_t pos = rng.NextBounded(image.name.size());
         image.name[pos] =
             static_cast<char>('a' + (image.name[pos] - 'a' + 1) % 26);
         return;
       }
-      case 5: {  // inject or rewrite a switch rule
+      case 4: {  // inject or rewrite a switch rule
         net::SwitchRule rule;
         rule.dst_port = static_cast<uint16_t>(rng.NextBounded(65536));
         if (image.switch_rules.empty() || rng.NextBounded(2) == 0) {
@@ -377,7 +369,7 @@ void MutateImage(Rng& rng, mgmt::FunctionImage& image) {
         }
         return;
       }
-      case 6: {  // flip one bit in the code/data payload
+      case 5: {  // flip one bit in the code/data payload
         const size_t pos = rng.NextBounded(image.code_and_data.size());
         image.code_and_data[pos] ^=
             static_cast<uint8_t>(1u << rng.NextBounded(8));

@@ -7,19 +7,28 @@
 // means a model constant or sizing rule drifted, not noise.
 //
 // Expected values are the "Measured" columns of EXPERIMENTS.md Tables 2-5
-// and the TCO section.
+// and the TCO section, plus two simulated results that are deterministic
+// by construction: the §4.8 underutilization ablation and the §4.5
+// watermark decoder. Those two pin the fixed autoscaler thresholds and
+// watermark parameters to the exact cells their benches print.
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "src/accel/accelerator.h"
+#include "src/common/table_printer.h"
 #include "src/common/units.h"
 #include "src/core/tlb_sizing.h"
 #include "src/core/vpp.h"
+#include "src/core/watermark.h"
 #include "src/hwmodel/tco.h"
 #include "src/hwmodel/tlb_cost.h"
+#include "src/mgmt/autoscaler.h"
 
 namespace snic {
 namespace {
@@ -148,6 +157,94 @@ TEST(GoldenTco, HeadlineFigures) {
   EXPECT_NEAR(report.snic_tco_per_core, 42.53, 0.005);
   EXPECT_NEAR(report.advantage_reduction, 0.0838, 0.0005);
   EXPECT_NEAR(report.advantage_preserved, 0.916, 0.001);
+}
+
+// bench/ablation_underutilization: the diurnal load curve over one policy,
+// rendered as the bench's table cells.
+struct UnderutilizationRow {
+  std::string mean_utilization;
+  uint64_t overloaded_steps;
+  uint64_t launches;
+  std::string scaling_latency;
+};
+
+UnderutilizationRow RunUnderutilization(int steps, uint32_t min_instances,
+                                        uint32_t max_instances) {
+  Rng rng(31);
+  crypto::VendorAuthority vendor(512, rng);
+  core::SnicConfig config;
+  config.num_cores = 16;
+  config.dram_bytes = 256ull << 20;
+  config.rsa_modulus_bits = 512;
+  core::SnicDevice device(config, vendor);
+  mgmt::NicOs nic_os(&device);
+
+  mgmt::AutoscalerConfig scaler_config;
+  scaler_config.image.name = "unit";
+  scaler_config.image.code_and_data.assign(4096, 0x44);
+  scaler_config.image.memory_bytes = 8ull << 20;
+  scaler_config.image.switch_rules.push_back(net::SwitchRule{});
+  scaler_config.capacity_per_instance = 100.0;
+  scaler_config.min_instances = min_instances;
+  scaler_config.max_instances = max_instances;
+  mgmt::Autoscaler scaler(&nic_os, scaler_config);
+  for (int step = 0; step < steps; ++step) {
+    const double phase = 2.0 * 3.14159265 * step / steps;
+    EXPECT_TRUE(scaler.Step(300.0 + 220.0 * std::sin(phase - 1.2)).ok());
+  }
+  const mgmt::AutoscalerStats& stats = scaler.stats();
+  return {TablePrinter::Pct(stats.MeanUtilization(), 1), stats.overload_steps,
+          stats.launches,
+          TablePrinter::Fmt(stats.launch_ms_paid + stats.teardown_ms_paid, 1)};
+}
+
+TEST(GoldenUnderutilization, FullDayRows) {
+  struct Expected {
+    uint32_t min_instances;
+    uint32_t max_instances;
+    UnderutilizationRow row;
+  };
+  const Expected rows[] = {
+      {6, 6, {"50.0%", 0, 6, "26.9"}},
+      {2, 2, {"86.3%", 937, 2, "9.0"}},
+      {1, 6, {"68.9%", 0, 7, "37.8"}},
+  };
+  for (const Expected& e : rows) {
+    const UnderutilizationRow got =
+        RunUnderutilization(1440, e.min_instances, e.max_instances);
+    EXPECT_EQ(got.mean_utilization, e.row.mean_utilization) << e.max_instances;
+    EXPECT_EQ(got.overloaded_steps, e.row.overloaded_steps) << e.max_instances;
+    EXPECT_EQ(got.launches, e.row.launches) << e.max_instances;
+    EXPECT_EQ(got.scaling_latency, e.row.scaling_latency) << e.max_instances;
+  }
+}
+
+TEST(GoldenUnderutilization, QuickAutoscalerRow) {
+  const UnderutilizationRow got = RunUnderutilization(200, 1, 6);
+  EXPECT_EQ(got.mean_utilization, "69.2%");
+  EXPECT_EQ(got.overloaded_steps, 0u);
+  EXPECT_EQ(got.launches, 7u);
+  EXPECT_EQ(got.scaling_latency, "37.8");
+}
+
+// bench/attacks_bench's flow-watermarking table.
+TEST(GoldenWatermark, BitsRecoveredPerBusPolicy) {
+  struct Expected {
+    sim::BusPolicy policy;
+    const char* accuracy;
+    const char* bit1;
+    const char* bit0;
+  };
+  for (const Expected& e :
+       {Expected{sim::BusPolicy::kFcfs, "100.0%", "4.0", "0.0"},
+        Expected{sim::BusPolicy::kRoundRobin, "100.0%", "4.0", "0.0"},
+        Expected{sim::BusPolicy::kTemporalPartition, "43.8%", "0.0",
+                 "0.0"}}) {
+    const core::WatermarkResult result = core::RunWatermarkAttack(e.policy);
+    EXPECT_EQ(TablePrinter::Pct(result.bit_accuracy, 1), e.accuracy);
+    EXPECT_EQ(TablePrinter::Fmt(result.mean_latency_bit1, 1), e.bit1);
+    EXPECT_EQ(TablePrinter::Fmt(result.mean_latency_bit0, 1), e.bit0);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "src/mgmt/constellation.h"
 #include "src/mgmt/nic_os.h"
+#include "src/mgmt/verifier.h"
 #include "src/net/parser.h"
 #include "src/nf/firewall.h"
 #include "src/nf/monitor.h"
@@ -30,7 +31,8 @@ class IntegrationTest : public ::testing::Test {
   }
 
   // Launches a virtual NIC whose VPP captures dst_port == `port`.
-  uint64_t LaunchCapture(const std::string& name, uint16_t port) {
+  static mgmt::FunctionImage CaptureImage(const std::string& name,
+                                          uint16_t port) {
     mgmt::FunctionImage image;
     image.name = name;
     image.code_and_data.assign(1024, 0x11);
@@ -38,7 +40,11 @@ class IntegrationTest : public ::testing::Test {
     net::SwitchRule rule;
     rule.dst_port = port;
     image.switch_rules.push_back(rule);
-    const auto id = nic_os_.NfCreate(image);
+    return image;
+  }
+
+  uint64_t LaunchCapture(const std::string& name, uint16_t port) {
+    const auto id = nic_os_.NfCreate(CaptureImage(name, port));
     SNIC_CHECK(id.ok());
     return id.value();
   }
@@ -117,7 +123,7 @@ TEST_F(IntegrationTest, NatRewritesAcrossTheDevice) {
   net::Packet packet = std::move(received).value();
   ASSERT_EQ(nat.Process(packet), nf::Verdict::kForward);
   const auto translated = net::Parse(packet.bytes()).value().Tuple();
-  EXPECT_EQ(translated.src_ip, nf::NatConfig{}.external_ip);
+  EXPECT_EQ(translated.src_ip, nf::kNatExternalIp);
   ASSERT_TRUE(device_.NfSend(id, std::move(packet)).ok());
   EXPECT_TRUE(device_.TransmitToWire().ok());
 }
@@ -160,8 +166,10 @@ TEST_F(IntegrationTest, FullAttestedDetourFlow) {
   // Fig. 4a: gateway client -> S-NIC function -> destination, with the
   // function attested and traffic sealed end-to-end.
   const uint64_t id = LaunchCapture("ids", 8443);
-  mgmt::SnicFunctionParty function("IDS", &device_, id,
-                                   vendor_.public_key());
+  mgmt::SnicFunctionParty function(
+      "IDS", &device_, id, vendor_.public_key(),
+      mgmt::ExpectedMeasurement(CaptureImage("ids", 8443),
+                                device_.config().page_bytes));
   Rng enclave_rng(61);
   crypto::VendorAuthority sgx_vendor(512, enclave_rng);
   mgmt::EnclaveParty gateway("GW", {0xde, 0xad}, sgx_vendor, 512, enclave_rng);

@@ -7,6 +7,7 @@
 #include "src/mgmt/constellation.h"
 #include "src/mgmt/dma.h"
 #include "src/mgmt/nic_os.h"
+#include "src/mgmt/verifier.h"
 
 namespace snic::mgmt {
 namespace {
@@ -154,12 +155,22 @@ TEST_F(MgmtTest, DmaUnconfiguredBankRejected) {
             ErrorCode::kFailedPrecondition);
 }
 
-class ConstellationTest : public MgmtTest {};
+class ConstellationTest : public MgmtTest {
+ protected:
+  // The party a tenant builds for `nf_id`, expecting the launch measurement
+  // of the image it uploaded.
+  SnicFunctionParty Party(const std::string& name, uint64_t nf_id,
+                          const FunctionImage& uploaded) {
+    return SnicFunctionParty(
+        name, &device_, nf_id, vendor_.public_key(),
+        ExpectedMeasurement(uploaded, device_.config().page_bytes));
+  }
+};
 
 TEST_F(ConstellationTest, FunctionAndEnclaveEstablishChannel) {
   const auto id = nic_os_.NfCreate(SimpleImage("tls-mbox"));
   ASSERT_TRUE(id.ok());
-  SnicFunctionParty function("F", &device_, id.value(), vendor_.public_key());
+  SnicFunctionParty function = Party("F", id.value(), SimpleImage("tls-mbox"));
 
   Rng platform_rng(41);
   crypto::VendorAuthority platform_vendor(512, platform_rng);
@@ -186,7 +197,7 @@ TEST_F(ConstellationTest, FunctionAndEnclaveEstablishChannel) {
 TEST_F(ConstellationTest, TamperedCiphertextRejected) {
   const auto id = nic_os_.NfCreate(SimpleImage("f"));
   ASSERT_TRUE(id.ok());
-  SnicFunctionParty function("F", &device_, id.value(), vendor_.public_key());
+  SnicFunctionParty function = Party("F", id.value(), SimpleImage("f"));
   Rng platform_rng(43);
   crypto::VendorAuthority platform_vendor(512, platform_rng);
   EnclaveParty enclave("P", {7}, platform_vendor, 512, platform_rng);
@@ -208,7 +219,7 @@ TEST_F(ConstellationTest, TamperedCiphertextRejected) {
 TEST_F(ConstellationTest, ReplayedSequenceRejected) {
   const auto id = nic_os_.NfCreate(SimpleImage("f"));
   ASSERT_TRUE(id.ok());
-  SnicFunctionParty function("F", &device_, id.value(), vendor_.public_key());
+  SnicFunctionParty function = Party("F", id.value(), SimpleImage("f"));
   Rng platform_rng(45);
   crypto::VendorAuthority platform_vendor(512, platform_rng);
   EnclaveParty enclave("P", {7}, platform_vendor, 512, platform_rng);
@@ -232,12 +243,33 @@ TEST_F(ConstellationTest, TwoFunctionsOnOneNicAttestEachOther) {
   const auto id2 = nic_os_.NfCreate(SimpleImage("f2"));
   ASSERT_TRUE(id1.ok());
   ASSERT_TRUE(id2.ok());
-  SnicFunctionParty f1("F1", &device_, id1.value(), vendor_.public_key());
-  SnicFunctionParty f2("F2", &device_, id2.value(), vendor_.public_key());
+  SnicFunctionParty f1 = Party("F1", id1.value(), SimpleImage("f1"));
+  SnicFunctionParty f2 = Party("F2", id2.value(), SimpleImage("f2"));
   Rng session_rng(47);
   const PairwiseResult result =
       EstablishChannel(f1, f2, crypto::SmallTestGroup(), session_rng);
   EXPECT_TRUE(result.Ok());
+}
+
+TEST_F(ConstellationTest, PeerRejectsFunctionLaunchedFromAnotherImage) {
+  // The tenant uploaded image A; a faulty or hostile NIC OS launched image
+  // B in its place. B attests with a valid device chain, but its
+  // measurement is not the one the tenant computed for A.
+  FunctionImage uploaded = SimpleImage("f");
+  FunctionImage launched = uploaded;
+  launched.code_and_data[0] ^= 0xff;
+  const auto id = nic_os_.NfCreate(launched);
+  ASSERT_TRUE(id.ok());
+  SnicFunctionParty function = Party("F", id.value(), uploaded);
+  Rng platform_rng(48);
+  crypto::VendorAuthority platform_vendor(512, platform_rng);
+  EnclaveParty enclave("P", {7}, platform_vendor, 512, platform_rng);
+  Rng session_rng(49);
+  const PairwiseResult result = EstablishChannel(
+      enclave, function, crypto::SmallTestGroup(), session_rng);
+  EXPECT_FALSE(result.Ok());
+  EXPECT_FALSE(result.a_verified_b);
+  EXPECT_TRUE(result.b_verified_a);
 }
 
 }  // namespace

@@ -188,8 +188,8 @@ TEST(FirewallTest, CachedVerdictMatchesRuleScan) {
 }
 
 TEST(FirewallTest, GeneratedRulesDeterministic) {
-  const auto r1 = Firewall::GenerateRules(100, 5, 0.7);
-  const auto r2 = Firewall::GenerateRules(100, 5, 0.7);
+  const auto r1 = Firewall::GenerateRules(100, 5);
+  const auto r2 = Firewall::GenerateRules(100, 5);
   ASSERT_EQ(r1.size(), r2.size());
   EXPECT_EQ(r1.size(), 100u);
   EXPECT_TRUE(r1.back().allow);  // default-allow tail rule
@@ -242,7 +242,7 @@ TEST(NatTest, OutboundTranslationRewritesSource) {
   EXPECT_EQ(nat.Process(p), Verdict::kForward);
   const auto parsed = net::Parse(p.bytes());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().Tuple().src_ip, NatConfig{}.external_ip);
+  EXPECT_EQ(parsed.value().Tuple().src_ip, kNatExternalIp);
   EXPECT_EQ(parsed.value().Tuple().src_port, 1);  // first port assigned
   EXPECT_EQ(nat.translations_installed(), 1u);
   // IPv4 checksum still valid after the rewrite.

@@ -308,9 +308,6 @@ TEST_F(PfVfTest, CreateIsOnePerNfAndLookupsResolve) {
   const auto second = manager_.CreateVf(kNfId, &vpp_, SmallQuota());
   EXPECT_EQ(second.status().code(), ErrorCode::kAlreadyOwned);
   EXPECT_EQ(manager_.VfForNf(7).status().code(), ErrorCode::kNotFound);
-  ASSERT_TRUE(manager_.DestroyVf(vf).ok());
-  EXPECT_EQ(manager_.vf_count(), 0u);
-  EXPECT_EQ(manager_.VfForNf(kNfId).status().code(), ErrorCode::kNotFound);
 }
 
 TEST_F(PfVfTest, DeliveryFlowsRingToVppToCompletion) {
@@ -425,8 +422,9 @@ TEST_F(PfVfTest, AbuseLatchesOnceAndResetUnlatches) {
   EXPECT_EQ(reports.size(), 1u);
   EXPECT_EQ(manager_.StatsOf(vf).abuse_flags, 1u);
 
-  // The Supervisor's restart path unlatches and refills the doorbell.
-  ASSERT_TRUE(manager_.ResetVf(vf).ok());
+  // The Supervisor's restart path (a rebind, here onto the same NF)
+  // unlatches and refills the doorbell.
+  ASSERT_TRUE(manager_.RebindVf(vf, kNfId, &vpp_).ok());
   EXPECT_EQ(manager_.StatsOf(vf)
                 .strikes[static_cast<int>(VfAbuse::kDoorbellFlood)],
             0u);
@@ -451,8 +449,9 @@ TEST_F(PfVfTest, QuarantineDropsDeliveriesAndDeniesTenantCalls) {
   EXPECT_FALSE(manager_.RingDoorbell(vf));
   EXPECT_EQ(manager_.Harvest(vf).status().code(),
             ErrorCode::kPermissionDenied);
-  // Reset does not lift quarantine — only explicit PF action would.
-  ASSERT_TRUE(manager_.ResetVf(vf).ok());
+  // A restart's reset does not lift quarantine — only explicit PF action
+  // would.
+  ASSERT_TRUE(manager_.RebindVf(vf, kNfId, &vpp_).ok());
   EXPECT_TRUE(manager_.IsQuarantined(vf));
 }
 
