@@ -3,51 +3,24 @@
 #ifndef SNIC_BENCH_BENCH_UTIL_H_
 #define SNIC_BENCH_BENCH_UTIL_H_
 
-#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "src/common/flags.h"
 #include "src/runtime/thread_pool.h"
 
 namespace snic::bench {
 
-// Every bench main calls this first. `flags` lists what the bench accepts:
-// "--quick" matches exactly, "--jobs=" (trailing '=') takes a value; with
-// `operand` set, arguments not starting with '-' are accepted too. Anything
-// else, --help included, prints the usage to stderr and exits 2 before any
-// work starts: a mistyped flag must not run a sweep or overwrite a pin.
-inline void RequireKnownFlags(int argc, char** argv,
-                              std::initializer_list<std::string_view> flags,
-                              std::string_view operand = {}) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    bool known = !operand.empty() && !arg.starts_with('-');
-    for (const std::string_view flag : flags) {
-      known |= flag.ends_with('=') ? arg.starts_with(flag) : arg == flag;
-    }
-    if (known) {
-      continue;
-    }
-    std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s", argv[0],
-                 argv[i], argv[0]);
-    if (!operand.empty()) {
-      std::fprintf(stderr, " %.*s", static_cast<int>(operand.size()),
-                   operand.data());
-    }
-    for (const std::string_view flag : flags) {
-      std::fprintf(stderr, " [%.*s%s]", static_cast<int>(flag.size()),
-                   flag.data(), flag.ends_with('=') ? "VALUE" : "");
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
-}
+// Every bench main calls RequireKnownFlags first (src/common/flags.h).
+using snic::FlagValue;
+using snic::RequireKnownFlags;
+using snic::U64Flag;
 
 // `--quick` trims workload sizes for smoke runs; default regenerates the
 // full table/figure.
@@ -60,30 +33,16 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
-// Value of a `--name=<value>` flag; empty string when the flag is absent.
-inline std::string FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string prefix = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return {};
-}
-
 // The most sweep workers `--jobs` may ask for.
 inline constexpr size_t kMaxJobs = 256;
 
 // A `--jobs` value: a plain decimal integer in [1, kMaxJobs], else nullopt.
 inline std::optional<size_t> ParseJobs(std::string_view value) {
-  size_t jobs = 0;
-  const auto [end, error] =
-      std::from_chars(value.data(), value.data() + value.size(), jobs);
-  if (error != std::errc() || end != value.data() + value.size() ||
-      jobs < 1 || jobs > kMaxJobs) {
+  const std::optional<uint64_t> jobs = ParseU64(value);
+  if (!jobs.has_value() || *jobs < 1 || *jobs > kMaxJobs) {
     return std::nullopt;
   }
-  return jobs;
+  return static_cast<size_t>(*jobs);
 }
 
 // `--jobs=N`: worker count for the sweep runtime. Defaults to the hardware

@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
   RequireKnownFlags(argc, argv, {"--quick", "--jobs=", "--seed=", "--out="});
   const size_t jobs = JobsFlag(argc, argv);
   const bool quick = QuickMode(argc, argv);
+  // --seed=S varies the synthetic NF workload (default matches the
+  // committed pin); the seed is echoed into the verdict JSON.
+  const uint64_t seed = U64Flag(argc, argv, "--seed", 2024);
 
   PrintHeader("Observability overhead on the Fig. 5a replay path",
               "budgets: metrics <30%, metrics+trace <=80% vs the "
@@ -71,11 +74,6 @@ int main(int argc, char** argv) {
   // oversubscribe the cores), so gate the budgets with --jobs=1.
   const auto pool = MakePool(jobs);
 
-  // --seed=S varies the synthetic NF workload (default matches the
-  // committed pin); the seed is echoed into the verdict JSON.
-  const std::string seed_flag = FlagValue(argc, argv, "--seed");
-  const uint64_t seed =
-      seed_flag.empty() ? 2024 : std::strtoull(seed_flag.c_str(), nullptr, 10);
 
   const size_t events = quick ? 20'000 : 120'000;
   const size_t reps = quick ? 5 : 9;

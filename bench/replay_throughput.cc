@@ -53,15 +53,13 @@ int main(int argc, char** argv) {
   using namespace snic::bench;
   RequireKnownFlags(argc, argv, {"--quick", "--seed=", "--out="});
   const bool quick = QuickMode(argc, argv);
+  // --seed=S varies the synthetic NF workload (default matches the
+  // committed pin); the seed is echoed into the verdict JSON.
+  const uint64_t seed = U64Flag(argc, argv, "--seed", 2024);
 
   PrintHeader("Replay throughput: fast streaming engine vs reference oracle",
               "gate: >= 5x events/sec on the Fig. 5a workload");
 
-  // --seed=S varies the synthetic NF workload (default matches the
-  // committed pin); the seed is echoed into the verdict JSON.
-  const std::string seed_flag = FlagValue(argc, argv, "--seed");
-  const uint64_t seed =
-      seed_flag.empty() ? 2024 : std::strtoull(seed_flag.c_str(), nullptr, 10);
 
   const size_t events = quick ? 20'000 : 120'000;
   const size_t reps = quick ? 3 : 7;

@@ -14,7 +14,6 @@
 // printing happens after the join in index order.
 //
 // Flags: --quick (stride-sampled 32-scenario smoke) --jobs=N --seed=S
-//        --limit=N (run the first-by-stride N scenarios; 0 = all)
 //        --specs=DIR (also run every *.json spec in DIR, sorted by name)
 //        --out=FILE (JSON verdict; default BENCH_scenario_matrix.json)
 // Exit status 1 when any scenario fails.
@@ -114,21 +113,13 @@ int main(int argc, char** argv) {
 
   bench::RequireKnownFlags(argc, argv,
                            {"--quick", "--jobs=", "--seed=", "--out=",
-                            "--limit=", "--specs="});
+                            "--specs="});
   const bool quick = bench::QuickMode(argc, argv);
   const size_t jobs = bench::JobsFlag(argc, argv);
-  const std::string seed_flag = bench::FlagValue(argc, argv, "--seed");
-  const uint64_t seed = seed_flag.empty()
-                            ? 0x5ce9a21ull
-                            : std::strtoull(seed_flag.c_str(), nullptr, 10);
+  const uint64_t seed = bench::U64Flag(argc, argv, "--seed", 0x5ce9a21ull);
   const std::string out_flag = bench::FlagValue(argc, argv, "--out");
-  const std::string limit_flag = bench::FlagValue(argc, argv, "--limit");
   const std::string specs_dir = bench::FlagValue(argc, argv, "--specs");
-  // --quick is a 32-scenario smoke; --limit overrides it explicitly.
-  uint64_t limit = quick ? 32 : 0;
-  if (!limit_flag.empty()) {
-    limit = std::strtoull(limit_flag.c_str(), nullptr, 10);
-  }
+  const size_t limit = quick ? 32 : 0;
 
   bench::PrintHeader("Scenario matrix: declarative robustness sweep",
                      "generated + curated chaos/overload/attack scenarios, "
@@ -155,12 +146,12 @@ int main(int argc, char** argv) {
   }
   const size_t total_available = entries.size();
 
-  // --quick / --limit stride-sample across the whole list so every family
-  // keeps coverage in the smoke run.
+  // --quick stride-samples across the whole list so every family keeps
+  // coverage in the smoke run.
   if (limit > 0 && limit < entries.size()) {
     std::vector<Entry> sampled;
     sampled.reserve(limit);
-    for (uint64_t k = 0; k < limit; ++k) {
+    for (size_t k = 0; k < limit; ++k) {
       sampled.push_back(std::move(entries[k * entries.size() / limit]));
     }
     entries = std::move(sampled);

@@ -184,11 +184,6 @@ uint32_t VirtualAcceleratorPool::FreeClusters(AcceleratorType type) const {
   return free_count;
 }
 
-const ClusterConfig& VirtualAcceleratorPool::Config(
-    AcceleratorType type) const {
-  return StateFor(type).config;
-}
-
 double DpiTimingModel::AccelPps(uint32_t threads, size_t frame_bytes) const {
   const double cycles =
       setup_cycles + cycles_per_byte * static_cast<double>(frame_bytes);

@@ -98,7 +98,6 @@ class VirtualAcceleratorPool {
 
   uint32_t NumClusters(AcceleratorType type) const;
   uint32_t FreeClusters(AcceleratorType type) const;
-  const ClusterConfig& Config(AcceleratorType type) const;
 
  private:
   struct Cluster {

@@ -173,7 +173,6 @@ class SnicDevice {
   PhysicalMemory& memory() { return memory_; }
   const PhysicalMemory& memory() const { return memory_; }
   accel::VirtualAcceleratorPool& accel_pool() { return accel_pool_; }
-  const BitmapDenylist& mgmt_denylist() const { return mgmt_denylist_; }
   const crypto::NicRootOfTrust& root_of_trust() const { return root_of_trust_; }
   accel::CryptoCoprocessor& coproc() { return coproc_; }
 

@@ -1,5 +1,7 @@
 #include "src/fault/fault.h"
 
+#include <utility>
+
 #include "src/obs/span_names.h"
 
 namespace snic::fault {
@@ -8,22 +10,8 @@ namespace internal {
 thread_local constinit FaultPlane* tls_plane = nullptr;
 }  // namespace internal
 
-namespace {
-
-// Per-rule stream seed: a pure function of (plane seed, rule index), mixed
-// the same way runtime::DeriveTaskSeed mixes (base, task) so adjacent rules
-// get decorrelated streams.
-uint64_t DeriveRuleSeed(uint64_t plane_seed, uint64_t rule_index) {
-  uint64_t x = plane_seed;
-  Rng::SplitMix64(x);
-  x += rule_index;
-  return Rng::SplitMix64(x);
-}
-
-}  // namespace
-
 void FaultPlane::AddRule(FaultRule rule) {
-  rules_.emplace_back(std::move(rule), DeriveRuleSeed(seed_, rules_.size()));
+  rules_.push_back(RuleState{std::move(rule)});
   if (registry_ != nullptr) {
     PublishRule(rules_.back());
   }
@@ -81,8 +69,8 @@ bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
     }
     if (rule.on_attempt != 0 && rule.on_attempt != attempt) {
       // Attempt predicate mismatch: not a hit for this rule at all, so its
-      // counters and rng stream stay untouched — "fire on the Nth recovery
-      // attempt" cannot be skewed by other traffic at the site.
+      // counters stay untouched — "fire on the Nth recovery attempt" cannot
+      // be skewed by other traffic at the site.
       continue;
     }
     const uint64_t hit = state.hits++;
@@ -95,9 +83,6 @@ bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
             ? (rule.count == FaultRule::kForever || armed < rule.count)
             : (armed % rule.period) < rule.count;
     if (!in_window) {
-      continue;
-    }
-    if (rule.probability < 1.0 && state.rng.NextDouble() >= rule.probability) {
       continue;
     }
     fired = true;

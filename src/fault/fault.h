@@ -8,13 +8,13 @@
 // through the SNIC_FAULT_* macros at named injection sites.
 //
 // Determinism contract (mirrors src/runtime, docs/RUNTIME.md): every rule
-// owns its own hit counter and its own Rng stream derived from (plane seed,
-// rule index), so a decision depends only on the sequence of matching hits
-// at that rule — never on wall clock, thread ids, or interleaving with other
-// sites. A rule scoped to NF A structurally cannot consume randomness or
-// advance counters on NF B's hits, which is what makes the scenario
-// matrix's bystander_identical verdict (B byte-identical with and without
-// faults in A) provable rather than probabilistic, at every --jobs count.
+// owns its own hit counter and draws no randomness, so a decision depends
+// only on the sequence of matching hits at that rule — never on wall clock,
+// thread ids, or interleaving with other sites. A rule scoped to NF A
+// structurally cannot advance counters on NF B's hits, which is what makes
+// the scenario matrix's bystander_identical verdict (B byte-identical with
+// and without faults in A) provable rather than probabilistic, at every
+// --jobs count.
 //
 // Installation is scoped and thread-local (like obs::ScopedDefaultRegistry):
 // with no plane installed every site is one thread-local load plus a null
@@ -28,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
 
@@ -116,9 +115,7 @@ inline constexpr uint64_t kAnyNf = ~uint64_t{0};
 // (site, nf_id) filter; hit numbering is per-rule. The first `skip` matching
 // hits pass through unharmed ("arming delay"). With period == 0 the next
 // `count` hits fire (kForever = keep firing); with period > 0 the armed
-// stream fires cyclically whenever (armed_hit % period) < count. An optional
-// Bernoulli draw (probability < 1) from the rule's private stream thins the
-// firing hits.
+// stream fires cyclically whenever (armed_hit % period) < count.
 struct FaultRule {
   static constexpr uint64_t kForever = ~uint64_t{0};
 
@@ -127,7 +124,6 @@ struct FaultRule {
   uint64_t skip = 0;
   uint64_t count = 1;
   uint64_t period = 0;
-  double probability = 1.0;
   uint64_t stall_cycles = 0;  // payload for stall/timeout sites
   // Attempt predicate: 0 matches every hit (classic behavior). When set,
   // the rule only considers hits whose caller-supplied attempt number (see
@@ -140,14 +136,14 @@ struct FaultRule {
   uint64_t on_attempt = 0;
 };
 
-// A seeded, schedule-driven fault injector. Single-threaded like a metric
+// A schedule-driven fault injector. Single-threaded like a metric
 // shard: a plane belongs to the scenario (thread) that installed it, so it
 // carries no mutex by design — the single-owner contract is checked by the
 // TSan CI job (scenario_matrix runs one plane per parallel scenario), not
 // by clang -Wthread-safety (docs/STATIC_ANALYSIS.md).
 class FaultPlane {
  public:
-  explicit FaultPlane(uint64_t seed) : seed_(seed) {}
+  FaultPlane() = default;
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
@@ -164,8 +160,8 @@ class FaultPlane {
   // rules (0 when none fire).
   uint64_t StallCycles(std::string_view site, uint64_t nf_id);
 
-  // Re-points rules scoped to `old_nf` at `new_nf` (hit counters and rng
-  // streams keep running). Lets a schedule follow a supervised NF whose id
+  // Re-points rules scoped to `old_nf` at `new_nf` (hit counters keep
+  // running). Lets a schedule follow a supervised NF whose id
   // changes across restarts.
   void RetargetRules(uint64_t old_nf, uint64_t new_nf);
 
@@ -192,12 +188,8 @@ class FaultPlane {
     FaultRule rule;
     uint64_t hits = 0;
     uint64_t injected = 0;
-    Rng rng;
     obs::Counter* obs_injected = nullptr;
     uint16_t ring_site = 0;  // interned site name while a ring is attached
-
-    RuleState(FaultRule r, uint64_t rule_seed)
-        : rule(std::move(r)), rng(rule_seed) {}
   };
 
   // Shared evaluation: advances matching rules, returns whether any fired
@@ -206,7 +198,6 @@ class FaultPlane {
                 uint64_t* stall);
   void PublishRule(RuleState& state);
 
-  uint64_t seed_;
   uint64_t now_ = 0;
   uint64_t injected_total_ = 0;
   std::vector<RuleState> rules_;

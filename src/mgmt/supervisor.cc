@@ -202,14 +202,18 @@ void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   }
 
   if (child.consecutive_failures > config_.quarantine_after) {
-    child.health = NfHealth::kQuarantined;
-    ++stats_.quarantines;
-    if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
-    Emit(ring_quarantine_, child);
+    Quarantine(child);
     return;
   }
   child.health = NfHealth::kRestarting;
   child.restart_due = now_ + BackoffCycles(child.consecutive_failures);
+}
+
+void Supervisor::Quarantine(Child& child) {
+  child.health = NfHealth::kQuarantined;
+  ++stats_.quarantines;
+  if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
+  Emit(ring_quarantine_, child);
 }
 
 void Supervisor::ReportCrash(const std::string& name, CrashCause cause) {
@@ -266,10 +270,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
       ++stats_.failed_restarts;
       ++child.consecutive_failures;
       if (child.consecutive_failures > config_.quarantine_after) {
-        child.health = NfHealth::kQuarantined;
-        ++stats_.quarantines;
-        if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
-        Emit(ring_quarantine_, child);
+        Quarantine(child);
       } else {
         child.restart_due = now_ + BackoffCycles(child.consecutive_failures);
       }

@@ -180,6 +180,9 @@ class Supervisor {
   Status LaunchChild(const std::string& name, Child& child, uint64_t attempt);
   // Shared crash path for ReportCrash and watchdog expiry.
   void HandleCrash(Child& child, CrashCause cause);
+  // The one transition into kQuarantined (a crash or a failed restart past
+  // quarantine_after): health, stat, counter and ring instant together.
+  void Quarantine(Child& child);
   uint64_t BackoffCycles(uint32_t consecutive_failures);
   // One supervisor.* instant (`event` = its interned ring id) on the
   // child's lane; a no-op until a ring is attached.

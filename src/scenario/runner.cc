@@ -140,7 +140,7 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   obs::ScopedDefaultRegistry scoped_registry(&registry);
   obs::TraceRing ring;
 
-  fault::FaultPlane plane(runtime::DeriveTaskSeed(seed, 1));
+  fault::FaultPlane plane;
   plane.AttachObs(&registry);
   plane.AttachTraceRing(&ring);
   fault::ScopedFaultPlane scoped_plane(&plane);
@@ -328,7 +328,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
     rule.skip = r.skip;
     rule.count = r.count;
     rule.period = r.period;
-    rule.probability = r.probability;
     rule.stall_cycles = r.stall_cycles;
     rule.on_attempt = r.on_attempt;
     plane.AddRule(rule);
@@ -858,11 +857,9 @@ ScenarioVerdict EvaluateScenario(const ScenarioSpec& spec, uint64_t seed) {
       ",twin_flags=" + std::to_string(twin_flags) +
       ",twin_crashes=" + std::to_string(baseline.supervisor.crashes);
   for (const std::string& kind : v.detect_abuse) {
-    const int ordinal = kind == "flood"   ? 0
-                        : kind == "squat" ? 1
-                        : kind == "desc"  ? 2
-                                          : 3;
-    const bool detected = subject.abuse_reports[ordinal] > 0;
+    const std::optional<core::vnic::VfAbuse> abuse = AbuseKindFromName(kind);
+    SNIC_CHECK(abuse.has_value());
+    const bool detected = subject.abuse_reports[static_cast<int>(*abuse)] > 0;
     check(("detect_abuse:" + kind).c_str(), detected && detector_clean,
           detected ? clean_why : "");
   }

@@ -65,7 +65,7 @@ struct RunResult {
   uint64_t chain_frames_stalled = 0;
   // Abuse verdicts routed by the front-end: per-kind counts on attacker
   // VFs, plus false flags on anyone else's VF.
-  uint64_t abuse_reports[4] = {0, 0, 0, 0};
+  uint64_t abuse_reports[core::vnic::kNumVfAbuseKinds] = {};
   uint64_t false_abuse_flags = 0;
 };
 

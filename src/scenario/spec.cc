@@ -1,7 +1,7 @@
 #include "src/scenario/spec.h"
 
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -257,8 +257,7 @@ Status ParseFaultRule(const Value& v, size_t index,
   }
   if (Status s = RejectUnknownKeys(v,
                                    {"site", "nf", "raw_id", "skip", "count",
-                                    "period", "probability", "stall_cycles",
-                                    "on_attempt"},
+                                    "period", "stall_cycles", "on_attempt"},
                                    where);
       !s.ok()) {
     return s;
@@ -324,16 +323,6 @@ Status ParseFaultRule(const Value& v, size_t index,
     auto n = U64(*period, where + ".period", 1u << 30);
     if (!n.ok()) return n.status();
     out->period = n.value();
-  }
-  if (const Value* prob = v.Find("probability"); prob != nullptr) {
-    if (!prob->is_number()) {
-      return Bad(where + ".probability", "expected a number");
-    }
-    const double p = prob->AsNumber();
-    if (p < 0.0 || p > 1.0) {
-      return Bad(where + ".probability", "must be in [0, 1]");
-    }
-    out->probability = p;
   }
   if (const Value* stall = v.Find("stall_cycles"); stall != nullptr) {
     auto n = U64(*stall, where + ".stall_cycles", 1u << 30);
@@ -522,8 +511,7 @@ Status ParseVerdicts(const Value& v, const std::set<std::string>& tenant_names,
     for (const Value& item : a->AsArray()) {
       auto s = AsString(item, where + ".detect_abuse");
       if (!s.ok()) return s.status();
-      if (s.value() != "flood" && s.value() != "squat" && s.value() != "desc" &&
-          s.value() != "churn") {
+      if (!AbuseKindFromName(s.value()).has_value()) {
         return Bad(where + ".detect_abuse",
                    "unknown abuse kind \"" + s.value() + "\"");
       }
@@ -549,6 +537,23 @@ std::string_view TenantRoleName(TenantRole role) {
       return "attacker";
   }
   return "unknown";
+}
+
+std::optional<core::vnic::VfAbuse> AbuseKindFromName(std::string_view name) {
+  using core::vnic::VfAbuse;
+  static constexpr std::pair<std::string_view, VfAbuse> kKinds[] = {
+      {"flood", VfAbuse::kDoorbellFlood},
+      {"squat", VfAbuse::kCqSquat},
+      {"desc", VfAbuse::kBadDescriptor},
+      {"churn", VfAbuse::kQuotaChurn},
+  };
+  static_assert(std::size(kKinds) == core::vnic::kNumVfAbuseKinds);
+  for (const auto& [kind_name, kind] : kKinds) {
+    if (kind_name == name) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
 const std::vector<std::string_view>& KnownFaultSites() {
@@ -823,12 +828,6 @@ std::string SerializeScenarioSpec(const ScenarioSpec& spec) {
         out += ",\"count\":" + std::to_string(r.count);
       }
       out += ",\"period\":" + std::to_string(r.period);
-      if (r.probability < 1.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), ",\"probability\":%.6f",
-                      r.probability);
-        out += buf;
-      }
       if (r.stall_cycles > 0) {
         out += ",\"stall_cycles\":" + std::to_string(r.stall_cycles);
       }

@@ -24,11 +24,13 @@
 #define SNIC_SCENARIO_SPEC_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/vnic/pf_vf.h"
 
 namespace snic::scenario {
 
@@ -105,7 +107,6 @@ struct FaultRuleSpec {
   uint64_t skip = 0;
   uint64_t count = 1;  // FaultRule::kForever when `forever` was given
   uint64_t period = 0;
-  double probability = 1.0;
   uint64_t stall_cycles = 0;
   uint64_t on_attempt = 0;  // crash-during-recovery predicate
 };
@@ -174,6 +175,11 @@ struct ScenarioSpec {
 // Every fault-site string a spec may reference (the wired-in registry,
 // src/fault/fault.h namespace sites). Decode rejects any other site.
 const std::vector<std::string_view>& KnownFaultSites();
+
+// The front-end abuse kind a `verdicts.detect_abuse` name stands for
+// ("flood", "squat", "desc", "churn"); nullopt for any other name. Decode
+// and the runner share this one table.
+std::optional<core::vnic::VfAbuse> AbuseKindFromName(std::string_view name);
 
 // Decode-or-reject. On success the spec is fully validated: unique tenant
 // names/ports, resolvable references, registered fault sites, in-range

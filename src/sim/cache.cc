@@ -11,7 +11,8 @@ bool IsPowerOfTwo(uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
   SNIC_CHECK(config_.line_bytes > 0 && IsPowerOfTwo(config_.line_bytes));
-  SNIC_CHECK(config_.associativity > 0);
+  // One set's ways fit the 64-bit match mask of the hit scan.
+  SNIC_CHECK(config_.associativity > 0 && config_.associativity <= 64);
   SNIC_CHECK(config_.num_domains > 0);
   const uint64_t lines = config_.size_bytes / config_.line_bytes;
   SNIC_CHECK(lines >= config_.associativity);
@@ -23,7 +24,6 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   set_shift_ = static_cast<uint32_t>(std::countr_zero(
       static_cast<uint64_t>(num_sets_)));
   shared_ = config_.policy == PartitionPolicy::kShared;
-  wide_ = config_.associativity > 64;
   const size_t total =
       static_cast<size_t>(num_sets_) * config_.associativity;
   tags_.assign(total, kInvalidTag);
@@ -108,50 +108,6 @@ bool Cache::MissFill(uint64_t tag, uint32_t domain, size_t base,
   const uint32_t rel = cache_internal::MinIndex(lru, end - begin);
   const bool evicting = lru[rel] != 0;
   uint32_t victim = begin + rel;
-  if (config_.pseudo_lru && evicting) {
-    victim_lcg_ = victim_lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    if (((victim_lcg_ >> 33) & 7) == 0) {
-      victim = begin + static_cast<uint32_t>((victim_lcg_ >> 36) %
-                                             (end - begin));
-    }
-  }
-  if (evicting) {
-    ++stats_.evictions;
-    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
-  }
-  tags_[base + victim] = tag;
-  domains_[base + victim] = domain;
-  lru_[base + victim] = tick_;
-  return false;
-}
-
-bool Cache::AccessWide(uint64_t tag, uint32_t domain, size_t base,
-                       uint32_t begin, uint32_t end) {
-  // Associativity > 64: the mask scans above would overflow their u64, so
-  // fall back to the reference-shaped scalar scans. Same semantics.
-  for (uint32_t w = begin; w < end; ++w) {
-    if (tags_[base + w] == tag) {
-      lru_[base + w] = tick_;
-      domains_[base + w] = domain;
-      ++stats_.hits;
-      if (obs_hits_ != nullptr) obs_hits_->Inc();
-      return true;
-    }
-  }
-  ++stats_.misses;
-  if (obs_misses_ != nullptr) obs_misses_->Inc();
-  uint32_t victim = end;
-  for (uint32_t w = begin; w < end; ++w) {
-    if (tags_[base + w] == kInvalidTag) {
-      victim = w;
-      break;
-    }
-    if (victim == end || lru_[base + w] < lru_[base + victim]) {
-      victim = w;
-    }
-  }
-  SNIC_CHECK(victim != end);
-  const bool evicting = tags_[base + victim] != kInvalidTag;
   if (config_.pseudo_lru && evicting) {
     victim_lcg_ = victim_lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
     if (((victim_lcg_ >> 33) & 7) == 0) {

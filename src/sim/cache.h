@@ -210,7 +210,7 @@ enum class PartitionPolicy {
 struct CacheConfig {
   uint64_t size_bytes = 4 * 1024 * 1024;
   uint32_t line_bytes = 64;
-  uint32_t associativity = 16;
+  uint32_t associativity = 16;  // at most 64: one set fits the hit mask
   uint32_t hit_latency_cycles = 12;
   PartitionPolicy policy = PartitionPolicy::kShared;
   uint32_t num_domains = 1;
@@ -277,10 +277,6 @@ class Cache {
   bool MissFill(uint64_t tag, uint32_t domain, size_t base, uint32_t begin,
                 uint32_t end);
 
-  // Scalar fallback for associativities wider than one 64-bit match mask.
-  bool AccessWide(uint64_t tag, uint32_t domain, size_t base, uint32_t begin,
-                  uint32_t end);
-
   // Way index range [begin, end) domain may use in every set.
   void DomainWayRange(uint32_t domain, uint32_t* begin, uint32_t* end) const;
   // Recomputes way_begin_/way_end_ from the policy (and secdcp_ways_).
@@ -292,7 +288,6 @@ class Cache {
   uint32_t set_mask_;     // num_sets_ - 1
   uint32_t set_shift_;    // log2(num_sets_): line address -> tag
   bool shared_;           // policy == kShared (domain may exceed num_domains)
-  bool wide_;             // associativity > 64: mask scans don't fit u64
   uint64_t tick_ = 0;
   uint64_t victim_lcg_ = 0x243f6a8885a308d3ULL;  // deterministic PLRU noise
   // Structure-of-arrays line metadata, each num_sets_ * associativity,
@@ -335,10 +330,6 @@ inline bool Cache::Access(uint64_t addr, uint32_t domain) {
     begin = way_begin_[domain];
     end = way_end_[domain];
   }
-  if (wide_) {
-    return AccessWide(tag, domain, base, begin, end);
-  }
-
   // Hit scan. Under kShared a hit anywhere in the set counts (this is what
   // makes "soft" partitioning like Intel CAT leaky, see §4.2 footnote); under
   // hard partitioning only the domain's own ways are searched. The scan is

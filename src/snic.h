@@ -27,7 +27,6 @@
 #include "src/accel/accelerator.h"
 #include "src/accel/aho_corasick.h"
 #include "src/accel/crypto_coproc.h"
-#include "src/accel/raid.h"
 #include "src/accel/zip.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"

@@ -1,8 +1,7 @@
 // Tests for the accelerator substrate: Aho-Corasick correctness (naive and
 // hash-set matcher cross-checks, pinned DPI-corpus graph sizes), ZIP
-// round-trips (property-style over random inputs), RAID
-// parity/reconstruction, the virtual cluster pool's single-owner semantics,
-// and the DPI timing model's shape.
+// round-trips (property-style over random inputs), the virtual cluster
+// pool's single-owner semantics, and the DPI timing model's shape.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "src/accel/accelerator.h"
 #include "src/accel/aho_corasick.h"
 #include "src/accel/crypto_coproc.h"
-#include "src/accel/raid.h"
 #include "src/accel/zip.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -354,59 +352,6 @@ TEST(ZipTest, WindowLimitRespected) {
   EXPECT_EQ(ZipDecompress(std::span<const uint8_t>(r.data.data(),
                                                    r.data.size())),
             input);
-}
-
-TEST(RaidTest, ParityXorProperty) {
-  const std::vector<uint8_t> a = {1, 2, 3, 4};
-  const std::vector<uint8_t> b = {5, 6, 7, 8};
-  const std::vector<uint8_t> c = {9, 10, 11, 12};
-  const auto parity = RaidParity({std::span<const uint8_t>(a.data(), 4),
-                                  std::span<const uint8_t>(b.data(), 4),
-                                  std::span<const uint8_t>(c.data(), 4)});
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(parity[i], a[i] ^ b[i] ^ c[i]);
-  }
-}
-
-TEST(RaidTest, ReconstructionRecoversLostStripe) {
-  Rng rng(12);
-  std::vector<std::vector<uint8_t>> stripes(5, std::vector<uint8_t>(256));
-  for (auto& s : stripes) {
-    for (auto& byte : s) {
-      byte = static_cast<uint8_t>(rng.NextU32());
-    }
-  }
-  std::vector<std::span<const uint8_t>> views;
-  for (const auto& s : stripes) {
-    views.emplace_back(s.data(), s.size());
-  }
-  const auto parity = RaidParity(views);
-  // Lose stripe 2; reconstruct from the others + parity.
-  std::vector<std::span<const uint8_t>> survivors;
-  for (size_t i = 0; i < stripes.size(); ++i) {
-    if (i != 2) {
-      survivors.emplace_back(stripes[i].data(), stripes[i].size());
-    }
-  }
-  const auto recovered = RaidReconstruct(
-      survivors, std::span<const uint8_t>(parity.data(), parity.size()));
-  EXPECT_EQ(recovered, stripes[2]);
-}
-
-TEST(RaidTest, ScatterGatherMatchesFlat) {
-  std::vector<uint8_t> s1 = {1, 2, 3, 4, 5, 6};
-  std::vector<uint8_t> s2 = {7, 8, 9, 10, 11, 12};
-  ScatterGatherList sg1;
-  sg1.segments = {std::span<const uint8_t>(s1.data(), 2),
-                  std::span<const uint8_t>(s1.data() + 2, 4)};
-  ScatterGatherList sg2;
-  sg2.segments = {std::span<const uint8_t>(s2.data(), 5),
-                  std::span<const uint8_t>(s2.data() + 5, 1)};
-  const auto sg_parity = RaidParityScatterGather({sg1, sg2});
-  const auto flat_parity =
-      RaidParity({std::span<const uint8_t>(s1.data(), s1.size()),
-                  std::span<const uint8_t>(s2.data(), s2.size())});
-  EXPECT_EQ(sg_parity, flat_parity);
 }
 
 TEST(MemoryProfileTest, PaperBufferSizes) {

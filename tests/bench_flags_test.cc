@@ -1,6 +1,7 @@
-// Tests for the bench command-line helpers (bench/bench_util.h): strict
-// `--jobs` parsing and the unknown-flag check every bench main runs first.
-// Nothing here starts a worker thread; the exit paths run in death tests.
+// Tests for the command-line helpers (src/common/flags.h and
+// bench/bench_util.h): strict integer and `--jobs` parsing, and the
+// unknown-flag check every bench and tool main runs first. Nothing here
+// starts a worker thread; the exit paths run in death tests.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,40 @@ class Argv {
   std::vector<std::string> args_;
   std::vector<char*> pointers_;
 };
+
+TEST(ParseU64Test, AcceptsWholeDecimalStrings) {
+  EXPECT_EQ(ParseU64("0"), 0u);
+  EXPECT_EQ(ParseU64("2"), 2u);
+  EXPECT_EQ(ParseU64("97325601"), 97325601u);
+  EXPECT_EQ(ParseU64("007"), 7u);
+  EXPECT_EQ(ParseU64("18446744073709551615"), ~uint64_t{0});
+}
+
+TEST(ParseU64Test, RejectsEverythingElse) {
+  for (const char* value :
+       {"", "abc", "4x", "x4", "-1", "+4", " 4", "4 ", "0x10", "2.5", "1e3",
+        "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseU64(value).has_value()) << '"' << value << '"';
+  }
+}
+
+TEST(U64FlagTest, ReadsTheFlagOrFallsBack) {
+  Argv seed({"--quick", "--seed=42"});
+  EXPECT_EQ(U64Flag(seed.argc(), seed.argv(), "--seed", 7), 42u);
+  Argv none({"--quick", "--seeds=42"});
+  EXPECT_EQ(U64Flag(none.argc(), none.argv(), "--seed", 7), 7u);
+}
+
+TEST(U64FlagDeathTest, InvalidValueExitsTwo) {
+  for (const char* flag : {"--seed=abc", "--seed=", "--seed=-1",
+                           "--seed=18446744073709551616"}) {
+    Argv args({flag});
+    EXPECT_EXIT(U64Flag(args.argc(), args.argv(), "--seed", 7),
+                ::testing::ExitedWithCode(2),
+                "expected an unsigned decimal integer")
+        << flag;
+  }
+}
 
 TEST(ParseJobsTest, AcceptsIntegersFromOneToTheCap) {
   EXPECT_EQ(ParseJobs("1"), 1u);

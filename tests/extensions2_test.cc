@@ -188,7 +188,7 @@ TEST_F(AutoscalerTest, NoFlappingAtSteadyLoad) {
 }
 
 TEST_F(AutoscalerTest, StepReturnsLaunchError) {
-  fault::FaultPlane plane(9);
+  fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kNfLaunch);
   rule.skip = 1;   // the constructor's min-instance launch must succeed

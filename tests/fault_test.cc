@@ -1,9 +1,10 @@
-// Fault-injection plane unit tests: rule windowing, seeded determinism,
+// Fault-injection plane unit tests: rule windowing, determinism,
 // thread-local installation, differential isolation (a rule scoped to one NF
 // cannot perturb another NF's stream), and the wired-in injection sites.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/accel/accelerator.h"
@@ -24,7 +25,7 @@ TEST(FaultPlaneTest, NoPlaneInstalledNothingFires) {
 }
 
 TEST(FaultPlaneTest, SkipCountWindow) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = "unit.site";
   rule.skip = 2;
@@ -43,7 +44,7 @@ TEST(FaultPlaneTest, SkipCountWindow) {
 }
 
 TEST(FaultPlaneTest, ForeverRuleKeepsFiring) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = "unit.site";
   rule.count = FaultRule::kForever;
@@ -54,7 +55,7 @@ TEST(FaultPlaneTest, ForeverRuleKeepsFiring) {
 }
 
 TEST(FaultPlaneTest, PeriodicWindow) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = "unit.site";
   rule.count = 1;
@@ -71,7 +72,7 @@ TEST(FaultPlaneTest, PeriodicWindow) {
 }
 
 TEST(FaultPlaneTest, NfScoping) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = "unit.site";
   rule.nf_id = 7;
@@ -83,26 +84,8 @@ TEST(FaultPlaneTest, NfScoping) {
   EXPECT_FALSE(plane.Fires("other.site", 7));
 }
 
-TEST(FaultPlaneTest, ProbabilityIsSeedDeterministic) {
-  auto run = [](uint64_t seed) {
-    FaultPlane plane(seed);
-    FaultRule rule;
-    rule.site = "unit.site";
-    rule.count = FaultRule::kForever;
-    rule.probability = 0.5;
-    plane.AddRule(rule);
-    std::vector<bool> fired;
-    for (int i = 0; i < 64; ++i) {
-      fired.push_back(plane.Fires("unit.site", 0));
-    }
-    return fired;
-  };
-  EXPECT_EQ(run(42), run(42));
-  EXPECT_NE(run(42), run(43));  // astronomically unlikely to collide
-}
-
 TEST(FaultPlaneTest, StallCyclesSumAcrossFiringRules) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule a;
   a.site = "unit.stall";
   a.count = FaultRule::kForever;
@@ -118,7 +101,7 @@ TEST(FaultPlaneTest, StallCyclesSumAcrossFiringRules) {
 }
 
 TEST(FaultPlaneTest, RetargetRulesFollowsNf) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = "unit.site";
   rule.nf_id = 1;
@@ -138,12 +121,13 @@ TEST(FaultPlaneTest, RetargetRulesFollowsNf) {
 // many NF-2 hits are interleaved, and must never fire for NF 2.
 TEST(FaultPlaneTest, DifferentialIsolationAcrossNfs) {
   auto run = [](int interleave) {
-    FaultPlane plane(7);
+    FaultPlane plane;
     FaultRule rule;
     rule.site = "unit.site";
     rule.nf_id = 1;
-    rule.count = FaultRule::kForever;
-    rule.probability = 0.5;
+    rule.skip = 3;
+    rule.count = 2;
+    rule.period = 5;
     plane.AddRule(rule);
     std::vector<bool> nf1;
     for (int i = 0; i < 64; ++i) {
@@ -154,12 +138,16 @@ TEST(FaultPlaneTest, DifferentialIsolationAcrossNfs) {
     }
     return nf1;
   };
-  EXPECT_EQ(run(0), run(5));
+  const std::vector<bool> alone = run(0);
+  EXPECT_EQ(alone, run(5));
+  // Hits 3, 4, 8, 9, 13, ... fire: 2 of every 5 after the 3 skipped.
+  EXPECT_EQ(std::count(alone.begin(), alone.end(), true), 25);
+  EXPECT_TRUE(alone[3] && alone[4] && !alone[5] && alone[8]);
 }
 
 TEST(FaultPlaneTest, ScopedInstallationNests) {
-  FaultPlane outer(1);
-  FaultPlane inner(2);
+  FaultPlane outer;
+  FaultPlane inner;
   ASSERT_EQ(CurrentFaultPlane(), nullptr);
   {
     ScopedFaultPlane s1(&outer);
@@ -176,7 +164,7 @@ TEST(FaultPlaneTest, ScopedInstallationNests) {
 TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
   obs::MetricRegistry registry;
   obs::TraceRing ring;
-  FaultPlane plane(1);
+  FaultPlane plane;
   plane.AttachObs(&registry);
   plane.AttachTraceRing(&ring);
   FaultRule rule;
@@ -210,7 +198,7 @@ TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
 }
 
 TEST(FaultPlaneTest, ClockIsMonotonic) {
-  FaultPlane plane(1);
+  FaultPlane plane;
   plane.AdvanceClockTo(100);
   plane.AdvanceClockTo(50);  // never goes backwards
   EXPECT_EQ(plane.now(), 100u);
@@ -236,7 +224,7 @@ TEST(FaultSitesTest, AcceleratorThreadAccessFailsTransiently) {
                   .Install(entry)
                   .ok());
 
-  FaultPlane plane(3);
+  FaultPlane plane;
   FaultRule rule;
   rule.site = std::string(sites::kAccelThreadAccess);
   rule.nf_id = 5;
@@ -258,7 +246,7 @@ TEST(FaultSitesTest, VppIngressDropAndCorrupt) {
   core::VppConfig config;
   core::VirtualPacketPipeline vpp(/*nf_id=*/4, config);
 
-  FaultPlane plane(3);
+  FaultPlane plane;
   FaultRule drop;
   drop.site = std::string(sites::kVppRxDrop);
   drop.nf_id = 4;
@@ -302,10 +290,10 @@ TEST(FaultSitesTest, BusTimeoutStallsOnlyTheTargetDomain) {
     return grants;
   };
 
-  FaultPlane quiet(9);
+  FaultPlane quiet;
   const auto baseline = run(&quiet);
 
-  FaultPlane stall(9);
+  FaultPlane stall;
   FaultRule rule;
   rule.site = std::string(sites::kBusTimeout);
   rule.nf_id = 0;  // domain 0
@@ -342,7 +330,7 @@ TEST(FaultSitesTest, TemporalPartitionStallDoesNotShiftOtherDomain) {
 
   const auto baseline = run(nullptr);
 
-  FaultPlane stall(9);
+  FaultPlane stall;
   FaultRule rule;
   rule.site = std::string(sites::kBusTimeout);
   rule.nf_id = 0;

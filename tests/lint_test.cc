@@ -297,8 +297,7 @@ TEST(SnicLintTest, StaleSuppressionIsItselfAFinding) {
   EXPECT_EQ(CountRule(findings, "no-wallclock"), 0u);
 }
 
-// Deterministic output: findings sorted by (file, line, rule), and pass 1's
-// parallel indexing is byte-identical at any --jobs value.
+// Deterministic output: findings sorted by (file, line, rule).
 TEST(SnicLintTest, FindingsAreSortedByFileLineRule) {
   const auto findings = LintFixture("layer_dag");
   ASSERT_GE(findings.size(), 2u);
@@ -308,24 +307,6 @@ TEST(SnicLintTest, FindingsAreSortedByFileLineRule) {
                std::tie(b.file, b.line, b.rule, b.message);
       }))
       << FormatFindings(findings);
-}
-
-TEST(SnicLintTest, JobsProduceByteIdenticalFindings) {
-  Options serial;
-  serial.root = std::string(SNIC_LINT_FIXTURES_DIR) + "/transitive_os";
-  serial.jobs = 1;
-  Options parallel = serial;
-  parallel.jobs = 8;
-  EXPECT_EQ(FormatFindings(RunLint(serial)), FormatFindings(RunLint(parallel)));
-
-  // And over the real tree, where the fan-out is actually wide.
-  Options tree_serial;
-  tree_serial.root = std::string(SNIC_LINT_FIXTURES_DIR) + "/../..";
-  tree_serial.jobs = 1;
-  Options tree_parallel = tree_serial;
-  tree_parallel.jobs = 8;
-  EXPECT_EQ(FormatFindings(RunLint(tree_serial)),
-            FormatFindings(RunLint(tree_parallel)));
 }
 
 // ---------------------------------------------------------------------------

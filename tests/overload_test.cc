@@ -264,7 +264,7 @@ TEST(CircuitBreakerTest, HalfOpenFailureReopens) {
 }
 
 TEST(CircuitBreakerTest, InjectedProbeFaultReopensWithoutDispatch) {
-  fault::FaultPlane plane(0xbeef);
+  fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kBreakerProbe);
   rule.nf_id = 7;
@@ -355,7 +355,7 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
   }
   ASSERT_GE(cluster, 0);
 
-  fault::FaultPlane plane(0xacce1);
+  fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kAccelThreadAccess);
   rule.nf_id = nf;
@@ -442,7 +442,7 @@ TEST_F(OverloadDeviceTest, CreditGrantFaultStallsOneTick) {
   const auto link = chains.CreateLink({producer, consumer, 4});
   ASSERT_TRUE(link.ok());
 
-  fault::FaultPlane plane(0xc4ed17);
+  fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kChainCreditGrant);
   rule.nf_id = consumer;

@@ -28,6 +28,18 @@ TEST(CacheTest, ColdMissThenHit) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
+// The hit scan builds one 64-bit match mask per set, so construction
+// rejects anything wider.
+TEST(CacheDeathTest, RejectsMoreThanSixtyFourWays) {
+  CacheConfig c = SmallConfig(PartitionPolicy::kShared, 1);
+  c.associativity = 64;
+  c.size_bytes = 64 * 64 * 2;
+  EXPECT_EQ(Cache(c).num_sets(), 2u);
+  c.associativity = 65;
+  c.size_bytes = 65 * 64;
+  EXPECT_DEATH(Cache{c}, "associativity <= 64");
+}
+
 TEST(CacheTest, LruEvictsOldest) {
   Cache cache(SmallConfig(PartitionPolicy::kShared, 1));
   const uint32_t sets = cache.num_sets();

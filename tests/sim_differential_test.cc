@@ -19,8 +19,8 @@
 //    --jobs=8 byte-identity; this pins it at unit-test scale).
 //  - Raw cache differential: random op streams (accesses interleaved with
 //    FlushDomain / SecDCP ResizeDomain) under every policy, pseudo-LRU on
-//    and off, associativities from 1 to the >64-way wide fallback —
-//    exercising the lru==0-means-invalid victim-scan invariant end to end.
+//    and off, associativities from 1 to the 64-way cap — exercising the
+//    lru==0-means-invalid victim-scan invariant end to end.
 
 #include <algorithm>
 #include <cstdint>
@@ -303,9 +303,9 @@ TEST(SimDifferentialTest, CacheMatchesReferenceUnderFlushAndResize) {
   const PartitionPolicy policies[] = {PartitionPolicy::kShared,
                                       PartitionPolicy::kStaticEqual,
                                       PartitionPolicy::kSecDcp};
-  // 1-way direct-mapped through the 96-way wide fallback; 4/8/16 take the
+  // 1-way direct-mapped through the 64-way cap; 4/8/16 take the
   // AVX2/unrolled scan paths when built for x86-64.
-  const uint32_t associativities[] = {1, 2, 4, 8, 16, 96};
+  const uint32_t associativities[] = {1, 2, 4, 8, 16, 64};
   for (PartitionPolicy policy : policies) {
     for (uint32_t assoc : associativities) {
       for (bool plru : {false, true}) {

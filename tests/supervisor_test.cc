@@ -284,7 +284,7 @@ TEST_F(SupervisorTest, RestartCallbackReportsIdChange) {
 }
 
 TEST_F(SupervisorTest, TransientLaunchFaultsDelayButDoNotKillRecovery) {
-  fault::FaultPlane plane(5);
+  fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kNfLaunch);
   rule.skip = 0;
@@ -307,7 +307,7 @@ TEST_F(SupervisorTest, TransientLaunchFaultsDelayButDoNotKillRecovery) {
 TEST_F(SupervisorTest, CrashDuringRecoveryFailsExactlyTheTargetedAttempt) {
   // supervisor.reattest with on_attempt crashes the child *inside* the
   // restart path, on a chosen recovery attempt, and nowhere else.
-  fault::FaultPlane plane(5);
+  fault::FaultPlane plane;
   for (uint64_t attempt : {1, 2}) {
     fault::FaultRule rule;
     rule.site = std::string(fault::sites::kSupervisorReattest);

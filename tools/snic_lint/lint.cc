@@ -11,13 +11,20 @@
 #include <string_view>
 #include <tuple>
 
-#include "src/runtime/thread_pool.h"
 #include "tools/snic_lint/symbol_graph.h"
 
 namespace snic::lint {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Rule registries and docs, relative to Options::root.
+constexpr const char* kFaultRegistryPath = "tools/snic_lint/fault_sites.txt";
+constexpr const char* kSpanRegistryPath = "tools/snic_lint/span_names.txt";
+constexpr const char* kLayersPath = "tools/snic_lint/layers.txt";
+constexpr const char* kImpureRootsPath = "tools/snic_lint/impure_roots.txt";
+constexpr const char* kObsDocPath = "docs/OBSERVABILITY.md";
+constexpr const char* kRobustnessDocPath = "docs/ROBUSTNESS.md";
 
 // ---------------------------------------------------------------------------
 // Tree loading
@@ -147,24 +154,16 @@ class Linter {
   Linter(const Options& options) : options_(options) {
     allowlist_ = LoadAllowlist(options);
     const std::vector<std::string> paths = GatherSources(options);
-    indexes_.resize(paths.size());
-    // Pass 1 — tokenizing + indexing every file — is a pure per-file
-    // function into an index-addressed slot, so it fans out over the
-    // deterministic ThreadPool; every later pass walks the merged index
-    // serially, which is why findings are byte-identical at any --jobs.
-    const int jobs = std::max(1, options.jobs);
-    std::unique_ptr<runtime::ThreadPool> pool;
-    if (jobs > 1) {
-      pool = std::make_unique<runtime::ThreadPool>(static_cast<size_t>(jobs));
+    // Pass 1: tokenize and index every file, in sorted path order.
+    indexes_.reserve(paths.size());
+    for (const std::string& path : paths) {
+      indexes_.push_back(IndexFile(
+          Tokenize(path, ReadFileOrEmpty(fs::path(options.root) / path))));
     }
-    runtime::ParallelFor(pool.get(), paths.size(), [&](size_t i) {
-      indexes_[i] = IndexFile(
-          Tokenize(paths[i], ReadFileOrEmpty(fs::path(options.root) / paths[i])));
-    });
     graph_ = BuildSymbolGraph(indexes_);
-    obs_doc_ = ReadFileOrEmpty(fs::path(options_.root) / options_.obs_doc_path);
+    obs_doc_ = ReadFileOrEmpty(fs::path(options_.root) / kObsDocPath);
     robustness_doc_ =
-        ReadFileOrEmpty(fs::path(options_.root) / options_.robustness_doc_path);
+        ReadFileOrEmpty(fs::path(options_.root) / kRobustnessDocPath);
     LoadImpureRoots();
   }
 
@@ -235,8 +234,8 @@ class Linter {
     // '#' comments. os identifiers seed no-transitive-os roots; wallclock /
     // rng identifiers extend the built-in banned sets for the transitive
     // pass (the lexical rules keep their historical sets).
-    std::istringstream in(ReadFileOrEmpty(fs::path(options_.root) /
-                                          options_.impure_roots_path));
+    std::istringstream in(
+        ReadFileOrEmpty(fs::path(options_.root) / kImpureRootsPath));
     std::string line;
     while (std::getline(in, line)) {
       const size_t hash = line.find('#');
@@ -310,7 +309,7 @@ class Linter {
   void CollectRng(const SourceFile& file, std::vector<Occurrence>* out) {
     // Identifiers that are banned outright: ambient or default-seeded
     // randomness. All randomness must flow from snic::Rng streams seeded
-    // via runtime::DeriveTaskSeed or the fault plane (crypto has its DRBG).
+    // via runtime::DeriveTaskSeed.
     static const std::set<std::string, std::less<>> kBannedAlways = {
         "random_device",       "default_random_engine",
         "mt19937",             "mt19937_64",
@@ -666,8 +665,8 @@ class Linter {
   // cycle cannot be declared (the registry itself is DAG-checked), and even
   // acyclic-but-undeclared edges are findings.
   void CheckLayerDag() {
-    const std::string reg_text = ReadFileOrEmpty(
-        fs::path(options_.root) / options_.layers_path);
+    const std::string reg_text =
+        ReadFileOrEmpty(fs::path(options_.root) / kLayersPath);
     if (reg_text.empty()) {
       return;
     }
@@ -730,7 +729,7 @@ class Linter {
           for (const std::string& p : path) {
             cycle += (cycle.empty() ? "" : " -> ") + p;
           }
-          ReportGlobal("layer-dag", options_.layers_path, 0, path.back(),
+          ReportGlobal("layer-dag", kLayersPath, 0, path.back(),
                        "declared layer dependencies contain a cycle: " +
                            cycle);
           return;  // a cyclic declaration makes edge checks meaningless
@@ -758,20 +757,20 @@ class Linter {
         continue;
       }
       if (seen_layers.insert(layer).second && deps.count(layer) == 0) {
-        ReportGlobal("layer-dag", options_.layers_path, 0, layer,
+        ReportGlobal("layer-dag", kLayersPath, 0, layer,
                      "layer `" + layer + "` (src/" + layer +
-                         "/) is not declared in " + options_.layers_path);
+                         "/) is not declared in " + kLayersPath);
       }
     }
     for (const auto& [name, allowed] : deps) {
       if (seen_layers.count(name) == 0) {
-        ReportGlobal("layer-dag", options_.layers_path, 0, name,
+        ReportGlobal("layer-dag", kLayersPath, 0, name,
                      "registry declares layer `" + name +
                          "` but src/ has no such module (stale entry?)");
       }
       for (const std::string& dep : allowed) {
         if (deps.count(dep) == 0) {
-          ReportGlobal("layer-dag", options_.layers_path, 0, dep,
+          ReportGlobal("layer-dag", kLayersPath, 0, dep,
                        "layer `" + name + "` depends on undeclared layer `" +
                            dep + "`");
         }
@@ -800,7 +799,7 @@ class Linter {
         Report("layer-dag", index.source, inc.second, "src/" + to,
                "#include crosses the layer DAG: `" + from +
                    "` may not depend on `" + to + "` (" +
-                   options_.layers_path + " allows: " +
+                   kLayersPath + " allows: " +
                    JoinDeps(deps.at(from)) + ")");
       }
     }
@@ -831,7 +830,7 @@ class Linter {
                "call crosses the layer DAG: `" + caller.qualified + "` (" +
                    from + ") calls `" + callee.qualified + "` (" + to +
                    ", " + callee.file + ":" + std::to_string(callee.line) +
-                   "); " + options_.layers_path + " allows `" + from +
+                   "); " + kLayersPath + " allows `" + from +
                    "` -> " + JoinDeps(deps.at(from)));
       }
     }
@@ -1066,10 +1065,9 @@ class Linter {
     }
 
     // Registry file: exactly the set of known site strings.
-    const fs::path reg_path =
-        fs::path(options_.root) / options_.fault_registry_path;
+    const fs::path reg_path = fs::path(options_.root) / kFaultRegistryPath;
     if (!fs::exists(reg_path)) {
-      ReportGlobal("fault-site-registry", options_.fault_registry_path, 0, "",
+      ReportGlobal("fault-site-registry", kFaultRegistryPath, 0, "",
                    "fault-site registry file is missing but " +
                        std::to_string(used_sites.size()) +
                        " sites are declared/used");
@@ -1095,18 +1093,18 @@ class Linter {
       if (registered.count(value) == 0) {
         ReportGlobal("fault-site-registry", decl.file, decl.line, value,
                      "fault site \"" + value + "\" is not listed in " +
-                         options_.fault_registry_path);
+                         kFaultRegistryPath);
       }
       if (!robustness_doc_.empty() &&
           robustness_doc_.find(value) == std::string::npos) {
         ReportGlobal("fault-site-registry", decl.file, decl.line, value,
                      "fault site \"" + value + "\" is not documented in " +
-                         options_.robustness_doc_path);
+                         kRobustnessDocPath);
       }
     }
     for (const std::string& site : registered) {
       if (used_sites.count(site) == 0) {
-        ReportGlobal("fault-site-registry", options_.fault_registry_path, 0,
+        ReportGlobal("fault-site-registry", kFaultRegistryPath, 0,
                      site,
                      "registry lists \"" + site +
                          "\" but no such site is declared or used (stale "
@@ -1141,7 +1139,7 @@ class Linter {
         if (obs_doc_.find(name) == std::string::npos) {
           Report("metric-name-drift", file, toks[i + 2].line, name,
                  "metric/trace name \"" + name + "\" is not documented in " +
-                     options_.obs_doc_path);
+                     kObsDocPath);
         }
       }
     }
@@ -1238,10 +1236,9 @@ class Linter {
       return;  // tree without ring instrumentation: nothing to audit
     }
 
-    const fs::path reg_path =
-        fs::path(options_.root) / options_.span_registry_path;
+    const fs::path reg_path = fs::path(options_.root) / kSpanRegistryPath;
     if (!fs::exists(reg_path)) {
-      ReportGlobal("span-name-registry", options_.span_registry_path, 0, "",
+      ReportGlobal("span-name-registry", kSpanRegistryPath, 0, "",
                    "span-name registry file is missing but " +
                        std::to_string(used.size()) + " names are interned");
       return;
@@ -1266,17 +1263,17 @@ class Linter {
       if (registered.count(value) == 0) {
         ReportGlobal("span-name-registry", decl.file, decl.line, value,
                      "span name \"" + value + "\" is not listed in " +
-                         options_.span_registry_path);
+                         kSpanRegistryPath);
       }
       if (!obs_doc_.empty() && obs_doc_.find(value) == std::string::npos) {
         ReportGlobal("span-name-registry", decl.file, decl.line, value,
                      "span name \"" + value + "\" is not documented in " +
-                         options_.obs_doc_path);
+                         kObsDocPath);
       }
     }
     for (const std::string& name : registered) {
       if (used.count(name) == 0) {
-        ReportGlobal("span-name-registry", options_.span_registry_path, 0,
+        ReportGlobal("span-name-registry", kSpanRegistryPath, 0,
                      name,
                      "registry lists \"" + name +
                          "\" but no instrumentation interns it (stale "

@@ -11,9 +11,8 @@
 //
 // v2 is a two-pass whole-tree analyzer: pass 1 indexes every function
 // definition and call site into a symbol graph
-// (tools/snic_lint/symbol_graph.h, parallelized over the deterministic
-// runtime::ThreadPool with --jobs=N and byte-identical findings at any N);
-// pass 2 runs the lexical rules plus reachability rules over that graph.
+// (tools/snic_lint/symbol_graph.h); pass 2 runs the lexical rules plus
+// reachability rules over that graph.
 //
 // Rule families (each suppressible per line with `// snic-lint: allow(rule)`
 // or per entity via tools/snic_lint/allowlist.txt):
@@ -77,23 +76,12 @@ struct Options {
   // checker's own known-bad test inputs).
   std::string root = ".";
 
-  // All paths below are relative to `root`. A missing allowlist is treated
-  // as empty; a missing registry or doc only matters when a rule needs it
-  // (in particular: no layers.txt means the layer-dag rule is inert, and no
-  // impure_roots.txt means no OS-escape roots are seeded).
+  // Relative to `root`; a missing allowlist is treated as empty. The rule
+  // registries and docs (tools/snic_lint/*.txt, docs/OBSERVABILITY.md,
+  // docs/ROBUSTNESS.md) sit at fixed paths below `root` and only matter
+  // when a rule needs them: no layers.txt means the layer-dag rule is
+  // inert, and no impure_roots.txt means no OS-escape roots are seeded.
   std::string allowlist_path = "tools/snic_lint/allowlist.txt";
-  std::string fault_registry_path = "tools/snic_lint/fault_sites.txt";
-  std::string span_registry_path = "tools/snic_lint/span_names.txt";
-  std::string layers_path = "tools/snic_lint/layers.txt";
-  std::string impure_roots_path = "tools/snic_lint/impure_roots.txt";
-  std::string obs_doc_path = "docs/OBSERVABILITY.md";
-  std::string robustness_doc_path = "docs/ROBUSTNESS.md";
-
-  // Worker threads for the file-indexing pass (pass 1), fanned over the
-  // deterministic runtime::ThreadPool. Findings are byte-identical at any
-  // value (results land in index-addressed slots; every later pass is
-  // serial over the merged index).
-  int jobs = 1;
 
   // When non-empty, the whole-tree call graph is written here after the
   // run: a path ending in ".dot" gets Graphviz, anything else JSON.

@@ -1,67 +1,22 @@
 // snic_lint driver. Usage:
-//   snic_lint --root=/path/to/repo [--allowlist=...] [--fault-registry=...]
-//             [--obs-doc=...] [--robustness-doc=...] [--layers=...]
-//             [--impure-roots=...] [--jobs=N] [--graph-out=path.{dot,json}]
+//   snic_lint [--root=/path/to/repo] [--graph-out=path.{dot,json}]
 // Prints one `file:line: rule: message` per finding; exit 1 when any fire.
-// Findings are byte-identical at any --jobs value.
+// Any other argument prints the usage and exits 2 before the lint runs.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "tools/snic_lint/lint.h"
 
-namespace {
-
-std::string FlagValue(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  snic::RequireKnownFlags(argc, argv, {"--root=", "--graph-out="});
   snic::lint::Options options;
-  if (const std::string v = FlagValue(argc, argv, "--root"); !v.empty()) {
+  if (const std::string v = snic::FlagValue(argc, argv, "--root");
+      !v.empty()) {
     options.root = v;
   }
-  if (const std::string v = FlagValue(argc, argv, "--allowlist"); !v.empty()) {
-    options.allowlist_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--fault-registry");
-      !v.empty()) {
-    options.fault_registry_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--obs-doc"); !v.empty()) {
-    options.obs_doc_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--robustness-doc");
-      !v.empty()) {
-    options.robustness_doc_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--layers"); !v.empty()) {
-    options.layers_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--impure-roots");
-      !v.empty()) {
-    options.impure_roots_path = v;
-  }
-  if (const std::string v = FlagValue(argc, argv, "--jobs"); !v.empty()) {
-    options.jobs = std::atoi(v.c_str());
-    if (options.jobs < 1) {
-      std::fprintf(stderr, "snic_lint: bad --jobs value `%s`\n", v.c_str());
-      return 2;
-    }
-  }
-  if (const std::string v = FlagValue(argc, argv, "--graph-out"); !v.empty()) {
-    options.graph_out = v;
-  }
+  options.graph_out = snic::FlagValue(argc, argv, "--graph-out");
 
   const auto findings = snic::lint::RunLint(options);
   if (findings.empty()) {

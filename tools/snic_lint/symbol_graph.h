@@ -87,8 +87,7 @@ struct FileIndex {
   std::vector<std::string> usings;
 };
 
-// Indexes one tokenized file. Pure function of its input — safe to fan out
-// over the deterministic ThreadPool, one file per task slot.
+// Indexes one tokenized file. Pure function of its input.
 FileIndex IndexFile(SourceFile source);
 
 // ---------------------------------------------------------------------------

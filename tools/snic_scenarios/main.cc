@@ -14,18 +14,18 @@
 //                                          emit generated specs as JSON
 //                                          (--list prints names only)
 //
-// `validate` is the full semantic check (the snic_lint scenario rule is the
-// cheap structural subset: parses + registered fault sites); CI runs
-// validate over bench/scenarios/ so a checked-in spec can never rot.
+// `validate` is the full semantic check; CI runs it over bench/scenarios/
+// so a checked-in spec can never rot. An argument a subcommand does not take,
+// or a --seed that is not a plain decimal integer, exits 2 before any work.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/status.h"
 #include "src/obs/trace_ring.h"
 #include "src/scenario/generator.h"
@@ -61,29 +61,15 @@ Result<std::string> ReadFile(const std::string& path) {
   return text;
 }
 
-std::string FlagValue(int argc, char** argv, const char* flag) {
-  const std::string prefix = std::string(flag) + "=";
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return "";
-}
+// The seed every subcommand defaults to: the scenario matrix's.
+constexpr uint64_t kDefaultSeed = 0x5ce9a21ull;
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
+// The file operands of a subcommand's (argc, argv), which starts at the
+// subcommand name.
 std::vector<std::string> FileArgs(int argc, char** argv) {
   std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] != '-') {
       files.push_back(argv[i]);
     }
   }
@@ -91,6 +77,7 @@ std::vector<std::string> FileArgs(int argc, char** argv) {
 }
 
 int Validate(int argc, char** argv) {
+  RequireKnownFlags(argc, argv, {}, "FILE...");
   const std::vector<std::string> files = FileArgs(argc, argv);
   if (files.empty()) {
     return Usage();
@@ -146,15 +133,13 @@ bool WriteForensics(const scenario::ScenarioSpec& spec, uint64_t seed,
 }
 
 int Run(int argc, char** argv) {
+  RequireKnownFlags(argc, argv, {"--seed=", "--forensics-out="}, "FILE...");
+  const uint64_t seed = U64Flag(argc, argv, "--seed", kDefaultSeed);
   const std::vector<std::string> files = FileArgs(argc, argv);
   const std::string forensics_out = FlagValue(argc, argv, "--forensics-out");
   if (files.empty() || (!forensics_out.empty() && files.size() != 1)) {
     return Usage();
   }
-  const std::string seed_flag = FlagValue(argc, argv, "--seed");
-  const uint64_t seed =
-      seed_flag.empty() ? 0x5ce9a21ull
-                        : std::strtoull(seed_flag.c_str(), nullptr, 10);
   bool all_pass = true;
   for (const std::string& path : files) {
     const auto text = ReadFile(path);
@@ -185,12 +170,13 @@ int Run(int argc, char** argv) {
 }
 
 int Generate(int argc, char** argv) {
-  const std::string seed_flag = FlagValue(argc, argv, "--seed");
-  const uint64_t seed =
-      seed_flag.empty() ? 0x5ce9a21ull
-                        : std::strtoull(seed_flag.c_str(), nullptr, 10);
+  RequireKnownFlags(argc, argv, {"--seed=", "--name=", "--list"});
+  const uint64_t seed = U64Flag(argc, argv, "--seed", kDefaultSeed);
   const std::string name_filter = FlagValue(argc, argv, "--name");
-  const bool list_only = HasFlag(argc, argv, "--list");
+  bool list_only = false;
+  for (int i = 1; i < argc; ++i) {
+    list_only |= std::string_view(argv[i]) == "--list";
+  }
   const std::vector<scenario::ScenarioSpec> specs =
       scenario::GenerateScenarios(seed);
   size_t emitted = 0;
@@ -217,15 +203,17 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     return snic::Usage();
   }
+  // Each subcommand sees (argc - 1, argv + 1): its own name, then its
+  // arguments.
   const std::string command = argv[1];
   if (command == "validate") {
-    return snic::Validate(argc, argv);
+    return snic::Validate(argc - 1, argv + 1);
   }
   if (command == "run") {
-    return snic::Run(argc, argv);
+    return snic::Run(argc - 1, argv + 1);
   }
   if (command == "generate") {
-    return snic::Generate(argc, argv);
+    return snic::Generate(argc - 1, argv + 1);
   }
   return snic::Usage();
 }

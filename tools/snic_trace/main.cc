@@ -14,12 +14,14 @@
 //       Chrome/Perfetto JSON (TraceRing::ToChromeJson), byte-identical to
 //       the --trace-out file of the run that wrote RING.bin.
 
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/obs/trace_ring.h"
 #include "tools/snic_trace/analyze.h"
 
@@ -28,13 +30,15 @@ namespace {
 using snic::obs::TraceRing;
 namespace trace = snic::tools::trace;
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
+// The first operand (an argument not starting with '-') of a subcommand's
+// (argc, argv), which starts at the subcommand name; empty when none.
+std::string FirstOperand(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] != '-') {
+      return argv[i];
+    }
   }
-  return false;
+  return "";
 }
 
 int LoadRing(const std::string& path, TraceRing* ring) {
@@ -57,15 +61,9 @@ bool WriteFileOrDie(const std::string& path, const std::string& body) {
 }
 
 int RunTimeline(int argc, char** argv) {
-  std::string input, json_out;
-  for (int i = 0; i < argc; ++i) {
-    std::string value;
-    if (FlagValue(argv[i], "--json-out", &value)) {
-      json_out = value;
-    } else if (input.empty()) {
-      input = argv[i];
-    }
-  }
+  snic::RequireKnownFlags(argc, argv, {"--json-out="}, "RING.bin");
+  const std::string input = FirstOperand(argc, argv);
+  const std::string json_out = snic::FlagValue(argc, argv, "--json-out");
   if (input.empty()) {
     std::fprintf(stderr, "usage: snic_trace timeline RING.bin [--json-out=F]\n");
     return 2;
@@ -84,26 +82,25 @@ int RunTimeline(int argc, char** argv) {
 }
 
 int RunForensics(int argc, char** argv) {
-  std::string baseline_path, subject_path, out_path;
-  uint32_t bystander = 0;
-  bool have_bystander = false;
-  for (int i = 0; i < argc; ++i) {
-    std::string value;
-    if (FlagValue(argv[i], "--baseline", &value)) {
-      baseline_path = value;
-    } else if (FlagValue(argv[i], "--subject", &value)) {
-      subject_path = value;
-    } else if (FlagValue(argv[i], "--bystander", &value)) {
-      bystander = static_cast<uint32_t>(std::stoul(value));
-      have_bystander = true;
-    } else if (FlagValue(argv[i], "--out", &value)) {
-      out_path = value;
-    }
-  }
-  if (baseline_path.empty() || subject_path.empty() || !have_bystander) {
+  snic::RequireKnownFlags(
+      argc, argv, {"--baseline=", "--subject=", "--bystander=", "--out="});
+  const std::string baseline_path = snic::FlagValue(argc, argv, "--baseline");
+  const std::string subject_path = snic::FlagValue(argc, argv, "--subject");
+  const std::string out_path = snic::FlagValue(argc, argv, "--out");
+  const std::string bystander_flag = snic::FlagValue(argc, argv, "--bystander");
+  if (baseline_path.empty() || subject_path.empty() || bystander_flag.empty()) {
     std::fprintf(stderr,
                  "usage: snic_trace forensics --baseline=A.bin --subject=B.bin"
                  " --bystander=PID [--out=F]\n");
+    return 2;
+  }
+  // The bystander is a trace-ring pid, so it must fit 32 bits.
+  const std::optional<uint64_t> bystander = snic::ParseU64(bystander_flag);
+  if (!bystander.has_value() || *bystander > UINT32_MAX) {
+    std::fprintf(stderr,
+                 "snic_trace: --bystander=%s: expected an integer from 0 to "
+                 "%" PRIu32 "\n",
+                 bystander_flag.c_str(), UINT32_MAX);
     return 2;
   }
   TraceRing baseline_ring, subject_ring;
@@ -113,7 +110,8 @@ int RunForensics(int argc, char** argv) {
   }
   const trace::ForensicsReport report =
       trace::Compare(trace::AnalyzeRing(baseline_ring),
-                     trace::AnalyzeRing(subject_ring), bystander);
+                     trace::AnalyzeRing(subject_ring),
+                     static_cast<uint32_t>(*bystander));
   const std::string json = trace::ForensicsToJson(report) + "\n";
   std::fputs(json.c_str(), stdout);
   if (!out_path.empty() && !WriteFileOrDie(out_path, json)) {
@@ -123,15 +121,9 @@ int RunForensics(int argc, char** argv) {
 }
 
 int RunConvert(int argc, char** argv) {
-  std::string input, json_out;
-  for (int i = 0; i < argc; ++i) {
-    std::string value;
-    if (FlagValue(argv[i], "--to-json", &value)) {
-      json_out = value;
-    } else if (input.empty()) {
-      input = argv[i];
-    }
-  }
+  snic::RequireKnownFlags(argc, argv, {"--to-json="}, "RING.bin");
+  const std::string input = FirstOperand(argc, argv);
+  const std::string json_out = snic::FlagValue(argc, argv, "--to-json");
   if (input.empty() || json_out.empty()) {
     std::fprintf(stderr, "usage: snic_trace convert RING.bin --to-json=F\n");
     return 2;
@@ -155,15 +147,16 @@ int main(int argc, char** argv) {
                  "usage: snic_trace {timeline|forensics|convert} ...\n");
     return 2;
   }
+  // Each mode sees (argc - 1, argv + 1): its own name, then its arguments.
   const std::string mode = argv[1];
   if (mode == "timeline") {
-    return RunTimeline(argc - 2, argv + 2);
+    return RunTimeline(argc - 1, argv + 1);
   }
   if (mode == "forensics") {
-    return RunForensics(argc - 2, argv + 2);
+    return RunForensics(argc - 1, argv + 1);
   }
   if (mode == "convert") {
-    return RunConvert(argc - 2, argv + 2);
+    return RunConvert(argc - 1, argv + 1);
   }
   std::fprintf(stderr, "snic_trace: unknown mode '%s'\n", mode.c_str());
   return 2;
