@@ -5,17 +5,25 @@
 // Build & run:  ./build/examples/nf_gallery [packet_count]
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/snic.h"
 
 using namespace snic;
 
 int main(int argc, char** argv) {
-  const size_t packets = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                  : 50'000;
+  size_t packets = 50'000;
+  if (argc > 1) {
+    const std::optional<uint64_t> parsed = ParseU64(argv[1]);
+    if (argc > 2 || !parsed.has_value()) {
+      std::fprintf(stderr, "usage: %s [packet_count]\n", argv[0]);
+      return 2;
+    }
+    packets = *parsed;
+  }
   std::printf("== NF gallery: %zu packets, Zipf(1.1) over 100k flows ==\n\n",
               packets);
 

@@ -1,9 +1,9 @@
 // Deterministic pseudo-random number generation (xoshiro256**).
 //
 // Every stochastic component in the repository (trace generation, workload
-// sampling, key generation in tests) takes an explicit `Rng&` so experiments
-// are reproducible bit-for-bit from a seed, as required for regenerating the
-// paper's tables.
+// sampling, RSA key generation, Diffie-Hellman shares) takes an explicit
+// `Rng&` so experiments are reproducible bit-for-bit from a seed, as required
+// for regenerating the paper's tables.
 //
 // There is deliberately no global, thread-local, or `static` generator state
 // anywhere in this header (audited for the parallel sweep runtime): every
@@ -14,14 +14,23 @@
 #ifndef SNIC_COMMON_RNG_H_
 #define SNIC_COMMON_RNG_H_
 
+#include <array>
 #include <cstdint>
 
 namespace snic {
 
 // xoshiro256** 1.0 (Blackman & Vigna, public domain reference algorithm).
-// Not cryptographically secure; crypto code uses its own DRBG.
+// Not cryptographically secure, and not meant to be: the crypto layer draws
+// its primes, exponents and nonces from it too, because the simulated root
+// of trust must produce the same keys from the same seed.
 class Rng {
  public:
+  // The generator's whole state: two Rngs with equal State produce equal
+  // streams. crypto::GenerateRsaKeyPair keys its memo by the State on entry
+  // and, on a hit, restores the State the generation left behind, so every
+  // later draw is the one an uncached generation would have given.
+  using State = std::array<uint64_t, 4>;
+
   // Seeds the four 64-bit words of state via SplitMix64 so that any seed
   // (including 0) yields a well-mixed state.
   explicit Rng(uint64_t seed) {
@@ -64,6 +73,9 @@ class Rng {
   // Uniform 32-bit value.
   uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
 
+  State SaveState() const { return state_; }
+  void RestoreState(const State& state) { state_ = state; }
+
   // One SplitMix64 step: advances `x` and returns a well-mixed 64-bit value.
   // Public so seed-derivation schemes (runtime::DeriveTaskSeed) share the
   // same mixing function the constructor uses.
@@ -80,7 +92,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  uint64_t state_[4];
+  State state_;
 };
 
 }  // namespace snic

@@ -270,6 +270,13 @@ Status SnicDevice::NfTeardown(uint64_t nf_id) {
 
   core_allocation_mask_ &= ~record->core_mask;
   accel_pool_.ReleaseAll(nf_id);
+  // nf ids never repeat, so the function's per-NF series would only pile
+  // up: release them, and a device that churns through tenants keeps its
+  // registry bounded.
+  record->tlb.DetachObs();
+  if (record->vpp != nullptr) {
+    record->vpp->DetachObs();
+  }
   nfs_.erase(nf_id);
   if (obs_teardowns_ != nullptr) {
     obs_teardowns_->Inc();

@@ -282,6 +282,7 @@ Result<net::Packet> VirtualPacketPipeline::DequeueTx() {
 }
 
 void VirtualPacketPipeline::AttachObs(obs::MetricRegistry* registry) {
+  obs_registry_ = registry;
   const std::string nf = std::to_string(nf_id_);
   obs_rx_depth_ = &registry->GetGauge("vpp.rx_queue_depth", {{"nf", nf}});
   obs_drops_full_rx_ =
@@ -297,6 +298,25 @@ void VirtualPacketPipeline::AttachObs(obs::MetricRegistry* registry) {
                                        {{"nf", nf}, {"path", "tx"}});
   obs_shed_bytes_ = &registry->GetCounter("overload.shed.bytes", {{"nf", nf}});
   UpdateRxDepthObs();
+}
+
+void VirtualPacketPipeline::DetachObs() {
+  if (obs_registry_ == nullptr) {
+    return;
+  }
+  obs_registry_->Release({obs_drops_full_rx_, obs_drops_full_tx_,
+                          obs_drops_admission_, obs_drops_early_,
+                          obs_shed_rx_, obs_shed_tx_, obs_shed_bytes_},
+                         {obs_rx_depth_});
+  obs_registry_ = nullptr;
+  obs_rx_depth_ = nullptr;
+  obs_drops_full_rx_ = nullptr;
+  obs_drops_full_tx_ = nullptr;
+  obs_drops_admission_ = nullptr;
+  obs_drops_early_ = nullptr;
+  obs_shed_rx_ = nullptr;
+  obs_shed_tx_ = nullptr;
+  obs_shed_bytes_ = nullptr;
 }
 
 void VirtualPacketPipeline::AttachTraceRing(obs::TraceRing* ring) {

@@ -112,6 +112,9 @@ class VirtualPacketPipeline {
   // `vpp.drops.*`, `overload.shed.*`) to `registry`; the device wires this
   // up at nf_launch.
   void AttachObs(obs::MetricRegistry* registry);
+  // Releases those series (MetricRegistry::Release); the device calls it
+  // at nf_teardown. A no-op when none are attached.
+  void DetachObs();
 
   // Attaches the binary span ring (docs/OBSERVABILITY.md "Binary tracing &
   // spans"): interns the vpp.* span names once, registers this NF's lane,
@@ -162,6 +165,7 @@ class VirtualPacketPipeline {
   uint16_t ring_arg_residency_ = 0;
   uint16_t ring_arg_cause_ = 0;
 
+  obs::MetricRegistry* obs_registry_ = nullptr;
   obs::Gauge* obs_rx_depth_ = nullptr;
   obs::Counter* obs_drops_full_rx_ = nullptr;
   obs::Counter* obs_drops_full_tx_ = nullptr;

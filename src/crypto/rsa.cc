@@ -1,8 +1,12 @@
 #include "src/crypto/rsa.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
+#include "src/common/mutex.h"
 #include "src/common/status.h"
+#include "src/common/thread_annotations.h"
 
 namespace snic::crypto {
 namespace {
@@ -29,10 +33,38 @@ std::vector<uint8_t> EncodeEmsa(const Sha256Digest& digest, size_t em_len) {
   return em;
 }
 
-}  // namespace
+// GenerateRsaKeyPair's memo: (modulus bits, Rng state on entry) -> the key
+// pair and the Rng state on exit. Generation is a pure function of that key,
+// so a hit returns the same pair and leaves the caller's Rng exactly where
+// generation would have; no output can tell a hit from a miss. Every
+// SnicDevice seeds its root of trust from one constant and a scenario's
+// subject and twin share their vendor seed, so most generations repeat.
+struct KeyGenMemo {
+  struct Entry {
+    RsaKeyPair pair;
+    Rng::State exit_state;
+  };
+  // A full scenario_matrix run stores about 220 keys (one vendor key per
+  // scenario, shared by its subject and twin, plus the device EK and AK);
+  // past the cap, new generations are simply not remembered, so the memo's
+  // memory stays bounded (a few MB at most).
+  static constexpr size_t kCapacity = 4096;
 
-RsaKeyPair GenerateRsaKeyPair(size_t modulus_bits, Rng& rng) {
-  SNIC_CHECK(modulus_bits >= 256);
+  Mutex mu;
+  std::map<std::pair<size_t, Rng::State>, Entry> entries SNIC_GUARDED_BY(mu);
+};
+
+KeyGenMemo& Memo() {
+  // The one process-wide crypto state, audited in
+  // tools/snic_lint/allowlist.txt: a cache of a pure function behind a
+  // mutex, so what it returns never depends on which thread filled it or
+  // when. Never destroyed, like obs::GlobalRegistry, so a generation racing
+  // static destruction still finds it.
+  static KeyGenMemo* memo = new KeyGenMemo();
+  return *memo;
+}
+
+RsaKeyPair GenerateUncached(size_t modulus_bits, Rng& rng) {
   const BigUint e(65537);
   for (;;) {
     const BigUint p = BigUint::GeneratePrime(modulus_bits / 2, rng);
@@ -52,6 +84,30 @@ RsaKeyPair GenerateRsaKeyPair(size_t modulus_bits, Rng& rng) {
     pair.private_key = RsaPrivateKey{n, d};
     return pair;
   }
+}
+
+}  // namespace
+
+RsaKeyPair GenerateRsaKeyPair(size_t modulus_bits, Rng& rng) {
+  SNIC_CHECK(modulus_bits >= 256);
+  KeyGenMemo& memo = Memo();
+  const std::pair<size_t, Rng::State> key(modulus_bits, rng.SaveState());
+  {
+    MutexLock lock(&memo.mu);
+    const auto it = memo.entries.find(key);
+    if (it != memo.entries.end()) {
+      rng.RestoreState(it->second.exit_state);
+      return it->second.pair;
+    }
+  }
+  // Generate outside the lock: two threads missing on the same key both
+  // generate, and both get the one pair the key determines.
+  RsaKeyPair pair = GenerateUncached(modulus_bits, rng);
+  MutexLock lock(&memo.mu);
+  if (memo.entries.size() < KeyGenMemo::kCapacity) {
+    memo.entries.try_emplace(key, KeyGenMemo::Entry{pair, rng.SaveState()});
+  }
+  return pair;
 }
 
 std::vector<uint8_t> RsaSignDigest(const RsaPrivateKey& key,

@@ -5,6 +5,12 @@
 // function's initial state (§4.6), and `nf_attest` signs that digest
 // (Appendix A). A streaming interface is provided so the measurement can be
 // updated page-by-page exactly as the microcoded instruction would.
+//
+// Two compression functions sit under the one Sha256 class: the portable
+// scalar one, and one on the x86-64 SHA extensions (SHA-NI) that Sha256
+// uses whenever the CPU reports them at run time. The scalar one is the
+// oracle: tests hold the SHA-NI one to it on random inputs
+// (docs/PERFORMANCE.md, "Control-plane crypto").
 
 #ifndef SNIC_CRYPTO_SHA256_H_
 #define SNIC_CRYPTO_SHA256_H_
@@ -39,13 +45,23 @@ class Sha256 {
   static Sha256Digest Hash(const void* data, size_t len);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
   size_t buffer_len_;
 };
+
+// Compression functions: fold `count` whole 64-byte blocks at `blocks` into
+// the eight-word hash `state`. Sha256 calls the SHA-NI one when
+// Sha256HasShaNi() and the scalar one otherwise; callers of
+// Sha256CompressShaNi must check Sha256HasShaNi() first.
+void Sha256CompressScalar(uint32_t state[8], const uint8_t* blocks,
+                          size_t count);
+bool Sha256HasShaNi();
+#if defined(__x86_64__)
+void Sha256CompressShaNi(uint32_t state[8], const uint8_t* blocks,
+                         size_t count);
+#endif
 
 // Lowercase hex rendering of a digest (for logs, tests, and attestation
 // transcripts).

@@ -110,6 +110,7 @@ Counter& MetricRegistry::GetCounter(std::string_view name, Labels labels) {
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
   }
+  ++slot->holders_;
   return *slot;
 }
 
@@ -119,6 +120,7 @@ Gauge& MetricRegistry::GetGauge(std::string_view name, Labels labels) {
   if (slot == nullptr) {
     slot = std::make_unique<Gauge>();
   }
+  ++slot->holders_;
   return *slot;
 }
 
@@ -157,6 +159,24 @@ const LatencyHistogram* MetricRegistry::FindHistogram(
 size_t MetricRegistry::NumSeries() const {
   MutexLock lock(&mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
+}
+
+void MetricRegistry::Release(std::initializer_list<Counter*> counters,
+                             std::initializer_list<Gauge*> gauges) {
+  // Only a series whose last hold goes costs a scan of its map.
+  const auto release = [](auto& series, const auto& released) {
+    for (auto* held : released) {
+      if (held == nullptr || --held->holders_ > 0) {
+        continue;
+      }
+      std::erase_if(series, [held](const auto& entry) {
+        return entry.second.get() == held;
+      });
+    }
+  };
+  MutexLock lock(&mu_);
+  release(counters_, counters);
+  release(gauges_, gauges);
 }
 
 void MetricRegistry::ResetAll() {
@@ -347,10 +367,11 @@ MetricRegistry& GlobalRegistry() {
   // Intentionally never destroyed: instrumented objects cache raw series
   // pointers and may outlive any static-destruction order (a destructor
   // running during exit teardown must still be able to Inc()). The leak is
-  // one registry per process, reclaimed by the OS. This is the only mutable
-  // process-wide static in the tree; snic_lint's no-mutable-file-static
-  // rule names it (and the thread-local override below) in
-  // tools/snic_lint/allowlist.txt so any new ambient state fails the build.
+  // one registry per process, reclaimed by the OS. snic_lint's
+  // no-mutable-file-static rule names it (and the thread-local override
+  // below) in tools/snic_lint/allowlist.txt, beside the one other mutable
+  // process-wide static (crypto's key-generation memo), so any new ambient
+  // state fails the build.
   static MetricRegistry* registry = new MetricRegistry();
   return *registry;
 }

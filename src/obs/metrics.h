@@ -32,6 +32,7 @@
 #define SNIC_OBS_METRICS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,7 +59,9 @@ class Counter {
   void Reset() { value_ = 0; }
 
  private:
+  friend class MetricRegistry;
   uint64_t value_ = 0;
+  uint64_t holders_ = 0;  // unreleased Get* calls; under the registry's mu_
 };
 
 // Point-in-time level (flow-table occupancy, live heap bytes, ...).
@@ -70,7 +73,9 @@ class Gauge {
   void Reset() { value_ = 0.0; }
 
  private:
+  friend class MetricRegistry;
   double value_ = 0.0;
+  uint64_t holders_ = 0;  // unreleased Get* calls; under the registry's mu_
 };
 
 // Fixed-bucket latency/size distribution with O(1) memory per series:
@@ -122,7 +127,8 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  // Get-or-create. Labels are canonicalized (sorted by key).
+  // Get-or-create. Labels are canonicalized (sorted by key). Each counter
+  // or gauge Get* takes one hold on the series (see Release).
   Counter& GetCounter(std::string_view name, Labels labels = {});
   Gauge& GetGauge(std::string_view name, Labels labels = {});
   // Bucket geometry applies only on first creation of the series.
@@ -139,6 +145,15 @@ class MetricRegistry {
                                         const Labels& labels = {}) const;
 
   size_t NumSeries() const;
+
+  // Gives back one hold on each series (references Get* returned; nullptr
+  // entries are ignored). A series leaves the registry when its last hold
+  // is given back, so an object that attached series for something gone
+  // for good (a torn-down function) releases them and the registry stays
+  // bounded, while a series another holder still caches stays put. A
+  // holder must not touch a reference after releasing it.
+  void Release(std::initializer_list<Counter*> counters,
+               std::initializer_list<Gauge*> gauges = {});
 
   // Zeroes every value but keeps all registrations (cached pointers stay
   // valid). Use between bench repetitions or tests.

@@ -50,10 +50,24 @@ std::optional<Translation> LockedTlb::Translate(uint64_t virt_addr) const {
 
 void LockedTlb::AttachObs(obs::MetricRegistry* registry,
                           const obs::Labels& labels) {
+  obs_registry_ = registry;
   obs_translations_ = &registry->GetCounter("sim.tlb.translations", labels);
   obs_misses_ = &registry->GetCounter("sim.tlb.misses", labels);
   obs_installs_ = &registry->GetCounter("sim.tlb.installs", labels);
   obs_locks_ = &registry->GetCounter("sim.tlb.locks", labels);
+}
+
+void LockedTlb::DetachObs() {
+  if (obs_registry_ == nullptr) {
+    return;
+  }
+  obs_registry_->Release(
+      {obs_translations_, obs_misses_, obs_installs_, obs_locks_});
+  obs_registry_ = nullptr;
+  obs_translations_ = nullptr;
+  obs_misses_ = nullptr;
+  obs_installs_ = nullptr;
+  obs_locks_ = nullptr;
 }
 
 void LockedTlb::Reset() {

@@ -66,11 +66,15 @@ class LockedTlb {
   // `labels` (callers add `nf_id`/`component`). A TLB miss is fatal for an
   // S-NIC function, so the miss counter doubles as a defect detector.
   void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels);
+  // Releases the counters AttachObs registered (MetricRegistry::Release),
+  // for a TLB whose function is torn down; a no-op when none are attached.
+  void DetachObs();
 
  private:
   size_t max_entries_;
   bool locked_ = false;
   std::vector<TlbEntry> entries_;
+  obs::MetricRegistry* obs_registry_ = nullptr;
   obs::Counter* obs_translations_ = nullptr;
   obs::Counter* obs_misses_ = nullptr;
   obs::Counter* obs_installs_ = nullptr;

@@ -1,12 +1,16 @@
-// Tests for the from-scratch crypto substrate: SHA-256 against FIPS vectors,
-// HMAC against RFC 4231, big-integer arithmetic (including randomized
-// cross-checks against native 64-bit math), RSA sign/verify, Diffie-Hellman,
-// and the endorsement/attestation key chain.
+// Tests for the from-scratch crypto substrate: SHA-256 against FIPS vectors
+// and against its scalar compression function as the oracle for the SHA-NI
+// one, HMAC against RFC 4231, big-integer arithmetic (including randomized
+// cross-checks against native 64-bit math), RSA sign/verify and the
+// key-generation memo, Diffie-Hellman, and the endorsement/attestation key
+// chain.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/crypto/bignum.h"
@@ -14,12 +18,59 @@
 #include "src/crypto/keys.h"
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha256.h"
+#include "src/runtime/thread_pool.h"
 
 namespace snic::crypto {
 namespace {
 
 std::span<const uint8_t> Bytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t len) {
+  std::vector<uint8_t> out(len);
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  return out;
+}
+
+// The oracle digest: FIPS 180-4 padding written out here, every block
+// through the scalar compression function.
+Sha256Digest ScalarOracleDigest(const std::vector<uint8_t>& message) {
+  std::vector<uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) {
+    padded.push_back(0x00);
+  }
+  const uint64_t bits = static_cast<uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Sha256CompressScalar(state, padded.data(), padded.size() / 64);
+  Sha256Digest digest;
+  for (size_t i = 0; i < 32; ++i) {
+    digest[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+// Feeds `message` to a Sha256 in random-length Update calls.
+Sha256Digest RandomSplitDigest(const std::vector<uint8_t>& message,
+                               Rng& rng) {
+  Sha256 h;
+  size_t offset = 0;
+  while (offset < message.size()) {
+    // Mostly short pieces, sometimes several blocks at once.
+    const size_t limit = rng.NextBounded(4) == 0 ? 700 : 70;
+    const size_t take =
+        std::min(message.size() - offset, rng.NextBounded(limit + 1));
+    h.Update(message.data() + offset, take);
+    offset += take;
+  }
+  return h.Finalize();
 }
 
 TEST(Sha256Test, FipsVectorEmpty) {
@@ -68,6 +119,59 @@ TEST(Sha256Test, BoundaryLengths) {
     split.Update(Bytes(msg.substr(len / 2)));
     EXPECT_EQ(split.Finalize(), Sha256::Hash(Bytes(msg))) << "len=" << len;
   }
+}
+
+TEST(Sha256Test, RandomSplitsMatchScalarOracle) {
+  Rng rng(2401);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t len =
+        trial < 130 ? static_cast<size_t>(trial) : rng.NextBounded(10'001);
+    const std::vector<uint8_t> message = RandomBytes(rng, len);
+    const Sha256Digest oracle = ScalarOracleDigest(message);
+    EXPECT_EQ(RandomSplitDigest(message, rng), oracle) << "len=" << len;
+    EXPECT_EQ(Sha256::Hash(message.data(), message.size()), oracle)
+        << "len=" << len;
+  }
+}
+
+TEST(Sha256Test, ShaNiCompressionMatchesScalar) {
+  if (!Sha256HasShaNi()) {
+    GTEST_SKIP() << "this CPU has no SHA extensions (SHA-NI), so only the "
+                    "scalar compression function can run here";
+  }
+#if defined(__x86_64__)
+  Rng rng(2402);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<uint8_t> message =
+        RandomBytes(rng, rng.NextBounded(10'001));
+    const size_t blocks = message.size() / 64;
+    uint32_t scalar[8];
+    for (uint32_t& word : scalar) {
+      word = rng.NextU32();
+    }
+    uint32_t one_call[8];
+    uint32_t block_by_block[8];
+    std::memcpy(one_call, scalar, sizeof(scalar));
+    std::memcpy(block_by_block, scalar, sizeof(scalar));
+    Sha256CompressScalar(scalar, message.data(), blocks);
+    Sha256CompressShaNi(one_call, message.data(), blocks);
+    for (size_t b = 0; b < blocks; ++b) {
+      Sha256CompressShaNi(block_by_block, message.data() + 64 * b, 1);
+    }
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(one_call[i], scalar[i]) << "blocks=" << blocks << " i=" << i;
+      EXPECT_EQ(block_by_block[i], scalar[i])
+          << "blocks=" << blocks << " i=" << i;
+    }
+  }
+#endif
+}
+
+TEST(Sha256Test, TwoMiBZeroPageKnownAnswer) {
+  // The page size nf_launch measures; the digest is Python hashlib's.
+  const std::vector<uint8_t> page(2u << 20, 0);
+  EXPECT_EQ(DigestToHex(Sha256::Hash(page.data(), page.size())),
+            "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee");
 }
 
 TEST(HmacTest, Rfc4231Case2) {
@@ -272,6 +376,66 @@ TEST(RsaTest, DigestInterfaceMatchesMessageInterface) {
   const auto sig2 = RsaSignDigest(kp.private_key, Sha256::Hash(Bytes(msg)));
   EXPECT_EQ(sig1, sig2);
   EXPECT_TRUE(RsaVerifyDigest(kp.public_key, Sha256::Hash(Bytes(msg)), sig1));
+}
+
+void ExpectSameKeyPair(const RsaKeyPair& a, const RsaKeyPair& b) {
+  EXPECT_TRUE(a.public_key.n == b.public_key.n);
+  EXPECT_TRUE(a.public_key.e == b.public_key.e);
+  EXPECT_TRUE(a.private_key.n == b.private_key.n);
+  EXPECT_TRUE(a.private_key.d == b.private_key.d);
+}
+
+TEST(RsaKeyGenMemoTest, SameSeedSameKeyAndSameLaterDraws) {
+  // The seed is used nowhere else in this binary, so the first call
+  // generates and the second is answered by the memo.
+  Rng first_rng(0x6e3d01);
+  Rng second_rng(0x6e3d01);
+  const RsaKeyPair first = GenerateRsaKeyPair(512, first_rng);
+  const RsaKeyPair second = GenerateRsaKeyPair(512, second_rng);
+  ExpectSameKeyPair(first, second);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(first_rng.NextU64(), second_rng.NextU64()) << "draw " << i;
+  }
+  // A hit still hands back a working key.
+  const auto sig = RsaSign(second.private_key, Bytes(std::string("memo")));
+  EXPECT_TRUE(RsaVerify(second.public_key, Bytes(std::string("memo")), sig));
+}
+
+TEST(RsaKeyGenMemoTest, DifferentSeedOrSizeDifferentKey) {
+  Rng a(0x6e3d02);
+  Rng b(0x6e3d03);
+  Rng c(0x6e3d02);
+  const RsaKeyPair from_a = GenerateRsaKeyPair(512, a);
+  const RsaKeyPair from_b = GenerateRsaKeyPair(512, b);
+  const RsaKeyPair from_c = GenerateRsaKeyPair(768, c);
+  EXPECT_FALSE(from_a.public_key.n == from_b.public_key.n);
+  // Same Rng state, other size: the size is part of the memo's key.
+  EXPECT_GT(from_c.public_key.n.BitLength(), 700u);
+  EXPECT_LT(from_a.public_key.n.BitLength(), 513u);
+}
+
+TEST(RsaKeyGenMemoTest, ConcurrentGenerationsAgree) {
+  constexpr uint64_t kSeed = 0x6e3d04;
+  struct Generated {
+    RsaKeyPair pair;
+    uint64_t next_draw;
+  };
+  runtime::ThreadPool pool(4);
+  std::vector<std::future<Generated>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(pool.Submit([] {
+      Rng rng(kSeed);
+      Generated out{GenerateRsaKeyPair(512, rng), 0};
+      out.next_draw = rng.NextU64();
+      return out;
+    }));
+  }
+  const Generated first = futures[0].get();
+  for (size_t i = 1; i < futures.size(); ++i) {
+    const Generated other = futures[i].get();
+    ExpectSameKeyPair(first.pair, other.pair);
+    EXPECT_EQ(first.next_draw, other.next_draw) << "worker " << i;
+  }
 }
 
 TEST(DhTest, SharedSecretAgrees) {

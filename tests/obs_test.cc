@@ -99,6 +99,19 @@ TEST(MetricRegistry, ReferencesSurviveInsertsAndResetAll) {
   EXPECT_EQ(registry.NumSeries(), 200u);
 }
 
+TEST(MetricRegistry, ReleaseDropsASeriesAtItsLastHold) {
+  MetricRegistry registry;
+  Counter& counter = registry.GetCounter("held", {{"nf", "1"}});
+  registry.GetCounter("held", {{"nf", "1"}});  // a second holder
+  Gauge& gauge = registry.GetGauge("depth");
+  registry.Release({&counter}, {&gauge});
+  EXPECT_NE(registry.FindCounter("held", {{"nf", "1"}}), nullptr);
+  EXPECT_EQ(registry.FindGauge("depth"), nullptr);
+  registry.Release({&counter, nullptr});
+  EXPECT_EQ(registry.FindCounter("held", {{"nf", "1"}}), nullptr);
+  EXPECT_EQ(registry.NumSeries(), 0u);
+}
+
 TEST(MetricRegistry, ExportTextContainsSeries) {
   MetricRegistry registry;
   registry.GetCounter("requests", {{"core", "0"}}).Inc(3);
@@ -267,6 +280,54 @@ TEST(MgmtObservability, NfDestroyPublishesOkAndFailureCounters) {
   EXPECT_FALSE(nic_os.NfDestroy(9999).ok());
   EXPECT_EQ(registry.GetCounter("mgmt.nf_destroy.ok").value(), 1u);
   EXPECT_EQ(registry.GetCounter("mgmt.nf_destroy.failures").value(), 2u);
+}
+
+// A torn-down function's per-NF series leave the registry with it, so a
+// device that churns through tenants keeps a bounded registry; a series
+// another device's live function also holds stays.
+TEST(MgmtObservability, TeardownReleasesPerNfSeries) {
+  MetricRegistry registry;
+  ScopedDefaultRegistry scoped(&registry);
+  Rng rng(18);
+  crypto::VendorAuthority vendor(512, rng);
+  core::SnicConfig config;
+  config.num_cores = 8;
+  config.dram_bytes = 64ull << 20;
+  config.rsa_modulus_bits = 512;
+  core::SnicDevice device(config, vendor);
+  core::SnicDevice other(config, vendor);
+  mgmt::NicOs nic_os(&device);
+  mgmt::NicOs other_os(&other);
+
+  mgmt::FunctionImage image;
+  image.name = "churn";
+  image.code_and_data.assign(512, 0x55);
+  image.memory_bytes = 4ull << 20;
+  image.switch_rules.push_back(net::SwitchRule{});
+
+  // Both devices number their first function 1, so the two share its
+  // series: tearing one down must leave the other's in place.
+  const auto mine = nic_os.NfCreate(image);
+  const auto theirs = other_os.NfCreate(image);
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(theirs.ok());
+  ASSERT_EQ(mine.value(), theirs.value());
+  const obs::Labels shared = {{"nf_id", std::to_string(theirs.value())}};
+  ASSERT_TRUE(nic_os.NfDestroy(mine.value()).ok());
+  EXPECT_NE(registry.FindCounter("sim.tlb.installs", shared), nullptr);
+  ASSERT_TRUE(other_os.NfDestroy(theirs.value()).ok());
+  EXPECT_EQ(registry.FindCounter("sim.tlb.installs", shared), nullptr);
+
+  // Churn: every launch adds per-NF series and its teardown takes them
+  // away again.
+  const size_t settled = registry.NumSeries();
+  for (int i = 0; i < 3; ++i) {
+    const auto id = nic_os.NfCreate(image);
+    ASSERT_TRUE(id.ok());
+    EXPECT_GT(registry.NumSeries(), settled);
+    ASSERT_TRUE(nic_os.NfDestroy(id.value()).ok());
+    EXPECT_EQ(registry.NumSeries(), settled);
+  }
 }
 
 TEST(GlobalRegistry, IsASingleton) {
