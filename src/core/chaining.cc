@@ -7,8 +7,8 @@
 
 namespace snic::core {
 
-void ChainLink::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
+ChainLink::ChainLink(SnicDevice* device, const ChainLinkConfig& config)
+    : device_(device), config_(config), ring_(obs::CurrentTraceRing()) {
   if (ring_ != nullptr) {
     ring_hop_ = ring_->Intern(obs::spans::kChainHop);
     ring_stall_ = ring_->Intern(obs::spans::kChainStall);
@@ -95,17 +95,7 @@ Result<size_t> ChainManager::CreateLink(const ChainLinkConfig& config) {
   }
   SNIC_CHECK_OK(device_->SetTxChained(config.producer_nf, true));
   links_.emplace_back(device_, config);
-  if (ring_ != nullptr) {
-    links_.back().AttachTraceRing(ring_);
-  }
   return links_.size() - 1;
-}
-
-void ChainManager::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
-  for (ChainLink& link : links_) {
-    link.AttachTraceRing(ring);
-  }
 }
 
 void ChainManager::RemoveLinksFor(uint64_t nf_id) {

@@ -46,11 +46,12 @@ struct ChainLinkStats {
 
 // Trusted cross-VPP transfer engine. Owned by the device-level chain
 // manager; functions cannot see or influence it beyond their own VPP
-// queues.
+// queues. Records chain.hop / chain.stall instants on the
+// obs::CurrentTraceRing() installed at its construction, so a frame's span
+// id stays observable across the hop.
 class ChainLink {
  public:
-  ChainLink(SnicDevice* device, const ChainLinkConfig& config)
-      : device_(device), config_(config) {}
+  ChainLink(SnicDevice* device, const ChainLinkConfig& config);
 
   // One hardware tick: grants up to frames_per_tick credits and moves that
   // many frames producer-TX -> consumer-RX. A frame the consumer cannot
@@ -64,16 +65,12 @@ class ChainLink {
   const ChainLinkConfig& config() const { return config_; }
   const ChainLinkStats& stats() const { return stats_; }
 
-  // Records chain.hop / chain.stall span instants on `ring`; the manager
-  // fans this out so a frame's span id stays observable across the hop.
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   SnicDevice* device_;
   ChainLinkConfig config_;
   ChainLinkStats stats_;
 
-  obs::TraceRing* ring_ = nullptr;
+  obs::TraceRing* ring_;
   uint16_t ring_hop_ = 0;
   uint16_t ring_stall_ = 0;
   uint16_t ring_arg_peer_ = 0;
@@ -101,14 +98,9 @@ class ChainManager {
   size_t link_count() const { return links_.size(); }
   const ChainLink& link(size_t index) const { return links_[index]; }
 
-  // Attaches the binary span ring to every existing link and to links
-  // created afterwards (docs/OBSERVABILITY.md "Binary tracing & spans").
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   SnicDevice* device_;
   std::vector<ChainLink> links_;
-  obs::TraceRing* ring_ = nullptr;
 };
 
 }  // namespace snic::core

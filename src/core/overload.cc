@@ -1,5 +1,7 @@
 #include "src/core/overload.h"
 
+#include <string>
+
 #include "src/fault/fault.h"
 #include "src/obs/span_names.h"
 
@@ -29,6 +31,20 @@ bool TokenBucket::TryConsume() {
   return true;
 }
 
+CircuitBreaker::CircuitBreaker(uint64_t nf_id,
+                               const CircuitBreakerConfig& config)
+    : nf_id_(nf_id),
+      config_(config),
+      obs_state_(&obs::DefaultRegistry().GetGauge(
+          "accel.breaker_state", {{"nf", std::to_string(nf_id)}})),
+      ring_(obs::CurrentTraceRing()) {
+  obs_state_->Set(static_cast<double>(static_cast<uint8_t>(state_)));
+  if (ring_ != nullptr) {
+    ring_breaker_ = ring_->Intern(obs::spans::kAccelBreaker);
+    ring_arg_state_ = ring_->Intern(obs::spans::kArgState);
+  }
+}
+
 void CircuitBreaker::TransitionTo(BreakerState next, uint64_t now) {
   state_ = next;
   switch (next) {
@@ -42,9 +58,7 @@ void CircuitBreaker::TransitionTo(BreakerState next, uint64_t now) {
       half_open_successes_ = 0;
       break;
   }
-  if (obs_state_ != nullptr) {
-    obs_state_->Set(static_cast<double>(static_cast<uint8_t>(next)));
-  }
+  obs_state_->Set(static_cast<double>(static_cast<uint8_t>(next)));
   if (ring_ != nullptr) {
     ring_->EmitInstant(ring_breaker_, now, static_cast<uint32_t>(nf_id_),
                        /*tid=*/2, /*span=*/0,
@@ -113,17 +127,13 @@ void CircuitBreaker::RecordFailure(uint64_t now) {
   }
 }
 
-void CircuitBreaker::AttachObs(obs::MetricRegistry* registry) {
-  obs_state_ = &registry->GetGauge("accel.breaker_state",
-                                   {{"nf", std::to_string(nf_id_)}});
-  obs_state_->Set(static_cast<double>(static_cast<uint8_t>(state_)));
-}
-
-void CircuitBreaker::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
+AccelDispatchGate::AccelDispatchGate(accel::VirtualAcceleratorPool* pool,
+                                     uint64_t nf_id,
+                                     const CircuitBreakerConfig& config)
+    : pool_(pool), breaker_(nf_id, config), ring_(obs::CurrentTraceRing()) {
   if (ring_ != nullptr) {
-    ring_breaker_ = ring_->Intern(obs::spans::kAccelBreaker);
-    ring_arg_state_ = ring_->Intern(obs::spans::kArgState);
+    ring_dispatch_ = ring_->Intern(obs::spans::kAccelDispatch);
+    ring_fallback_ = ring_->Intern(obs::spans::kAccelFallback);
   }
 }
 
@@ -154,15 +164,6 @@ Result<uint64_t> AccelDispatchGate::Dispatch(accel::AcceleratorType type,
     breaker_.RecordFailure(now);
   }
   return access;
-}
-
-void AccelDispatchGate::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
-  if (ring_ != nullptr) {
-    ring_dispatch_ = ring_->Intern(obs::spans::kAccelDispatch);
-    ring_fallback_ = ring_->Intern(obs::spans::kAccelFallback);
-  }
-  breaker_.AttachTraceRing(ring);
 }
 
 }  // namespace snic::core

@@ -134,10 +134,15 @@ struct CircuitBreakerStats {
 // The half-open probe consults the fault plane at
 // `fault::sites::kBreakerProbe`, so chaos schedules can force a probe
 // failure without touching the guarded resource.
+//
+// Telemetry is bound at construction: the `accel.breaker_state{nf=...}`
+// gauge in obs::DefaultRegistry(), kept current across transitions, and an
+// accel.breaker instant (arg = state ordinal) per transition on
+// obs::CurrentTraceRing() when one is installed, so forensics can line
+// breaker trips up against the owner's packet spans.
 class CircuitBreaker {
  public:
-  CircuitBreaker(uint64_t nf_id, const CircuitBreakerConfig& config)
-      : nf_id_(nf_id), config_(config) {}
+  CircuitBreaker(uint64_t nf_id, const CircuitBreakerConfig& config);
 
   // True when the request may proceed. While open, requests are rejected
   // until `open_cycles` have elapsed, then the breaker turns half-open and
@@ -151,15 +156,6 @@ class CircuitBreaker {
   const CircuitBreakerStats& stats() const { return stats_; }
   uint64_t nf_id() const { return nf_id_; }
 
-  // Publishes the `accel.breaker_state{nf=...}` gauge to `registry` and
-  // keeps it current across transitions.
-  void AttachObs(obs::MetricRegistry* registry);
-
-  // Records an accel.breaker span instant (arg = state ordinal) on every
-  // transition, so forensics can line breaker trips up against the owner's
-  // packet spans.
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   void TransitionTo(BreakerState next, uint64_t now);
 
@@ -170,8 +166,8 @@ class CircuitBreaker {
   uint32_t half_open_successes_ = 0;
   uint64_t opened_at_cycle_ = 0;
   CircuitBreakerStats stats_;
-  obs::Gauge* obs_state_ = nullptr;
-  obs::TraceRing* ring_ = nullptr;
+  obs::Gauge* obs_state_;
+  obs::TraceRing* ring_;
   uint16_t ring_breaker_ = 0;
   uint16_t ring_arg_state_ = 0;
 };
@@ -185,12 +181,13 @@ struct AccelDispatchGateStats {
 // Dispatch instead of pool->ThreadAccess directly. While the breaker is
 // open the request is answered kUnavailable immediately — the caller's cue
 // to take its software path — without touching (or timing) the accelerator,
-// which is what makes degradation graceful rather than wedging.
+// which is what makes degradation graceful rather than wedging. Each
+// request lands as an accel.dispatch or accel.fallback instant on the
+// owner's lane of obs::CurrentTraceRing() (bound at construction).
 class AccelDispatchGate {
  public:
   AccelDispatchGate(accel::VirtualAcceleratorPool* pool, uint64_t nf_id,
-                    const CircuitBreakerConfig& config)
-      : pool_(pool), breaker_(nf_id, config) {}
+                    const CircuitBreakerConfig& config);
 
   Result<uint64_t> Dispatch(accel::AcceleratorType type, uint32_t cluster,
                             uint64_t virt_addr, bool is_write, uint64_t now);
@@ -199,15 +196,11 @@ class AccelDispatchGate {
   const CircuitBreaker& breaker() const { return breaker_; }
   const AccelDispatchGateStats& stats() const { return stats_; }
 
-  // Records accel.dispatch / accel.fallback span instants (and the wrapped
-  // breaker's transitions) on `ring`.
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   accel::VirtualAcceleratorPool* pool_;
   CircuitBreaker breaker_;
   AccelDispatchGateStats stats_;
-  obs::TraceRing* ring_ = nullptr;
+  obs::TraceRing* ring_;
   uint16_t ring_dispatch_ = 0;
   uint16_t ring_fallback_ = 0;
 };

@@ -38,25 +38,14 @@ SnicDevice::SnicDevice(const SnicConfig& config,
       root_of_trust_(vendor, config.rsa_modulus_bits, rng_) {
   SNIC_CHECK(config_.num_cores >= 2);  // NIC-OS core + at least one NF core
   SNIC_CHECK(config_.num_cores <= 64);
-  AttachObs(&obs::DefaultRegistry());
-}
-
-void SnicDevice::AttachObs(obs::MetricRegistry* registry) {
-  obs_registry_ = registry;
-  obs_launches_ = &registry->GetCounter("snic.nf.launches");
-  obs_launch_failures_ = &registry->GetCounter("snic.nf.launch_failures");
-  obs_teardowns_ = &registry->GetCounter("snic.nf.teardowns");
-  obs_attests_ = &registry->GetCounter("snic.nf.attests");
-  obs_denylist_rejections_ = &registry->GetCounter("snic.denylist.rejections");
-  obs_unmatched_drops_ = &registry->GetCounter("snic.rx.unmatched_drops");
-  obs_live_nfs_ = &registry->GetGauge("snic.nf.live");
-}
-
-void SnicDevice::AttachTraceRing(obs::TraceRing* ring) {
-  trace_ring_ = ring;
-  for (auto& [id, record] : nfs_) {
-    record->vpp->AttachTraceRing(ring);
-  }
+  obs::MetricRegistry& registry = obs::DefaultRegistry();
+  obs_launches_ = &registry.GetCounter("snic.nf.launches");
+  obs_launch_failures_ = &registry.GetCounter("snic.nf.launch_failures");
+  obs_teardowns_ = &registry.GetCounter("snic.nf.teardowns");
+  obs_attests_ = &registry.GetCounter("snic.nf.attests");
+  obs_denylist_rejections_ = &registry.GetCounter("snic.denylist.rejections");
+  obs_unmatched_drops_ = &registry.GetCounter("snic.rx.unmatched_drops");
+  obs_live_nfs_ = &registry.GetGauge("snic.nf.live");
 }
 
 Result<const SnicDevice::NfRecord*> SnicDevice::FindNf(uint64_t nf_id) const {
@@ -108,11 +97,11 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     return FailedPrecondition("nf_launch requires S-NIC mode");
   }
   if (SNIC_FAULT_FIRES(fault::sites::kNfLaunch, next_nf_id_)) {
-    if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
+    obs_launch_failures_->Inc();
     return ResourceExhausted("injected transient launch failure");
   }
   if (Status check = CheckLaunchArgs(args); !check.ok()) {
-    if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
+    obs_launch_failures_->Inc();
     return check;
   }
   // Reserve accelerator clusters first (atomic failure path: nothing else
@@ -127,7 +116,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
                                           args.accel_clusters[t], nf_id);
     if (!allocated.ok()) {
       accel_pool_.ReleaseAll(nf_id);
-      if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
+      obs_launch_failures_->Inc();
       return allocated.status();
     }
     clusters[t] = std::move(allocated.value());
@@ -139,7 +128,7 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     auto heap = memory_.AllocatePages(args.heap_pages, nf_id);
     if (!heap.ok()) {
       accel_pool_.ReleaseAll(nf_id);
-      if (obs_launch_failures_ != nullptr) obs_launch_failures_->Inc();
+      obs_launch_failures_->Inc();
       return heap.status();
     }
     pages.insert(pages.end(), heap.value().begin(), heap.value().end());
@@ -148,11 +137,9 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // Commit: build the record.
   ++next_nf_id_;
   auto record = std::make_unique<NfRecord>(nf_id, kCoreTlbEntries);
-  if (obs_registry_ != nullptr) {
-    obs::Labels tlb_labels;
-    tlb_labels.emplace_back("nf_id", std::to_string(nf_id));
-    record->tlb.AttachObs(obs_registry_, tlb_labels);
-  }
+  obs::Labels tlb_labels;
+  tlb_labels.emplace_back("nf_id", std::to_string(nf_id));
+  record->tlb.AttachObs(&obs::DefaultRegistry(), tlb_labels);
   record->core_mask = args.core_mask;
   record->pages = pages;
   record->clusters = clusters;
@@ -223,24 +210,13 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   launch_latency_.sha_digest_ms = coproc_.elapsed_ms() - sha_before;
 
   // Install the VPP; its switch rules become live immediately. It joins
-  // the device clock mid-flight and publishes its overload series wherever
-  // the device's own counters live.
+  // the device clock mid-flight.
   record->vpp = std::make_unique<VirtualPacketPipeline>(nf_id, args.vpp);
   record->vpp->AdvanceClockTo(now_);
-  if (obs_registry_ != nullptr) {
-    record->vpp->AttachObs(obs_registry_);
-  }
-  if (trace_ring_ != nullptr) {
-    record->vpp->AttachTraceRing(trace_ring_);
-  }
 
   nfs_[nf_id] = std::move(record);
-  if (obs_launches_ != nullptr) {
-    obs_launches_->Inc();
-  }
-  if (obs_live_nfs_ != nullptr) {
-    obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
-  }
+  obs_launches_->Inc();
+  obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
   return nf_id;
 }
 
@@ -274,16 +250,10 @@ Status SnicDevice::NfTeardown(uint64_t nf_id) {
   // up: release them, and a device that churns through tenants keeps its
   // registry bounded.
   record->tlb.DetachObs();
-  if (record->vpp != nullptr) {
-    record->vpp->DetachObs();
-  }
+  record->vpp->ReleaseObs();
   nfs_.erase(nf_id);
-  if (obs_teardowns_ != nullptr) {
-    obs_teardowns_->Inc();
-  }
-  if (obs_live_nfs_ != nullptr) {
-    obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
-  }
+  obs_teardowns_->Inc();
+  obs_live_nfs_->Set(static_cast<double>(nfs_.size()));
   return OkStatus();
 }
 
@@ -308,7 +278,7 @@ Result<AttestationQuote> SnicDevice::NfAttest(uint64_t nf_id,
   coproc_.AccountRsaSign();
   quote.signature = root_of_trust_.SignWithAk(
       std::span<const uint8_t>(payload.data(), payload.size()));
-  if (obs_attests_ != nullptr) obs_attests_->Inc();
+  obs_attests_->Inc();
   quote.ak_public = root_of_trust_.ak_public();
   quote.ak_endorsement = root_of_trust_.ak_endorsement();
   quote.ek_certificate = root_of_trust_.ek_certificate();
@@ -382,9 +352,7 @@ Result<uint8_t> SnicDevice::MgmtReadPhys(uint64_t paddr) const {
   }
   if (config_.mode == SecurityMode::kSnic &&
       mgmt_denylist_.IsDenied(paddr / memory_.page_bytes())) {
-    if (obs_denylist_rejections_ != nullptr) {
-      obs_denylist_rejections_->Inc();
-    }
+    obs_denylist_rejections_->Inc();
     return PermissionDenied("denylisted page (owned by a live NF)");
   }
   return memory_.ReadByte(paddr);
@@ -396,9 +364,7 @@ Status SnicDevice::MgmtWritePhys(uint64_t paddr, uint8_t value) {
   }
   if (config_.mode == SecurityMode::kSnic &&
       mgmt_denylist_.IsDenied(paddr / memory_.page_bytes())) {
-    if (obs_denylist_rejections_ != nullptr) {
-      obs_denylist_rejections_->Inc();
-    }
+    obs_denylist_rejections_->Inc();
     return PermissionDenied("denylisted page (owned by a live NF)");
   }
   memory_.WriteByte(paddr, value);
@@ -438,9 +404,7 @@ Status SnicDevice::DeliverFromWire(net::Packet packet) {
   const auto parsed = net::Parse(packet.bytes());
   if (!parsed.ok()) {
     ++unmatched_rx_drops_;
-    if (obs_unmatched_drops_ != nullptr) {
-      obs_unmatched_drops_->Inc();
-    }
+    obs_unmatched_drops_->Inc();
     return parsed.status();
   }
   for (auto& [id, record] : nfs_) {
@@ -458,9 +422,7 @@ Status SnicDevice::DeliverFromWire(net::Packet packet) {
     }
   }
   ++unmatched_rx_drops_;
-  if (obs_unmatched_drops_ != nullptr) {
-    obs_unmatched_drops_->Inc();
-  }
+  obs_unmatched_drops_->Inc();
   return NotFound("no switch rule matched");
 }
 

@@ -179,17 +179,6 @@ class SnicDevice {
   // Free core count (excludes the NIC-OS core in S-NIC mode).
   uint32_t FreeCores() const;
 
-  // Points the trusted-instruction counters (`snic.nf.launches`,
-  // `snic.nf.teardowns`, `snic.nf.attests`, `snic.denylist.rejections`,
-  // `snic.rx.unmatched_drops`, ...) at `registry`. The constructor attaches
-  // to obs::DefaultRegistry() by default; pass a private registry in tests.
-  void AttachObs(obs::MetricRegistry* registry);
-
-  // Attaches the binary span ring to every live VPP and to VPPs launched
-  // afterwards (docs/OBSERVABILITY.md "Binary tracing & spans"). Pass
-  // nullptr to detach.
-  void AttachTraceRing(obs::TraceRing* ring);
-
   // Attaches the SR-IOV-style vNIC front-end (src/core/vnic). Once attached,
   // DeliverFromWire routes a matched frame through the owning VF — posted
   // descriptor, completion queue, quotas — before the VPP; NFs without a VF
@@ -235,15 +224,16 @@ class SnicDevice {
   LaunchLatency launch_latency_;
   TeardownLatency teardown_latency_;
 
-  obs::MetricRegistry* obs_registry_ = nullptr;
-  obs::TraceRing* trace_ring_ = nullptr;
-  obs::Counter* obs_launches_ = nullptr;
-  obs::Counter* obs_launch_failures_ = nullptr;
-  obs::Counter* obs_teardowns_ = nullptr;
-  obs::Counter* obs_attests_ = nullptr;
-  obs::Counter* obs_denylist_rejections_ = nullptr;
-  obs::Counter* obs_unmatched_drops_ = nullptr;
-  obs::Gauge* obs_live_nfs_ = nullptr;
+  // The trusted-instruction series, bound in obs::DefaultRegistry() at
+  // construction. A launch binds its function's own series (core TLB, VPP)
+  // the same way when it builds them.
+  obs::Counter* obs_launches_;
+  obs::Counter* obs_launch_failures_;
+  obs::Counter* obs_teardowns_;
+  obs::Counter* obs_attests_;
+  obs::Counter* obs_denylist_rejections_;
+  obs::Counter* obs_unmatched_drops_;
+  obs::Gauge* obs_live_nfs_;
 };
 
 }  // namespace snic::core

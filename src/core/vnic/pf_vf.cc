@@ -1,5 +1,7 @@
 #include "src/core/vnic/pf_vf.h"
 
+#include <string>
+
 #include "src/fault/fault.h"
 #include "src/obs/span_names.h"
 
@@ -10,6 +12,44 @@ namespace {
 // total (callers are expected to hold valid ids; tests use this leniency).
 const VfStats kEmptyVfStats;
 }  // namespace
+
+PfVfManager::Vf::Vf(const VfQuota& q, obs::MetricRegistry& registry,
+                     uint32_t vf_id)
+    : quota(q), ring(q.ring_slots), cq(q.cq_slots), doorbell(q.doorbell) {
+  const std::string id = std::to_string(vf_id);
+  m_posted = &registry.GetCounter("vnic.posted", {{"vf", id}});
+  m_post_rejected = &registry.GetCounter("vnic.post_rejected", {{"vf", id}});
+  m_rings = &registry.GetCounter("vnic.doorbell.rings", {{"vf", id}});
+  m_rings_rejected =
+      &registry.GetCounter("vnic.doorbell.rejected", {{"vf", id}});
+  m_delivered = &registry.GetCounter("vnic.delivered", {{"vf", id}});
+  m_drops_no_desc = &registry.GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "no_descriptor"}});
+  m_drops_cq_full = &registry.GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "cq_full"}});
+  m_drops_vpp = &registry.GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "vpp_backpressure"}});
+  m_drops_quarantined = &registry.GetCounter(
+      "vnic.drops", {{"vf", id}, {"reason", "quarantined"}});
+  m_harvested = &registry.GetCounter("vnic.harvested", {{"vf", id}});
+  m_resets = &registry.GetCounter("vnic.vf.resets", {{"vf", id}});
+  m_abuse = &registry.GetCounter("vnic.abuse.flagged", {{"vf", id}});
+}
+
+PfVfManager::PfVfManager()
+    : registry_(&obs::DefaultRegistry()), ring_(obs::CurrentTraceRing()) {
+  if (ring_ != nullptr) {
+    span_post_ = ring_->Intern(obs::spans::kVnicDescPost);
+    span_doorbell_ = ring_->Intern(obs::spans::kVnicDoorbellRing);
+    span_deliver_ = ring_->Intern(obs::spans::kVnicDeliver);
+    span_harvest_ = ring_->Intern(obs::spans::kVnicHarvest);
+    span_reset_ = ring_->Intern(obs::spans::kVnicVfReset);
+    span_abuse_ = ring_->Intern(obs::spans::kVnicAbuseFlagged);
+    arg_vf_ = ring_->Intern(obs::spans::kArgVf);
+    arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
+    arg_cause_ = ring_->Intern(obs::spans::kArgCause);
+  }
+}
 
 PfVfManager::Vf* PfVfManager::Find(uint32_t vf_id) {
   const auto it = vfs_.find(vf_id);
@@ -31,10 +71,9 @@ Result<uint32_t> PfVfManager::CreateVf(uint64_t nf_id,
     return AlreadyOwned("vf: NF already has a virtual function");
   }
   const uint32_t vf_id = next_vf_id_++;
-  auto vf = std::make_unique<Vf>(quota);
+  auto vf = std::make_unique<Vf>(quota, *registry_, vf_id);
   vf->nf_id = nf_id;
   vf->vpp = vpp;
-  AttachVfObs(vf_id, *vf);
   vfs_.emplace(vf_id, std::move(vf));
   nf_to_vf_[nf_id] = vf_id;
   return vf_id;
@@ -71,7 +110,7 @@ Status PfVfManager::RebindVf(uint32_t vf_id, uint64_t new_nf_id,
     strikes = 0;
   }
   ++vf->stats.resets;
-  if (vf->m_resets != nullptr) vf->m_resets->Inc();
+  vf->m_resets->Inc();
   if (ring_ != nullptr) {
     ring_->EmitInstant(span_reset_, now_, static_cast<uint32_t>(new_nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
@@ -97,7 +136,7 @@ void PfVfManager::Strike(uint32_t vf_id, Vf& vf, VfAbuse kind) {
   }
   vf.abuse_latched[index] = true;
   ++vf.stats.abuse_flags;
-  if (vf.m_abuse != nullptr) vf.m_abuse->Inc();
+  vf.m_abuse->Inc();
   if (ring_ != nullptr) {
     ring_->EmitInstant(span_abuse_, now_, static_cast<uint32_t>(vf.nf_id),
                        /*tid=*/0, /*span=*/0, static_cast<uint64_t>(index),
@@ -137,7 +176,7 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
   }
   if (!status.ok()) {
     ++vf->stats.post_rejected_decode;
-    if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc();
+    vf->m_post_rejected->Inc();
     Strike(vf_id, *vf, VfAbuse::kBadDescriptor);
     return status;
   }
@@ -153,7 +192,7 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
     if (vf->posted_bytes + vf->churn_penalty_bytes + descriptor.buffer_len >
         vf->quota.posted_bytes_limit) {
       ++vf->stats.post_rejected_quota;
-      if (vf->m_post_rejected != nullptr) vf->m_post_rejected->Inc();
+      vf->m_post_rejected->Inc();
       Strike(vf_id, *vf, VfAbuse::kQuotaChurn);
       return ResourceExhausted("vf: posted-byte quota exhausted");
     }
@@ -161,22 +200,18 @@ Status PfVfManager::PostDescriptors(uint32_t vf_id,
     if (!posted.ok()) {
       if (posted.code() == ErrorCode::kInvalidArgument) {
         ++vf->stats.post_rejected_stale;
-        if (vf->m_post_rejected != nullptr) {
-          vf->m_post_rejected->Inc();
-        }
+        vf->m_post_rejected->Inc();
         Strike(vf_id, *vf, VfAbuse::kBadDescriptor);
       } else {
         ++vf->stats.post_rejected_full;
-        if (vf->m_post_rejected != nullptr) {
-          vf->m_post_rejected->Inc();
-        }
+        vf->m_post_rejected->Inc();
       }
       return posted;
     }
     vf->posted_bytes += descriptor.buffer_len;
     ++vf->stats.posts_accepted;
     ++accepted;
-    if (vf->m_posted != nullptr) vf->m_posted->Inc();
+    vf->m_posted->Inc();
   }
   if (ring_ != nullptr && accepted > 0) {
     ring_->EmitInstant(span_post_, now_, static_cast<uint32_t>(vf->nf_id),
@@ -196,12 +231,12 @@ bool PfVfManager::RingDoorbell(uint32_t vf_id) {
   }
   if (!vf->doorbell.Ring()) {
     ++vf->stats.doorbell_rejected;
-    if (vf->m_rings_rejected != nullptr) vf->m_rings_rejected->Inc();
+    vf->m_rings_rejected->Inc();
     Strike(vf_id, *vf, VfAbuse::kDoorbellFlood);
     return false;
   }
   ++vf->stats.doorbell_rings;
-  if (vf->m_rings != nullptr) vf->m_rings->Inc();
+  vf->m_rings->Inc();
   if (ring_ != nullptr) {
     ring_->EmitInstant(span_doorbell_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, /*span=*/0, vf_id, arg_vf_);
@@ -226,7 +261,7 @@ Result<CompletionQueue::Completion> PfVfManager::Harvest(uint32_t vf_id) {
     return completion;
   }
   ++vf->stats.harvested;
-  if (vf->m_harvested != nullptr) vf->m_harvested->Inc();
+  vf->m_harvested->Inc();
   if (ring_ != nullptr) {
     ring_->EmitInstant(span_harvest_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, completion.value().span_id, vf_id, arg_vf_);
@@ -241,15 +276,13 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   }
   if (vf->quarantined) {
     ++vf->stats.dropped_quarantined;
-    if (vf->m_drops_quarantined != nullptr) {
-      vf->m_drops_quarantined->Inc();
-    }
+    vf->m_drops_quarantined->Inc();
     return Unavailable("vf: quarantined");
   }
   const auto posted = vf->ring.Peek();
   if (!posted.ok()) {
     ++vf->stats.dropped_no_descriptor;
-    if (vf->m_drops_no_desc != nullptr) vf->m_drops_no_desc->Inc();
+    vf->m_drops_no_desc->Inc();
     return ResourceExhausted("vf: no posted descriptor");
   }
   if (packet.size() > posted.value().descriptor.buffer_len) {
@@ -260,7 +293,7 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   }
   if (vf->cq.Full()) {
     ++vf->stats.dropped_cq_full;
-    if (vf->m_drops_cq_full != nullptr) vf->m_drops_cq_full->Inc();
+    vf->m_drops_cq_full->Inc();
     Strike(vf_id, *vf, VfAbuse::kCqSquat);
     return ResourceExhausted("vf: completion queue full");
   }
@@ -271,7 +304,7 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
     // VPP backpressure (or an injected ingress fault): leave the descriptor
     // posted so the ring stops draining — that is the backpressure signal.
     ++vf->stats.dropped_vpp;
-    if (vf->m_drops_vpp != nullptr) vf->m_drops_vpp->Inc();
+    vf->m_drops_vpp->Inc();
     return enqueued;
   }
   const auto consumed = vf->ring.Consume();
@@ -291,7 +324,7 @@ Status PfVfManager::DeliverToVf(uint32_t vf_id, net::Packet packet) {
   completion.span_id = span_id;
   SNIC_CHECK_OK(vf->cq.Push(completion));  // Full() was checked above
   ++vf->stats.delivered;
-  if (vf->m_delivered != nullptr) vf->m_delivered->Inc();
+  vf->m_delivered->Inc();
   if (ring_ != nullptr) {
     ring_->EmitInstant(span_deliver_, now_, static_cast<uint32_t>(vf->nf_id),
                        /*tid=*/0, span_id, wait, arg_residency_);
@@ -344,53 +377,6 @@ uint32_t PfVfManager::CqPending(uint32_t vf_id) const {
 
 void PfVfManager::SetAbuseCallback(AbuseCallback callback) {
   abuse_callback_ = std::move(callback);
-}
-
-void PfVfManager::AttachVfObs(uint32_t vf_id, Vf& vf) {
-  if (registry_ == nullptr) {
-    return;
-  }
-  const std::string id = std::to_string(vf_id);
-  vf.m_posted = &registry_->GetCounter("vnic.posted", {{"vf", id}});
-  vf.m_post_rejected =
-      &registry_->GetCounter("vnic.post_rejected", {{"vf", id}});
-  vf.m_rings = &registry_->GetCounter("vnic.doorbell.rings", {{"vf", id}});
-  vf.m_rings_rejected =
-      &registry_->GetCounter("vnic.doorbell.rejected", {{"vf", id}});
-  vf.m_delivered = &registry_->GetCounter("vnic.delivered", {{"vf", id}});
-  vf.m_drops_no_desc = &registry_->GetCounter(
-      "vnic.drops", {{"vf", id}, {"reason", "no_descriptor"}});
-  vf.m_drops_cq_full = &registry_->GetCounter(
-      "vnic.drops", {{"vf", id}, {"reason", "cq_full"}});
-  vf.m_drops_vpp = &registry_->GetCounter(
-      "vnic.drops", {{"vf", id}, {"reason", "vpp_backpressure"}});
-  vf.m_drops_quarantined = &registry_->GetCounter(
-      "vnic.drops", {{"vf", id}, {"reason", "quarantined"}});
-  vf.m_harvested = &registry_->GetCounter("vnic.harvested", {{"vf", id}});
-  vf.m_resets = &registry_->GetCounter("vnic.vf.resets", {{"vf", id}});
-  vf.m_abuse = &registry_->GetCounter("vnic.abuse.flagged", {{"vf", id}});
-}
-
-void PfVfManager::AttachObs(obs::MetricRegistry* registry) {
-  registry_ = registry;
-  for (auto& [vf_id, vf] : vfs_) {
-    AttachVfObs(vf_id, *vf);
-  }
-}
-
-void PfVfManager::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
-  if (ring_ != nullptr) {
-    span_post_ = ring_->Intern(obs::spans::kVnicDescPost);
-    span_doorbell_ = ring_->Intern(obs::spans::kVnicDoorbellRing);
-    span_deliver_ = ring_->Intern(obs::spans::kVnicDeliver);
-    span_harvest_ = ring_->Intern(obs::spans::kVnicHarvest);
-    span_reset_ = ring_->Intern(obs::spans::kVnicVfReset);
-    span_abuse_ = ring_->Intern(obs::spans::kVnicAbuseFlagged);
-    arg_vf_ = ring_->Intern(obs::spans::kArgVf);
-    arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
-    arg_cause_ = ring_->Intern(obs::spans::kArgCause);
-  }
 }
 
 }  // namespace snic::core::vnic

@@ -100,7 +100,10 @@ class PfVfManager {
   // cheap and non-reentrant (report, don't reset from within).
   using AbuseCallback = std::function<void(uint32_t, VfAbuse)>;
 
-  PfVfManager() = default;
+  // Binds obs::DefaultRegistry() (each VF's `vnic.*{vf=...}` series are
+  // created there by CreateVf) and, when one is installed,
+  // obs::CurrentTraceRing() for the vnic.* span instants.
+  PfVfManager();
   PfVfManager(const PfVfManager&) = delete;
   PfVfManager& operator=(const PfVfManager&) = delete;
 
@@ -146,8 +149,6 @@ class PfVfManager {
   uint32_t CqPending(uint32_t vf_id) const;
 
   void SetAbuseCallback(AbuseCallback callback);
-  void AttachObs(obs::MetricRegistry* registry);
-  void AttachTraceRing(obs::TraceRing* ring);
 
  private:
   struct Vf {
@@ -163,27 +164,25 @@ class PfVfManager {
     bool abuse_latched[kNumVfAbuseKinds] = {false, false, false, false};
     VfStats stats;
 
-    // Metric handles (null until a registry is attached).
-    obs::Counter* m_posted = nullptr;
-    obs::Counter* m_post_rejected = nullptr;
-    obs::Counter* m_rings = nullptr;
-    obs::Counter* m_rings_rejected = nullptr;
-    obs::Counter* m_delivered = nullptr;
-    obs::Counter* m_drops_no_desc = nullptr;
-    obs::Counter* m_drops_cq_full = nullptr;
-    obs::Counter* m_drops_vpp = nullptr;
-    obs::Counter* m_drops_quarantined = nullptr;
-    obs::Counter* m_harvested = nullptr;
-    obs::Counter* m_resets = nullptr;
-    obs::Counter* m_abuse = nullptr;
+    // Metric handles, labelled {vf=<id>}.
+    obs::Counter* m_posted;
+    obs::Counter* m_post_rejected;
+    obs::Counter* m_rings;
+    obs::Counter* m_rings_rejected;
+    obs::Counter* m_delivered;
+    obs::Counter* m_drops_no_desc;
+    obs::Counter* m_drops_cq_full;
+    obs::Counter* m_drops_vpp;
+    obs::Counter* m_drops_quarantined;
+    obs::Counter* m_harvested;
+    obs::Counter* m_resets;
+    obs::Counter* m_abuse;
 
-    Vf(const VfQuota& q)
-        : quota(q), ring(q.ring_slots), cq(q.cq_slots), doorbell(q.doorbell) {}
+    Vf(const VfQuota& q, obs::MetricRegistry& registry, uint32_t vf_id);
   };
 
   Vf* Find(uint32_t vf_id);
   const Vf* Find(uint32_t vf_id) const;
-  void AttachVfObs(uint32_t vf_id, Vf& vf);
   void Strike(uint32_t vf_id, Vf& vf, VfAbuse kind);
 
   std::map<uint32_t, std::unique_ptr<Vf>> vfs_;
@@ -191,9 +190,9 @@ class PfVfManager {
   uint32_t next_vf_id_ = 1;
   uint64_t now_ = 0;
   AbuseCallback abuse_callback_;
-  obs::MetricRegistry* registry_ = nullptr;
-  obs::TraceRing* ring_ = nullptr;
-  // Interned span/arg ids (AttachTraceRing).
+  obs::MetricRegistry* registry_;
+  obs::TraceRing* ring_;
+  // Interned span/arg ids (set while ring_ is non-null).
   uint16_t span_post_ = 0;
   uint16_t span_doorbell_ = 0;
   uint16_t span_deliver_ = 0;

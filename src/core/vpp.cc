@@ -1,6 +1,7 @@
 #include "src/core/vpp.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/fault/fault.h"
 #include "src/obs/span_names.h"
@@ -27,7 +28,40 @@ VirtualPacketPipeline::VirtualPacketPipeline(uint64_t nf_id,
       admission_(config.overload.admission_burst_frames,
                  config.overload.admission_frames_per_refill,
                  config.overload.admission_refill_cycles),
-      scheduler_tlb_(kVppTlbEntries) {}
+      scheduler_tlb_(kVppTlbEntries),
+      ring_(obs::CurrentTraceRing()),
+      obs_registry_(&obs::DefaultRegistry()) {
+  const std::string nf = std::to_string(nf_id_);
+  obs::MetricRegistry& registry = *obs_registry_;
+  obs_rx_depth_ = &registry.GetGauge("vpp.rx_queue_depth", {{"nf", nf}});
+  obs_drops_full_rx_ =
+      &registry.GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "rx"}});
+  obs_drops_full_tx_ =
+      &registry.GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "tx"}});
+  obs_drops_admission_ =
+      &registry.GetCounter("vpp.drops.admission", {{"nf", nf}});
+  obs_drops_early_ = &registry.GetCounter("vpp.drops.early", {{"nf", nf}});
+  obs_shed_rx_ = &registry.GetCounter("overload.shed.deadline",
+                                      {{"nf", nf}, {"path", "rx"}});
+  obs_shed_tx_ = &registry.GetCounter("overload.shed.deadline",
+                                      {{"nf", nf}, {"path", "tx"}});
+  obs_shed_bytes_ = &registry.GetCounter("overload.shed.bytes", {{"nf", nf}});
+  UpdateRxDepthObs();
+  if (ring_ != nullptr) {
+    ring_rx_enq_ = ring_->Intern(obs::spans::kVppRxEnqueue);
+    ring_rx_deq_ = ring_->Intern(obs::spans::kVppRxDequeue);
+    ring_tx_enq_ = ring_->Intern(obs::spans::kVppTxEnqueue);
+    ring_tx_deq_ = ring_->Intern(obs::spans::kVppTxDequeue);
+    ring_rx_rejected_ = ring_->Intern(obs::spans::kVppRxRejected);
+    ring_shed_ = ring_->Intern(obs::spans::kVppDeadlineShed);
+    ring_arg_depth_ = ring_->Intern(obs::spans::kArgDepth);
+    ring_arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
+    ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
+    ring_->SetProcessName(RingPid(), "nf" + nf);
+    ring_->SetThreadName(RingPid(), 0, "rx");
+    ring_->SetThreadName(RingPid(), 1, "tx");
+  }
+}
 
 void VirtualPacketPipeline::AdvanceClockTo(uint64_t cycle) {
   if (cycle > now_) {
@@ -78,9 +112,7 @@ bool VirtualPacketPipeline::DeadlineExpired(uint64_t enqueue_cycle) const {
 }
 
 void VirtualPacketPipeline::UpdateRxDepthObs() {
-  if (obs_rx_depth_ != nullptr) {
-    obs_rx_depth_->Set(static_cast<double>(rx_queue_.size()));
-  }
+  obs_rx_depth_->Set(static_cast<double>(rx_queue_.size()));
 }
 
 void VirtualPacketPipeline::ShedRxFront() {
@@ -89,8 +121,8 @@ void VirtualPacketPipeline::ShedRxFront() {
   rx_buffered_bytes_ -= bytes;
   ++stats_.rx_shed_deadline;
   stats_.shed_bytes += bytes;
-  if (obs_shed_rx_ != nullptr) obs_shed_rx_->Inc();
-  if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
+  obs_shed_rx_->Inc();
+  obs_shed_bytes_->Inc(bytes);
   if (ring_ != nullptr) {
     ring_->EmitInstant(ring_shed_, now_, RingPid(), /*tid=*/0,
                        stale.packet.span_id(), now_ - stale.enqueue_cycle,
@@ -133,7 +165,7 @@ bool VirtualPacketPipeline::MakeRoomByEarlyDrop(uint64_t incoming_bytes) {
     }
     rx_buffered_bytes_ -= victim_bytes;
     ++stats_.rx_dropped_early;
-    if (obs_drops_early_ != nullptr) obs_drops_early_->Inc();
+    obs_drops_early_->Inc();
     rx_queue_.erase(rx_queue_.begin() + static_cast<ptrdiff_t>(victim));
   }
   return true;
@@ -163,13 +195,13 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
   // rejecting frames the bucket would have admitted.
   if (SNIC_FAULT_FIRES(fault::sites::kVppRxAdmissionReject, nf_id_)) {
     ++stats_.rx_dropped_admission;
-    if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc();
+    obs_drops_admission_->Inc();
     EmitRingRejected(packet.span_id(), kRejectAdmission);
     return ResourceExhausted("injected admission reject");
   }
   if (!admission_.HasToken()) {
     ++stats_.rx_dropped_admission;
-    if (obs_drops_admission_ != nullptr) obs_drops_admission_->Inc();
+    obs_drops_admission_->Inc();
     EmitRingRejected(packet.span_id(), kRejectAdmission);
     return ResourceExhausted("admission token bucket empty");
   }
@@ -182,7 +214,7 @@ Status VirtualPacketPipeline::EnqueueRx(net::Packet packet) {
         MakeRoomByEarlyDrop(packet.size());
     if (!admitted) {
       ++stats_.rx_dropped_full;
-      if (obs_drops_full_rx_ != nullptr) obs_drops_full_rx_->Inc();
+      obs_drops_full_rx_->Inc();
       EmitRingRejected(packet.span_id(), kRejectFull);
       return ResourceExhausted("RX buffer reservation full");
     }
@@ -233,7 +265,7 @@ Status VirtualPacketPipeline::EnqueueTx(net::Packet packet) {
   // TX reservation: the ODB bounds outstanding descriptors (64 B each).
   if (tx_queue_.size() >= TxCapacityFrames()) {
     ++stats_.tx_dropped_full;
-    if (obs_drops_full_tx_ != nullptr) obs_drops_full_tx_->Inc();
+    obs_drops_full_tx_->Inc();
     return ResourceExhausted("TX descriptor reservation full");
   }
   stats_.tx_bytes += packet.size();
@@ -253,8 +285,8 @@ const net::Packet* VirtualPacketPipeline::PeekTx() {
     const uint64_t bytes = tx_queue_.front().packet.size();
     ++stats_.tx_shed_deadline;
     stats_.shed_bytes += bytes;
-    if (obs_shed_tx_ != nullptr) obs_shed_tx_->Inc();
-    if (obs_shed_bytes_ != nullptr) obs_shed_bytes_->Inc(bytes);
+    obs_shed_tx_->Inc();
+    obs_shed_bytes_->Inc(bytes);
     if (ring_ != nullptr) {
       ring_->EmitInstant(ring_shed_, now_, RingPid(), /*tid=*/1,
                          tx_queue_.front().packet.span_id(),
@@ -281,60 +313,11 @@ Result<net::Packet> VirtualPacketPipeline::DequeueTx() {
   return packet;
 }
 
-void VirtualPacketPipeline::AttachObs(obs::MetricRegistry* registry) {
-  obs_registry_ = registry;
-  const std::string nf = std::to_string(nf_id_);
-  obs_rx_depth_ = &registry->GetGauge("vpp.rx_queue_depth", {{"nf", nf}});
-  obs_drops_full_rx_ =
-      &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "rx"}});
-  obs_drops_full_tx_ =
-      &registry->GetCounter("vpp.drops.full", {{"nf", nf}, {"path", "tx"}});
-  obs_drops_admission_ =
-      &registry->GetCounter("vpp.drops.admission", {{"nf", nf}});
-  obs_drops_early_ = &registry->GetCounter("vpp.drops.early", {{"nf", nf}});
-  obs_shed_rx_ = &registry->GetCounter("overload.shed.deadline",
-                                       {{"nf", nf}, {"path", "rx"}});
-  obs_shed_tx_ = &registry->GetCounter("overload.shed.deadline",
-                                       {{"nf", nf}, {"path", "tx"}});
-  obs_shed_bytes_ = &registry->GetCounter("overload.shed.bytes", {{"nf", nf}});
-  UpdateRxDepthObs();
-}
-
-void VirtualPacketPipeline::DetachObs() {
-  if (obs_registry_ == nullptr) {
-    return;
-  }
+void VirtualPacketPipeline::ReleaseObs() {
   obs_registry_->Release({obs_drops_full_rx_, obs_drops_full_tx_,
                           obs_drops_admission_, obs_drops_early_,
                           obs_shed_rx_, obs_shed_tx_, obs_shed_bytes_},
                          {obs_rx_depth_});
-  obs_registry_ = nullptr;
-  obs_rx_depth_ = nullptr;
-  obs_drops_full_rx_ = nullptr;
-  obs_drops_full_tx_ = nullptr;
-  obs_drops_admission_ = nullptr;
-  obs_drops_early_ = nullptr;
-  obs_shed_rx_ = nullptr;
-  obs_shed_tx_ = nullptr;
-  obs_shed_bytes_ = nullptr;
-}
-
-void VirtualPacketPipeline::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
-  if (ring_ != nullptr) {
-    ring_rx_enq_ = ring_->Intern(obs::spans::kVppRxEnqueue);
-    ring_rx_deq_ = ring_->Intern(obs::spans::kVppRxDequeue);
-    ring_tx_enq_ = ring_->Intern(obs::spans::kVppTxEnqueue);
-    ring_tx_deq_ = ring_->Intern(obs::spans::kVppTxDequeue);
-    ring_rx_rejected_ = ring_->Intern(obs::spans::kVppRxRejected);
-    ring_shed_ = ring_->Intern(obs::spans::kVppDeadlineShed);
-    ring_arg_depth_ = ring_->Intern(obs::spans::kArgDepth);
-    ring_arg_residency_ = ring_->Intern(obs::spans::kArgResidency);
-    ring_arg_cause_ = ring_->Intern(obs::spans::kArgCause);
-    ring_->SetProcessName(RingPid(), "nf" + std::to_string(nf_id_));
-    ring_->SetThreadName(RingPid(), 0, "rx");
-    ring_->SetThreadName(RingPid(), 1, "tx");
-  }
 }
 
 }  // namespace snic::core

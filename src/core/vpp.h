@@ -31,6 +31,7 @@
 #include "src/core/overload.h"
 #include "src/net/packet.h"
 #include "src/net/switching.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
 #include "src/sim/tlb.h"
 
@@ -62,7 +63,13 @@ struct VppStats {
   uint64_t rx_peak_bytes = 0;
 };
 
-// One function's pipeline instance.
+// One function's pipeline instance. Its constructor binds the per-NF
+// overload series (`vpp.rx_queue_depth`, `vpp.drops.*`, `overload.shed.*`)
+// in obs::DefaultRegistry() and, when obs::CurrentTraceRing() is installed,
+// interns the vpp.* span names and registers this NF's lane there
+// (docs/OBSERVABILITY.md "Binary tracing & spans"); from then on every frame
+// entering EnqueueRx gets a causal span id and each queue transition is one
+// fixed-size record.
 class VirtualPacketPipeline {
  public:
   VirtualPacketPipeline(uint64_t nf_id, const VppConfig& config);
@@ -108,20 +115,10 @@ class VirtualPacketPipeline {
   uint32_t RxCapacityFrames() const;
   uint32_t TxCapacityFrames() const;
 
-  // Publishes the per-NF overload series (`vpp.rx_queue_depth`,
-  // `vpp.drops.*`, `overload.shed.*`) to `registry`; the device wires this
-  // up at nf_launch.
-  void AttachObs(obs::MetricRegistry* registry);
-  // Releases those series (MetricRegistry::Release); the device calls it
-  // at nf_teardown. A no-op when none are attached.
-  void DetachObs();
-
-  // Attaches the binary span ring (docs/OBSERVABILITY.md "Binary tracing &
-  // spans"): interns the vpp.* span names once, registers this NF's lane,
-  // and from then on mints a causal span id for every frame entering
-  // EnqueueRx. Each queue transition is then one fixed-size record. The
-  // device fans this out at nf_launch alongside AttachObs.
-  void AttachTraceRing(obs::TraceRing* ring);
+  // Gives back the per-NF series the constructor bound
+  // (MetricRegistry::Release). The device calls it once, at nf_teardown,
+  // just before it destroys the pipeline.
+  void ReleaseObs();
 
   // The scheduler unit's locked TLB (priced in Table 4).
   sim::LockedTlb& scheduler_tlb() { return scheduler_tlb_; }
@@ -153,7 +150,9 @@ class VirtualPacketPipeline {
   sim::LockedTlb scheduler_tlb_;
   VppStats stats_;
 
-  obs::TraceRing* ring_ = nullptr;
+  // Bound at construction: the ring is obs::CurrentTraceRing() (null when
+  // untraced), the series live in obs::DefaultRegistry().
+  obs::TraceRing* ring_;
   uint64_t span_seq_ = 0;  // low word of minted span ids, per-VPP
   uint16_t ring_rx_enq_ = 0;
   uint16_t ring_rx_deq_ = 0;
@@ -165,15 +164,15 @@ class VirtualPacketPipeline {
   uint16_t ring_arg_residency_ = 0;
   uint16_t ring_arg_cause_ = 0;
 
-  obs::MetricRegistry* obs_registry_ = nullptr;
-  obs::Gauge* obs_rx_depth_ = nullptr;
-  obs::Counter* obs_drops_full_rx_ = nullptr;
-  obs::Counter* obs_drops_full_tx_ = nullptr;
-  obs::Counter* obs_drops_admission_ = nullptr;
-  obs::Counter* obs_drops_early_ = nullptr;
-  obs::Counter* obs_shed_rx_ = nullptr;
-  obs::Counter* obs_shed_tx_ = nullptr;
-  obs::Counter* obs_shed_bytes_ = nullptr;
+  obs::MetricRegistry* obs_registry_;
+  obs::Gauge* obs_rx_depth_;
+  obs::Counter* obs_drops_full_rx_;
+  obs::Counter* obs_drops_full_tx_;
+  obs::Counter* obs_drops_admission_;
+  obs::Counter* obs_drops_early_;
+  obs::Counter* obs_shed_rx_;
+  obs::Counter* obs_shed_tx_;
+  obs::Counter* obs_shed_bytes_;
 };
 
 }  // namespace snic::core

@@ -38,9 +38,10 @@ struct RsaKeyPair {
   RsaPrivateKey private_key;
 };
 
-// Generates an RSA key pair with a modulus of `modulus_bits` bits
-// (two random primes of modulus_bits/2; e = 65537). Deterministic given the
-// RNG state, which the tests rely on.
+// Generates an RSA key pair from two random primes of exactly
+// modulus_bits/2 bits each (e = 65537), so the modulus has `modulus_bits` or
+// `modulus_bits - 1` bits: only each prime's top bit is forced. Deterministic
+// given the RNG state, which the tests rely on.
 RsaKeyPair GenerateRsaKeyPair(size_t modulus_bits, Rng& rng);
 
 // Signs SHA-256(message) with the EMSA-PKCS1-v1_5 padding layout

@@ -10,49 +10,26 @@ namespace internal {
 thread_local constinit FaultPlane* tls_plane = nullptr;
 }  // namespace internal
 
-void FaultPlane::AddRule(FaultRule rule) {
-  rules_.push_back(RuleState{std::move(rule)});
-  if (registry_ != nullptr) {
-    PublishRule(rules_.back());
-  }
+FaultPlane::FaultPlane()
+    : registry_(&obs::DefaultRegistry()), ring_(obs::CurrentTraceRing()) {
   if (ring_ != nullptr) {
-    // Rule sites are schedule data, not compile-time span names; they live
-    // in the fault-site registry. snic-lint: allow(span-name-registry)
-    rules_.back().ring_site = ring_->Intern(rules_.back().rule.site);
+    ring_fired_ = ring_->Intern(obs::spans::kFaultFired);
+    ring_arg_site_ = ring_->Intern(obs::spans::kArgSite);
   }
 }
 
-void FaultPlane::PublishRule(RuleState& state) {
+void FaultPlane::AddRule(FaultRule rule) {
+  RuleState& state = rules_.emplace_back(RuleState{std::move(rule)});
   obs::Labels labels;
   labels.emplace_back("site", state.rule.site);
   labels.emplace_back("nf", state.rule.nf_id == kAnyNf
                                 ? std::string("any")
                                 : std::to_string(state.rule.nf_id));
   state.obs_injected = &registry_->GetCounter("fault.injected", labels);
-}
-
-void FaultPlane::AttachObs(obs::MetricRegistry* registry) {
-  registry_ = registry;
-  if (registry_ == nullptr) {
-    for (RuleState& state : rules_) {
-      state.obs_injected = nullptr;
-    }
-    return;
-  }
-  for (RuleState& state : rules_) {
-    PublishRule(state);
-  }
-}
-
-void FaultPlane::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
   if (ring_ != nullptr) {
-    ring_fired_ = ring_->Intern(obs::spans::kFaultFired);
-    ring_arg_site_ = ring_->Intern(obs::spans::kArgSite);
-    for (RuleState& state : rules_) {
-      // snic-lint: allow(span-name-registry) — see AddRule.
-      state.ring_site = ring_->Intern(state.rule.site);
-    }
+    // Rule sites are schedule data, not compile-time span names; they live
+    // in the fault-site registry. snic-lint: allow(span-name-registry)
+    state.ring_site = ring_->Intern(state.rule.site);
   }
 }
 
@@ -89,9 +66,7 @@ bool FaultPlane::Evaluate(std::string_view site, uint64_t nf_id,
     *stall += rule.stall_cycles;
     ++state.injected;
     ++injected_total_;
-    if (state.obs_injected != nullptr) {
-      state.obs_injected->Inc();
-    }
+    state.obs_injected->Inc();
     if (ring_ != nullptr) {
       ring_->EmitInstant(ring_fired_, now_, static_cast<uint32_t>(nf_id),
                          /*tid=*/0, /*span=*/0, state.ring_site,

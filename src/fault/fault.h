@@ -143,7 +143,13 @@ struct FaultRule {
 // by clang -Wthread-safety (docs/STATIC_ANALYSIS.md).
 class FaultPlane {
  public:
-  FaultPlane() = default;
+  // Binds obs::DefaultRegistry(), where AddRule publishes one
+  // `fault.injected{site=...,nf=...}` counter per rule, and
+  // obs::CurrentTraceRing(): each injection then lands as one fault.fired
+  // span instant at the plane clock, on the faulted NF's lane, whose arg
+  // resolves to the rule's site name (interned by AddRule, so the firing
+  // path stays allocation-free).
+  FaultPlane();
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
@@ -173,36 +179,25 @@ class FaultPlane {
   uint64_t injected_total() const { return injected_total_; }
   uint64_t InjectedAt(std::string_view site) const;
 
-  // Publishes `fault.injected{site=...,nf=...}` counters (one per rule) to
-  // `registry`. Unlike the device classes the plane does NOT self-attach to
-  // the default registry: a plane is an experiment fixture, so its series
-  // appear only where the experiment asks for them.
-  void AttachObs(obs::MetricRegistry* registry);
-  // Each injection lands as one fault.fired span instant at the plane
-  // clock, on the faulted NF's lane, whose arg resolves to the rule's site
-  // name (interned up front, so the firing path stays allocation-free).
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   struct RuleState {
     FaultRule rule;
     uint64_t hits = 0;
     uint64_t injected = 0;
     obs::Counter* obs_injected = nullptr;
-    uint16_t ring_site = 0;  // interned site name while a ring is attached
+    uint16_t ring_site = 0;  // interned site name while ring_ is non-null
   };
 
   // Shared evaluation: advances matching rules, returns whether any fired
   // and accumulates firing rules' stall payloads into *stall.
   bool Evaluate(std::string_view site, uint64_t nf_id, uint64_t attempt,
                 uint64_t* stall);
-  void PublishRule(RuleState& state);
 
   uint64_t now_ = 0;
   uint64_t injected_total_ = 0;
   std::vector<RuleState> rules_;
-  obs::MetricRegistry* registry_ = nullptr;
-  obs::TraceRing* ring_ = nullptr;
+  obs::MetricRegistry* registry_;
+  obs::TraceRing* ring_;
   uint16_t ring_fired_ = 0;
   uint16_t ring_arg_site_ = 0;
 };

@@ -61,30 +61,23 @@ Result<uint64_t> NicOs::PickCores(uint32_t count) const {
   return mask;
 }
 
-void NicOs::AttachObs(obs::MetricRegistry* registry) {
-  obs_create_ok_ = &registry->GetCounter("mgmt.nf_create.ok");
-  obs_create_failures_ = &registry->GetCounter("mgmt.nf_create.failures");
-  obs_destroy_ok_ = &registry->GetCounter("mgmt.nf_destroy.ok");
-  obs_destroy_failures_ = &registry->GetCounter("mgmt.nf_destroy.failures");
+NicOs::NicOs(core::SnicDevice* device) : device_(device) {
+  obs::MetricRegistry& registry = obs::DefaultRegistry();
+  obs_create_ok_ = &registry.GetCounter("mgmt.nf_create.ok");
+  obs_create_failures_ = &registry.GetCounter("mgmt.nf_create.failures");
+  obs_destroy_ok_ = &registry.GetCounter("mgmt.nf_destroy.ok");
+  obs_destroy_failures_ = &registry.GetCounter("mgmt.nf_destroy.failures");
 }
 
 Status NicOs::NfDestroy(uint64_t nf_id) {
   Status status = device_->NfTeardown(nf_id);
-  {
-    obs::Counter* c = status.ok() ? obs_destroy_ok_ : obs_destroy_failures_;
-    if (c != nullptr) {
-      c->Inc();
-    }
-  }
+  (status.ok() ? obs_destroy_ok_ : obs_destroy_failures_)->Inc();
   return status;
 }
 
 Result<uint64_t> NicOs::NfCreate(const FunctionImage& image) {
   auto count_result = [this](bool ok) {
-    obs::Counter* c = ok ? obs_create_ok_ : obs_create_failures_;
-    if (c != nullptr) {
-      c->Inc();
-    }
+    (ok ? obs_create_ok_ : obs_create_failures_)->Inc();
   };
   if (image.code_and_data.empty()) {
     count_result(false);

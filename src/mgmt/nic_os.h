@@ -45,9 +45,10 @@ struct FunctionImage {
 
 class NicOs {
  public:
-  explicit NicOs(core::SnicDevice* device) : device_(device) {
-    AttachObs(&obs::DefaultRegistry());
-  }
+  // Binds the management-plane counters (`mgmt.nf_create.ok`,
+  // `mgmt.nf_create.failures`, `mgmt.nf_destroy.ok`,
+  // `mgmt.nf_destroy.failures`) in obs::DefaultRegistry().
+  explicit NicOs(core::SnicDevice* device);
 
   // NF_create: stage pages, pick cores, invoke nf_launch.
   Result<uint64_t> NfCreate(const FunctionImage& image);
@@ -66,21 +67,15 @@ class NicOs {
 
   core::SnicDevice& device() { return *device_; }
 
-  // Points the management-plane counters (`mgmt.nf_create.ok`,
-  // `mgmt.nf_create.failures`, `mgmt.nf_destroy.ok`,
-  // `mgmt.nf_destroy.failures`) at `registry`; the constructor attaches to
-  // obs::DefaultRegistry() by default.
-  void AttachObs(obs::MetricRegistry* registry);
-
  private:
   // Lowest `count` free programmable cores as a mask.
   Result<uint64_t> PickCores(uint32_t count) const;
 
   core::SnicDevice* device_;
-  obs::Counter* obs_create_ok_ = nullptr;
-  obs::Counter* obs_create_failures_ = nullptr;
-  obs::Counter* obs_destroy_ok_ = nullptr;
-  obs::Counter* obs_destroy_failures_ = nullptr;
+  obs::Counter* obs_create_ok_;
+  obs::Counter* obs_create_failures_;
+  obs::Counter* obs_destroy_ok_;
+  obs::Counter* obs_destroy_failures_;
 };
 
 }  // namespace snic::mgmt

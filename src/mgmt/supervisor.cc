@@ -29,19 +29,15 @@ Supervisor::Supervisor(NicOs* nic_os, crypto::RsaPublicKey vendor_key,
     : nic_os_(nic_os),
       vendor_key_(std::move(vendor_key)),
       config_(config),
-      rng_(config.seed) {}
-
-void Supervisor::AttachObs(obs::MetricRegistry* registry) {
-  obs_crashes_ = &registry->GetCounter("mgmt.supervisor.crashes");
-  obs_restarts_ = &registry->GetCounter("mgmt.supervisor.restarts");
-  obs_quarantines_ = &registry->GetCounter("mgmt.supervisor.quarantines");
-  obs_downgrades_ = &registry->GetCounter("mgmt.supervisor.downgrades");
+      rng_(config.seed),
+      ring_(obs::CurrentTraceRing()) {
+  obs::MetricRegistry& registry = obs::DefaultRegistry();
+  obs_crashes_ = &registry.GetCounter("mgmt.supervisor.crashes");
+  obs_restarts_ = &registry.GetCounter("mgmt.supervisor.restarts");
+  obs_quarantines_ = &registry.GetCounter("mgmt.supervisor.quarantines");
+  obs_downgrades_ = &registry.GetCounter("mgmt.supervisor.downgrades");
   obs_restart_queue_depth_ =
-      &registry->GetGauge("mgmt.supervisor.restart_queue_depth");
-}
-
-void Supervisor::AttachTraceRing(obs::TraceRing* ring) {
-  ring_ = ring;
+      &registry.GetGauge("mgmt.supervisor.restart_queue_depth");
   if (ring_ != nullptr) {
     ring_crash_ = ring_->Intern(obs::spans::kSupervisorCrash);
     ring_restart_ = ring_->Intern(obs::spans::kSupervisorRestart);
@@ -177,7 +173,7 @@ uint64_t Supervisor::BackoffCycles(uint32_t consecutive_failures) {
 
 void Supervisor::HandleCrash(Child& child, CrashCause cause) {
   ++stats_.crashes;
-  if (obs_crashes_ != nullptr) obs_crashes_->Inc();
+  obs_crashes_->Inc();
   child.last_cause = cause;
   Emit(ring_crash_, child);
 
@@ -202,7 +198,7 @@ void Supervisor::HandleCrash(Child& child, CrashCause cause) {
     if (has_accel) {
       child.degraded = true;
       ++stats_.accel_downgrades;
-      if (obs_downgrades_ != nullptr) obs_downgrades_->Inc();
+      obs_downgrades_->Inc();
       Emit(ring_downgrade_, child);
     }
   }
@@ -218,7 +214,7 @@ void Supervisor::HandleCrash(Child& child, CrashCause cause) {
 void Supervisor::Quarantine(Child& child) {
   child.health = NfHealth::kQuarantined;
   ++stats_.quarantines;
-  if (obs_quarantines_ != nullptr) obs_quarantines_->Inc();
+  obs_quarantines_->Inc();
   Emit(ring_quarantine_, child);
 }
 
@@ -264,9 +260,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
   restart_queue_depth_ = due.size() - budget;
   restart_queue_peak_ = std::max(restart_queue_peak_, restart_queue_depth_);
   stats_.restart_deferrals += restart_queue_depth_;
-  if (obs_restart_queue_depth_ != nullptr) {
-    obs_restart_queue_depth_->Set(static_cast<double>(restart_queue_depth_));
-  }
+  obs_restart_queue_depth_->Set(static_cast<double>(restart_queue_depth_));
   for (size_t i = 0; i < budget; ++i) {
     const std::string& name = due[i].second;
     Child& child = children_.find(name)->second;
@@ -286,7 +280,7 @@ void Supervisor::Tick(uint64_t now_cycles) {
     child.last_launch = now_;
     child.last_heartbeat = now_;
     ++stats_.restarts;
-    if (obs_restarts_ != nullptr) obs_restarts_->Inc();
+    obs_restarts_->Inc();
     Emit(ring_restart_, child);
     if (restart_callback_) {
       restart_callback_(name, old_id, child.nf_id);

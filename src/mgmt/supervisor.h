@@ -153,15 +153,6 @@ class Supervisor {
     restart_callback_ = std::move(callback);
   }
 
-  // Publishes `mgmt.supervisor.*` counters for crash, restart, downgrade
-  // and quarantine transitions.
-  void AttachObs(obs::MetricRegistry* registry);
-
-  // Crash/restart/downgrade/quarantine land as fixed-size supervisor.* span
-  // instants on the crashed child's lane (arg = crash-cause ordinal), so
-  // forensics can correlate recovery with the victim's packet spans.
-  void AttachTraceRing(obs::TraceRing* ring);
-
  private:
   struct Child {
     FunctionImage image;
@@ -192,7 +183,7 @@ class Supervisor {
   void Quarantine(Child& child);
   uint64_t BackoffCycles(uint32_t consecutive_failures);
   // One supervisor.* instant (`event` = its interned ring id) on the
-  // child's lane; a no-op until a ring is attached.
+  // child's lane; a no-op in an untraced run.
   void Emit(uint16_t event, const Child& child);
 
   NicOs* nic_os_;
@@ -205,17 +196,23 @@ class Supervisor {
   uint64_t restart_queue_peak_ = 0;
   std::map<std::string, Child> children_;  // ordered: deterministic scans
   RestartCallback restart_callback_;
-  obs::TraceRing* ring_ = nullptr;
+  // Telemetry bound at construction. Crash/restart/downgrade/quarantine
+  // transitions count in `mgmt.supervisor.*` (obs::DefaultRegistry()) and,
+  // when obs::CurrentTraceRing() is installed, land as fixed-size
+  // supervisor.* span instants on the crashed child's lane (arg = crash-cause
+  // ordinal), so forensics can correlate recovery with the victim's packet
+  // spans.
+  obs::TraceRing* ring_;
   uint16_t ring_crash_ = 0;
   uint16_t ring_restart_ = 0;
   uint16_t ring_downgrade_ = 0;
   uint16_t ring_quarantine_ = 0;
   uint16_t ring_arg_cause_ = 0;
-  obs::Counter* obs_crashes_ = nullptr;
-  obs::Counter* obs_restarts_ = nullptr;
-  obs::Counter* obs_quarantines_ = nullptr;
-  obs::Counter* obs_downgrades_ = nullptr;
-  obs::Gauge* obs_restart_queue_depth_ = nullptr;
+  obs::Counter* obs_crashes_;
+  obs::Counter* obs_restarts_;
+  obs::Counter* obs_quarantines_;
+  obs::Counter* obs_downgrades_;
+  obs::Gauge* obs_restart_queue_depth_;
 };
 
 }  // namespace snic::mgmt

@@ -1,8 +1,22 @@
 #include "src/nf/network_function.h"
 
+#include <utility>
+
 #include "src/common/units.h"
 
 namespace snic::nf {
+
+NetworkFunction::NetworkFunction(std::string name)
+    : name_(std::move(name)), arena_(name_) {
+  obs::MetricRegistry& registry = obs::DefaultRegistry();
+  obs::Labels labels;
+  labels.emplace_back("nf", name_);
+  obs_packets_ = &registry.GetCounter("nf.packets", labels);
+  obs_forwarded_ = &registry.GetCounter("nf.forwarded", labels);
+  obs_dropped_ = &registry.GetCounter("nf.dropped", labels);
+  obs_bytes_ = &registry.GetCounter("nf.bytes", labels);
+  obs_flow_entries_ = &registry.GetGauge("nf.flow_entries", labels);
+}
 
 Verdict NetworkFunction::Process(net::Packet& packet) {
   recorder_.Compute(kPerPacketOverheadInstructions);
@@ -19,25 +33,13 @@ Verdict NetworkFunction::Process(net::Packet& packet) {
   } else {
     ++counters_.dropped;
   }
-  if (obs_packets_ != nullptr) {
-    obs_packets_->Inc();
-    obs_bytes_->Inc(packet.size());
-    (verdict == Verdict::kForward ? obs_forwarded_ : obs_dropped_)->Inc();
-    if (counters_.packets % kFlowGaugePeriod == 0) {
-      obs_flow_entries_->Set(static_cast<double>(FlowTableEntries()));
-    }
+  obs_packets_->Inc();
+  obs_bytes_->Inc(packet.size());
+  (verdict == Verdict::kForward ? obs_forwarded_ : obs_dropped_)->Inc();
+  if (counters_.packets % kFlowGaugePeriod == 0) {
+    obs_flow_entries_->Set(static_cast<double>(FlowTableEntries()));
   }
   return verdict;
-}
-
-void NetworkFunction::AttachObs(obs::MetricRegistry* registry) {
-  obs::Labels labels;
-  labels.emplace_back("nf", name_);
-  obs_packets_ = &registry->GetCounter("nf.packets", labels);
-  obs_forwarded_ = &registry->GetCounter("nf.forwarded", labels);
-  obs_dropped_ = &registry->GetCounter("nf.dropped", labels);
-  obs_bytes_ = &registry->GetCounter("nf.bytes", labels);
-  obs_flow_entries_ = &registry->GetGauge("nf.flow_entries", labels);
 }
 
 void NetworkFunction::ModelDpdkInit(double staging_mib) {

@@ -34,10 +34,10 @@ struct NfCounters {
 
 class NetworkFunction {
  public:
-  explicit NetworkFunction(std::string name)
-      : name_(std::move(name)), arena_(name_) {
-    AttachObs(&obs::DefaultRegistry());
-  }
+  // Binds the per-NF series (`nf.packets{nf=<name>}`, `nf.forwarded`,
+  // `nf.dropped`, `nf.bytes`, `nf.flow_entries`) in obs::DefaultRegistry():
+  // the global registry, or the task's shard inside a parallel sweep worker.
+  explicit NetworkFunction(std::string name);
   virtual ~NetworkFunction() = default;
 
   NetworkFunction(const NetworkFunction&) = delete;
@@ -56,12 +56,6 @@ class NetworkFunction {
 
   // The Table 6 row: modeled image sections + measured heap/stack peak.
   NfMemoryProfile Profile() const;
-
-  // Points the per-NF series (`nf.packets{nf=<name>}`, `nf.forwarded`,
-  // `nf.dropped`, `nf.bytes`, `nf.flow_entries`) at `registry`. The
-  // constructor attaches to obs::DefaultRegistry() — the global registry,
-  // or the task's shard inside a parallel sweep worker.
-  void AttachObs(obs::MetricRegistry* registry);
 
  protected:
   virtual Verdict HandlePacket(net::Packet& packet) = 0;
@@ -97,11 +91,11 @@ class NetworkFunction {
   NfArena arena_;
   NfCounters counters_;
 
-  obs::Counter* obs_packets_ = nullptr;
-  obs::Counter* obs_forwarded_ = nullptr;
-  obs::Counter* obs_dropped_ = nullptr;
-  obs::Counter* obs_bytes_ = nullptr;
-  obs::Gauge* obs_flow_entries_ = nullptr;
+  obs::Counter* obs_packets_;
+  obs::Counter* obs_forwarded_;
+  obs::Counter* obs_dropped_;
+  obs::Counter* obs_bytes_;
+  obs::Gauge* obs_flow_entries_;
 };
 
 }  // namespace snic::nf

@@ -25,8 +25,10 @@
 // series — only raw pointer-cached Inc/Set/Record on the *same* registry
 // must stay single-threaded.
 //
-// Cost: a site with no registry attached is one null check;
-// bench/obs_overhead.cc tracks the attached cost on the Fig. 5 replay path.
+// Cost: control-plane components bind DefaultRegistry() at construction, so
+// their sites are unconditional adds; the sim layer's sites cost one null
+// check while detached, and bench/obs_overhead.cc tracks the attached cost
+// on the Fig. 5 replay path.
 
 #ifndef SNIC_OBS_METRICS_H_
 #define SNIC_OBS_METRICS_H_
@@ -200,12 +202,12 @@ class MetricRegistry {
       SNIC_GUARDED_BY(mu_);
 };
 
-// Process-wide default registry. Device/NF constructors attach here (via
+// Process-wide default registry. Component constructors bind here (via
 // DefaultRegistry) so the benches can dump one coherent snapshot via
 // --metrics-out.
 MetricRegistry& GlobalRegistry();
 
-// The registry newly constructed instrumented objects attach to: the
+// The registry newly constructed instrumented objects bind: the
 // innermost ScopedDefaultRegistry override on the calling thread, else
 // GlobalRegistry(). Sweep workers install their task's shard registry as
 // the override so object construction never races on the global maps.

@@ -475,4 +475,20 @@ LaneDigest DigestLane(const TraceRing& ring, uint32_t pid) {
   return lane;
 }
 
+namespace {
+// Thread-local ring override behind ScopedTraceRing, the same audited
+// pattern as tls_default_registry (tools/snic_lint/allowlist.txt): per
+// thread, RAII-scoped, never shared, so sweep workers each trace into their
+// own task's ring.
+thread_local TraceRing* tls_trace_ring = nullptr;
+}  // namespace
+
+TraceRing* CurrentTraceRing() { return tls_trace_ring; }
+
+ScopedTraceRing::ScopedTraceRing(TraceRing* ring) : previous_(tls_trace_ring) {
+  tls_trace_ring = ring;
+}
+
+ScopedTraceRing::~ScopedTraceRing() { tls_trace_ring = previous_; }
+
 }  // namespace snic::obs

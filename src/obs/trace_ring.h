@@ -1,11 +1,12 @@
 // Fixed-record binary ring-buffer trace: the one definition of a trace in
 // this repo — its records, its Chrome JSON and its lane identity.
 //
-// Each event is a POD record: interned 16-bit name ids (registered once at
-// attach time), a 64-bit span id minted at VPP ingress and propagated across
-// layers, and one free argument word. Recording is a handful of stores into
-// a preallocated ring; serialization, JSON rendering and analysis all happen
-// offline after the run (tools/snic_trace).
+// Each event is a POD record: interned 16-bit name ids (registered once, when
+// the emitting component is constructed), a 64-bit span id minted at VPP
+// ingress and propagated across layers, and one free argument word.
+// Recording is a handful of stores into a preallocated ring; serialization,
+// JSON rendering and analysis all happen offline after the run
+// (tools/snic_trace).
 //
 // Determinism contract (docs/RUNTIME.md): a TraceRing is SINGLE-OWNER — the
 // parallel sweep runtime records into one ring per task and stitches them
@@ -15,8 +16,9 @@
 //
 // Bounded rings overwrite their oldest record once full and count the
 // evictions; capacity 0 means unbounded (used for merge sinks and parsed
-// files). Emitters hold a nullable ring pointer: with no ring attached an
-// emission site is one null check.
+// files). Emitters bind CurrentTraceRing() when they are constructed and hold
+// it as a nullable pointer: an untraced run (no ScopedTraceRing installed)
+// costs each emission site one null check.
 
 #ifndef SNIC_OBS_TRACE_RING_H_
 #define SNIC_OBS_TRACE_RING_H_
@@ -123,7 +125,7 @@ class TraceRing {
   }
 
   // --- Hot path -----------------------------------------------------------
-  // Name ids come from Intern() at attach/registration time; each Emit is a
+  // Name ids come from Intern() at construction of the emitter; each Emit is a
   // fixed-size store with no allocation (bounded ring) past warm-up.
 
   void EmitComplete(uint16_t name, uint64_t ts, uint64_t dur, uint32_t pid,
@@ -168,8 +170,8 @@ class TraceRing {
     return storage_[wrapped_ ? (next_ + i) % storage_.size() : i];
   }
 
-  // Drops records, lanes and eviction counts; interned names survive so
-  // cached ids from AttachTraceRing() stay valid across reps.
+  // Drops records, lanes and eviction counts; interned names survive so the
+  // ids emitters cached at construction stay valid across reps.
   void Clear();
 
   // Appends another ring's records (oldest first) and lanes, remapping its
@@ -242,6 +244,27 @@ struct LaneDigest {
   uint64_t digest = 0;
 };
 LaneDigest DigestLane(const TraceRing& ring, uint32_t pid);
+
+// The ring newly constructed emitters bind: the innermost ScopedTraceRing on
+// the calling thread, else nullptr (untraced). Unlike DefaultRegistry() there
+// is no process-wide fallback: a trace exists only where a run asks for one.
+TraceRing* CurrentTraceRing();
+
+// RAII thread-local installation of CurrentTraceRing(), the trace twin of
+// ScopedDefaultRegistry. Nestable; the previous ring is restored on
+// destruction. Install it before constructing the components that should
+// record into `ring`, and keep `ring` alive as long as they are.
+class ScopedTraceRing {
+ public:
+  explicit ScopedTraceRing(TraceRing* ring);
+  ~ScopedTraceRing();
+
+  ScopedTraceRing(const ScopedTraceRing&) = delete;
+  ScopedTraceRing& operator=(const ScopedTraceRing&) = delete;
+
+ private:
+  TraceRing* previous_;
+};
 
 }  // namespace snic::obs
 

@@ -38,13 +38,22 @@ constexpr uint16_t kAttackerBufferBytes = 1024;
 // stalls the link.
 constexpr uint32_t kChainFramesPerTick = 6;
 
+// Appends one printf-formatted line, sized to fit: tenant names have no
+// length bound, and a cut line would drop its counters from the report that
+// bystander_identical compares.
 void AppendF(std::string& out, const char* fmt, ...) {
-  char line[512];
   va_list args;
   va_start(args, fmt);
-  std::vsnprintf(line, sizeof(line), fmt, args);
+  va_list measure;
+  va_copy(measure, args);
+  const int length = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  SNIC_CHECK(length >= 0);
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(length) + 1);  // + vsnprintf's NUL
+  std::vsnprintf(out.data() + at, static_cast<size_t>(length) + 1, fmt, args);
   va_end(args);
-  out += line;
+  out.resize(at + static_cast<size_t>(length));
 }
 
 mgmt::FunctionImage MakeImage(const TenantSpec& tenant) {
@@ -136,13 +145,14 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   result.tenants.resize(n);
   const uint64_t cps = spec.cycles_per_step;
 
+  // The run's sinks, installed before the first component is built: every
+  // component below binds its series and its ring lane at construction.
   obs::MetricRegistry registry;
-  obs::ScopedDefaultRegistry scoped_registry(&registry);
   obs::TraceRing ring;
+  obs::ScopedDefaultRegistry scoped_registry(&registry);
+  obs::ScopedTraceRing scoped_ring(&ring);
 
   fault::FaultPlane plane;
-  plane.AttachObs(&registry);
-  plane.AttachTraceRing(&ring);
   fault::ScopedFaultPlane scoped_plane(&plane);
 
   Rng vendor_rng(runtime::DeriveTaskSeed(seed, 2));
@@ -152,7 +162,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   config.dram_bytes = 256ull << 20;
   config.rsa_modulus_bits = 512;
   core::SnicDevice device(config, vendor);
-  device.AttachTraceRing(&ring);
   mgmt::NicOs nic_os(&device);
 
   const bool any_vf = [&] {
@@ -165,8 +174,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   }();
   core::vnic::PfVfManager front_end;
   if (any_vf) {
-    front_end.AttachObs(&registry);
-    front_end.AttachTraceRing(&ring);
     device.AttachVnicFrontEnd(&front_end);
   }
 
@@ -182,8 +189,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   sup_config.max_concurrent_restarts = spec.supervisor.max_concurrent_restarts;
   sup_config.verify_attestation = spec.supervisor.verify_attestation;
   mgmt::Supervisor supervisor(&nic_os, vendor.public_key(), sup_config);
-  supervisor.AttachObs(&registry);
-  supervisor.AttachTraceRing(&ring);
 
   std::vector<TenantState> state(n);
   std::map<std::string, size_t> index_of;
@@ -209,7 +214,6 @@ RunResult RunConstellation(const ScenarioSpec& spec, uint64_t seed,
   // credit-flow link, recreated whenever either endpoint relaunches; the
   // stats of every incarnation add up in the result.
   core::ChainManager chains(&device);
-  chains.AttachTraceRing(&ring);
   const auto add_link_stats = [&] {
     const core::ChainLinkStats& stats = chains.link(0).stats();
     result.chain_frames_moved += stats.frames_moved;

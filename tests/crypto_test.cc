@@ -335,6 +335,21 @@ TEST(BigUintTest, GeneratePrimeHasExactBitsAndIsPrime) {
   EXPECT_TRUE(BigUint::IsProbablePrime(p, 30, rng));
 }
 
+// Two primes of exactly 256 bits multiply to 511 or 512 bits; seed 0x6e3d02
+// is a pinned 511-bit case.
+TEST(RsaTest, ModulusHasModulusBitsOrOneFewer) {
+  Rng short_rng(0x6e3d02);
+  EXPECT_EQ(GenerateRsaKeyPair(512, short_rng).public_key.n.BitLength(), 511u);
+  bool saw_full_width = false;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const size_t bits = GenerateRsaKeyPair(512, rng).public_key.n.BitLength();
+    EXPECT_TRUE(bits == 511 || bits == 512) << "seed " << seed << ": " << bits;
+    saw_full_width |= bits == 512;
+  }
+  EXPECT_TRUE(saw_full_width);
+}
+
 TEST(RsaTest, SignVerifyRoundTrip) {
   Rng rng(42);
   const RsaKeyPair kp = GenerateRsaKeyPair(512, rng);

@@ -164,9 +164,9 @@ TEST(FaultPlaneTest, ScopedInstallationNests) {
 TEST(FaultPlaneTest, PublishesObsCountersAndTraceEvents) {
   obs::MetricRegistry registry;
   obs::TraceRing ring;
+  obs::ScopedDefaultRegistry scoped_registry(&registry);
+  obs::ScopedTraceRing scoped_ring(&ring);
   FaultPlane plane;
-  plane.AttachObs(&registry);
-  plane.AttachTraceRing(&ring);
   FaultRule rule;
   rule.site = "unit.site";
   rule.nf_id = 3;

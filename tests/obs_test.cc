@@ -248,6 +248,8 @@ TEST(ReplayObservability, PublishesSeriesAndWellFormedTrace) {
 // Lifecycle counters on the NIC-OS management path: both the create and the
 // destroy direction publish ok/failure series.
 TEST(MgmtObservability, NfDestroyPublishesOkAndFailureCounters) {
+  MetricRegistry registry;
+  ScopedDefaultRegistry scoped(&registry);
   Rng rng(17);
   crypto::VendorAuthority vendor(512, rng);
   core::SnicConfig config;
@@ -256,9 +258,6 @@ TEST(MgmtObservability, NfDestroyPublishesOkAndFailureCounters) {
   config.rsa_modulus_bits = 512;
   core::SnicDevice device(config, vendor);
   mgmt::NicOs nic_os(&device);
-
-  MetricRegistry registry;
-  nic_os.AttachObs(&registry);
 
   mgmt::FunctionImage image;
   image.name = "obs-unit";

@@ -6,12 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+
 #include "src/core/chaining.h"
 #include "src/core/overload.h"
 #include "src/core/vpp.h"
 #include "src/fault/fault.h"
 #include "src/mgmt/nic_os.h"
 #include "src/net/parser.h"
+#include "src/obs/metrics.h"
+#include "src/obs/span_names.h"
+#include "src/obs/trace_ring.h"
 
 namespace snic {
 namespace {
@@ -344,6 +351,10 @@ class OverloadDeviceTest : public ::testing::Test {
 
 // ---- AccelDispatchGate ------------------------------------------------------
 
+// The gate and its breaker bind their sinks at construction, so under a
+// registry and ring scope the trip and the recovery also land as the
+// breaker-state gauge and as dispatch, fallback and breaker instants on the
+// gated NF's own lane.
 TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
   const uint64_t nf = Launch("gated", 1000, {}, /*zip_clusters=*/1);
   const auto zip = accel::AcceleratorType::kZip;
@@ -355,6 +366,10 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
   }
   ASSERT_GE(cluster, 0);
 
+  obs::MetricRegistry registry;
+  obs::TraceRing ring;
+  obs::ScopedDefaultRegistry scoped_registry(&registry);
+  obs::ScopedTraceRing scoped_ring(&ring);
   fault::FaultPlane plane;
   fault::FaultRule rule;
   rule.site = std::string(fault::sites::kAccelThreadAccess);
@@ -364,6 +379,9 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
   fault::ScopedFaultPlane scoped(&plane);
 
   core::AccelDispatchGate gate(&device_.accel_pool(), nf, BreakerConfig());
+  const obs::Gauge* state = registry.FindGauge(
+      "accel.breaker_state", {{"nf", std::to_string(nf)}});
+  ASSERT_NE(state, nullptr);
   EXPECT_FALSE(
       gate.Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000, false, 0)
           .ok());
@@ -371,6 +389,7 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
       gate.Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000, false, 1)
           .ok());
   EXPECT_EQ(gate.breaker().state(), core::BreakerState::kOpen);
+  EXPECT_EQ(state->value(), 1.0);  // kOpen's ordinal
   // While open, dispatch is refused immediately: the software-path cue.
   const auto refused =
       gate.Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000, false, 50);
@@ -386,6 +405,18 @@ TEST_F(OverloadDeviceTest, GateTripsOnAccelFaultsAndRecovers) {
       gate.Dispatch(zip, static_cast<uint32_t>(cluster), 0x1000, false, 160)
           .ok());
   EXPECT_EQ(gate.breaker().state(), core::BreakerState::kClosed);
+  EXPECT_EQ(state->value(), 0.0);
+
+  // Four dispatches, one fallback, and closed->open->half-open->closed.
+  std::map<std::string_view, size_t> instants;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const obs::TraceRecord& r = ring.record(i);
+    EXPECT_EQ(r.pid, nf);
+    ++instants[ring.NameOf(r.name)];
+  }
+  EXPECT_EQ(instants[obs::spans::kAccelDispatch], 4u);
+  EXPECT_EQ(instants[obs::spans::kAccelFallback], 1u);
+  EXPECT_EQ(instants[obs::spans::kAccelBreaker], 3u);
 }
 
 // ---- Chain credit backpressure ----------------------------------------------

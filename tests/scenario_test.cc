@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/span_names.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/digest.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
@@ -512,6 +514,90 @@ TEST(ScenarioRunnerTest, CuratedBystanderRingLanesAreNonEmpty) {
     }
   }
   EXPECT_GE(lanes, curated.size());  // every curated spec has a bystander
+}
+
+// The decoder accepts tenant names of any length, so the per-tenant report
+// must hold every line whole however long the name: a cut line would lose
+// its counters (and its newline) from the record bystander_identical
+// compares.
+TEST(ScenarioRunnerTest, LongTenantNamesKeepEveryReportLineWhole) {
+  const auto curated = ReadCuratedSpecs();
+  const auto flood = std::find_if(
+      curated.begin(), curated.end(),
+      [](const auto& entry) { return entry.first == "hostile_flood.json"; });
+  ASSERT_NE(flood, curated.end());
+  const std::string short_name = "victim-v";
+  const std::string long_name(460, 'v');
+  std::string text = flood->second;
+  const size_t at = text.find('"' + short_name + '"');
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at + 1, short_name.size(), long_name);
+  const auto long_spec = ParseScenarioSpec(text);
+  ASSERT_TRUE(long_spec.ok()) << long_spec.status().message();
+  const auto short_spec = ParseScenarioSpec(flood->second);
+  ASSERT_TRUE(short_spec.ok());
+  ASSERT_EQ(long_spec.value().tenants[0].name, long_name);
+
+  const std::string report =
+      RunConstellation(long_spec.value(), kSeed).tenants[0].report;
+  ASSERT_FALSE(report.empty());
+  EXPECT_EQ(report.back(), '\n');
+  std::stringstream lines(report);
+  std::string line;
+  size_t count = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line.rfind(long_name + ".", 0), 0u) << line;
+    ++count;
+  }
+  // role, rx, wire, vpp, completions, vf, metrics, ring.
+  EXPECT_EQ(count, 8u) << report;
+  EXPECT_NE(report.find(" max_wait="), std::string::npos) << report;
+  EXPECT_NE(report.find(" tx_bytes="), std::string::npos) << report;
+
+  // The name is only a label: with it swapped back, the record is the
+  // short-named run's, counter for counter.
+  std::string relabelled = report;
+  for (size_t pos = 0;
+       (pos = relabelled.find(long_name, pos)) != std::string::npos;
+       pos += short_name.size()) {
+    relabelled.replace(pos, long_name.size(), short_name);
+  }
+  EXPECT_EQ(relabelled,
+            RunConstellation(short_spec.value(), kSeed).tenants[0].report);
+}
+
+// The runner installs its registry and ring once and every component binds
+// them at construction, so the overload target's breaker-gated accelerator
+// dispatch records on the target's lane, and on no other.
+TEST(ScenarioRunnerTest, GatedOverloadTargetRecordsAccelDispatch) {
+  const auto curated = ReadCuratedSpecs();
+  const auto overload = std::find_if(
+      curated.begin(), curated.end(),
+      [](const auto& entry) { return entry.first == "overload_400.json"; });
+  ASSERT_NE(overload, curated.end());
+  const auto spec = ParseScenarioSpec(overload->second);
+  ASSERT_TRUE(spec.ok());
+  uint32_t target_pid = 0;
+  for (size_t i = 0; i < spec.value().tenants.size(); ++i) {
+    if (spec.value().tenants[i].name == spec.value().overload.target) {
+      target_pid = static_cast<uint32_t>(i + 1);  // adoption order
+    }
+  }
+  ASSERT_NE(target_pid, 0u);
+
+  obs::TraceRing ring;
+  const RunResult run = RunConstellation(spec.value(), kSeed, &ring);
+  ASSERT_EQ(run.tenants.size(), spec.value().tenants.size());
+  size_t dispatches = 0;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const obs::TraceRecord& r = ring.record(i);
+    const std::string_view name = ring.NameOf(r.name);
+    if (name.substr(0, 6) == "accel.") {
+      EXPECT_EQ(r.pid, target_pid) << name;
+    }
+    dispatches += name == obs::spans::kAccelDispatch && r.pid == target_pid;
+  }
+  EXPECT_GT(dispatches, 0u);
 }
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {

@@ -93,9 +93,9 @@ TEST_F(SupervisorTest, AdoptLaunchesMeasuresAndAttests) {
 }
 
 TEST_F(SupervisorTest, CrashRestartsWithBackoffAndFreshAttestation) {
-  Supervisor supervisor = MakeSupervisor(SupConfig());
   obs::TraceRing ring;
-  supervisor.AttachTraceRing(&ring);
+  obs::ScopedTraceRing scoped_ring(&ring);
+  Supervisor supervisor = MakeSupervisor(SupConfig());
   const auto id = supervisor.Adopt(SimpleImage("fw"));
   ASSERT_TRUE(id.ok());
 
