@@ -1,6 +1,7 @@
 #include "src/crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 
 #include "src/common/status.h"
@@ -345,10 +346,156 @@ BigUint BigUint::MulMod(const BigUint& a, const BigUint& b, const BigUint& m) {
   return Mod(Mul(a, b), m);
 }
 
+namespace {
+
+// Arithmetic modulo one odd m in Montgomery form (x is held as xR mod m,
+// R = 2^(64n) for an n-limb m). Multiplication is CIOS (Koc, Acar and
+// Kaliski, "Analyzing and Comparing Montgomery Multiplication Algorithms",
+// IEEE Micro 1996): the product and its reduction interleave limb by limb,
+// so the ladder never forms a double-width product and never divides.
+// Limbs are 64 bits wide and live in fixed arrays sized for
+// BigUint::kMontgomeryMaxBits; only the first n are used.
+class MontgomeryContext {
+ public:
+  static constexpr size_t kMaxLimbs = BigUint::kMontgomeryMaxBits / 64;
+  using Limbs = std::array<uint64_t, kMaxLimbs>;
+
+  // m: odd, at most kMontgomeryMaxBits bits.
+  explicit MontgomeryContext(const BigUint& m)
+      : m_(Pack(m)), n_((m.limbs().size() + 1) / 2) {
+    // -m^-1 mod 2^64 by Newton's iteration: for odd m0, m0 is its own
+    // inverse mod 2^3, and each step doubles the number of correct bits.
+    uint64_t inv = m_[0];
+    for (int i = 0; i < 5; ++i) {
+      inv *= 2 - m_[0] * inv;
+    }
+    m_inv_ = 0 - inv;
+    // R^2 mod m, the factor that moves a value into Montgomery form; the
+    // setup's one division.
+    r2_ = Pack(BigUint::Mod(BigUint(1).ShiftLeft(128 * n_), m));
+  }
+
+  // Limbs in use.
+  size_t size() const { return n_; }
+
+  // v's 32-bit limbs packed into 64-bit ones; v must fit kMaxLimbs.
+  static Limbs Pack(const BigUint& v) {
+    const std::vector<uint32_t>& src = v.limbs();
+    Limbs out{};
+    for (size_t i = 0; i < src.size(); ++i) {
+      out[i / 2] |= static_cast<uint64_t>(src[i]) << (32 * (i % 2));
+    }
+    return out;
+  }
+
+  // base^exp mod m for base < m, both in normal form, by a 4-bit fixed
+  // window scanned from the top: four squarings, then one multiplication
+  // by a table entry base^digit, per window.
+  Limbs Pow(const Limbs& base, const BigUint& exp) const {
+    Limbs one{};
+    one[0] = 1;
+    std::array<Limbs, 16> table{};
+    Mul(one, r2_, &table[0]);  // R mod m: 1 in Montgomery form
+    Mul(base, r2_, &table[1]);
+    for (size_t i = 2; i < table.size(); ++i) {
+      Mul(table[i - 1], table[1], &table[i]);
+    }
+    const std::vector<uint32_t>& e = exp.limbs();
+    const size_t windows = (exp.BitLength() + 3) / 4;
+    Limbs acc = table[0];
+    for (size_t w = windows; w-- > 0;) {
+      if (w + 1 != windows) {
+        for (int s = 0; s < 4; ++s) {
+          Mul(acc, acc, &acc);
+        }
+      }
+      // Eight windows per 32-bit limb.
+      const uint32_t digit = (e[w / 8] >> (4 * (w % 8))) & 0xfu;
+      if (digit != 0) {
+        Mul(acc, table[digit], &acc);
+      }
+    }
+    Limbs out{};
+    Mul(acc, one, &out);  // leave Montgomery form
+    return out;
+  }
+
+ private:
+  using u128 = unsigned __int128;
+
+  // *out = a * b * R^-1 mod m, for a * b < mR (true whenever a < R and
+  // b < m). Writes only the first n limbs; out may alias a or b.
+  void Mul(const Limbs& a, const Limbs& b, Limbs* out) const {
+    const size_t n = n_;
+    std::array<uint64_t, kMaxLimbs + 2> t{};
+    for (size_t i = 0; i < n; ++i) {
+      // t += a * b[i]
+      uint64_t carry = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const u128 s = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
+        t[j] = static_cast<uint64_t>(s);
+        carry = static_cast<uint64_t>(s >> 64);
+      }
+      u128 s = static_cast<u128>(t[n]) + carry;
+      t[n] = static_cast<uint64_t>(s);
+      t[n + 1] = static_cast<uint64_t>(s >> 64);
+      // t = (t + q * m) / 2^64, with q chosen so the low limb cancels.
+      const uint64_t q = t[0] * m_inv_;
+      s = static_cast<u128>(q) * m_[0] + t[0];
+      carry = static_cast<uint64_t>(s >> 64);
+      for (size_t j = 1; j < n; ++j) {
+        s = static_cast<u128>(q) * m_[j] + t[j] + carry;
+        t[j - 1] = static_cast<uint64_t>(s);
+        carry = static_cast<uint64_t>(s >> 64);
+      }
+      s = static_cast<u128>(t[n]) + carry;
+      t[n - 1] = static_cast<uint64_t>(s);
+      t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+    }
+    // t < 2m: one conditional subtraction lands it in [0, m). a and b are
+    // not read again, so out may take t - m even when it aliases them.
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - m_[j] - borrow;
+      (*out)[j] = static_cast<uint64_t>(d);
+      borrow = static_cast<uint64_t>(d >> 64) & 1u;
+    }
+    if (t[n] < borrow) {  // t < m after all: keep t
+      std::copy_n(t.begin(), n, out->begin());
+    }
+  }
+
+  Limbs m_;
+  size_t n_;
+  uint64_t m_inv_ = 0;  // -m^-1 mod 2^64
+  Limbs r2_{};          // R^2 mod m
+};
+
+}  // namespace
+
 BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp,
                         const BigUint& m) {
   SNIC_CHECK(!m.IsZero());
-  BigUint result(1);
+  if (!m.IsOdd() || m.BitLength() > kMontgomeryMaxBits) {
+    return PowModReference(base, exp, m);
+  }
+  const MontgomeryContext ctx(m);
+  const MontgomeryContext::Limbs r =
+      ctx.Pow(MontgomeryContext::Pack(Mod(base, m)), exp);
+  BigUint out;
+  out.limbs_.resize(2 * ctx.size());
+  for (size_t i = 0; i < out.limbs_.size(); ++i) {
+    out.limbs_[i] = static_cast<uint32_t>(r[i / 2] >> (32 * (i % 2)));
+  }
+  out.Trim();
+  return out;
+}
+
+BigUint BigUint::PowModReference(const BigUint& base, const BigUint& exp,
+                                 const BigUint& m) {
+  SNIC_CHECK(!m.IsZero());
+  // Reduced like every later step, so m = 1 gives 0 even for exp = 0.
+  BigUint result = Mod(BigUint(1), m);
   BigUint acc = Mod(base, m);
   const size_t bits = exp.BitLength();
   for (size_t i = 0; i < bits; ++i) {

@@ -1,10 +1,16 @@
 // Arbitrary-precision unsigned integers, from scratch.
 //
 // This is the arithmetic substrate for the attestation protocol: classic
-// Diffie-Hellman (modular exponentiation over a safe prime) and RSA
-// signatures (Appendix A). The implementation favors clarity and testability
-// over peak performance; attestation happens once per function launch, and
-// the paper's co-processor latency model (Fig. 6) governs reported timings.
+// Diffie-Hellman (modular exponentiation over a prime) and RSA signatures
+// (Appendix A). Values live in heap vectors of 32-bit limbs. Modular
+// exponentiation, the one operation the control plane pays for on every
+// launch, has a fast path: for an odd modulus of at most
+// kMontgomeryMaxBits bits, PowMod runs a 4-bit fixed-window ladder of CIOS
+// Montgomery multiplications over 64-bit limbs in fixed stack arrays, with
+// no allocation inside the ladder. PowModReference, the plain Mul/DivMod
+// square-and-multiply ladder, is its oracle (the tests hold the two equal)
+// and serves every even or wider modulus. Reported timings still come from
+// the paper's co-processor latency model (Fig. 6), not from this code.
 
 #ifndef SNIC_CRYPTO_BIGNUM_H_
 #define SNIC_CRYPTO_BIGNUM_H_
@@ -71,10 +77,20 @@ class BigUint {
                      BigUint* remainder);
   static BigUint Mod(const BigUint& a, const BigUint& m);
 
-  // (a * b) mod m and (base ^ exp) mod m via square-and-multiply.
+  // (a * b) mod m.
   static BigUint MulMod(const BigUint& a, const BigUint& b, const BigUint& m);
+
+  // The widest modulus PowMod's Montgomery path takes: the 1536-bit RFC 3526
+  // group, the widest modulus in the tree.
+  static constexpr size_t kMontgomeryMaxBits = 1536;
+  // (base ^ exp) mod m; aborts if m is zero. An odd m of at most
+  // kMontgomeryMaxBits bits takes the Montgomery ladder, any other m
+  // PowModReference. Both return 0 when m is 1, whatever the exponent.
   static BigUint PowMod(const BigUint& base, const BigUint& exp,
                         const BigUint& m);
+  // Right-to-left square-and-multiply over Mul and DivMod: PowMod's oracle.
+  static BigUint PowModReference(const BigUint& base, const BigUint& exp,
+                                 const BigUint& m);
 
   // Modular inverse via extended Euclid; returns false if gcd(a, m) != 1.
   static bool InvMod(const BigUint& a, const BigUint& m, BigUint* inverse);

@@ -22,8 +22,9 @@ DhGroup Modp1536Group() {
 }
 
 DhGroup SmallTestGroup() {
-  // 256-bit prime generated deterministically at first use (seeded RNG), so
-  // unit tests get a genuine prime without paying 1536-bit exponentiation.
+  // A 256-bit probable prime (not a safe prime) drawn at first use from a
+  // fixed seed, so every run gets the same group without paying 1536-bit
+  // exponentiation.
   static const DhGroup kGroup = [] {
     Rng rng(0x5eedf00dULL);
     return DhGroup{BigUint(2), BigUint::GeneratePrime(256, rng)};

@@ -19,10 +19,15 @@ struct DhGroup {
   BigUint p;
 };
 
-// RFC 3526 MODP groups. The 1536-bit group is the default for attestation;
-// the small test group keeps unit tests fast.
+// The RFC 3526 1536-bit MODP group (generator 2, a safe prime).
 DhGroup Modp1536Group();
-DhGroup SmallTestGroup();  // 256-bit safe prime; tests only
+// Generator 2 over a 256-bit probable prime drawn once from a fixed seed; not
+// a safe prime, and 2 need not generate the whole group. Despite the name it
+// is the group every attestation channel in the tree uses: the Supervisor,
+// fig6, quickstart and perfbench all run on it, because a 256-bit
+// exponentiation costs a fraction of a 1536-bit one. Only
+// examples/secure_constellation uses Modp1536Group.
+DhGroup SmallTestGroup();
 
 class DhParticipant {
  public:

@@ -79,9 +79,20 @@ RsaKeyPair GenerateUncached(size_t modulus_bits, Rng& rng) {
     if (!BigUint::InvMod(e, phi, &d)) {
       continue;  // e not coprime with phi; re-draw primes
     }
+    // The CRT fields come from the primes already drawn: no Rng draw, so
+    // the key and everything drawn after it are as without them.
+    BigUint qinv;
+    SNIC_CHECK(BigUint::InvMod(q, p, &qinv));  // distinct primes: coprime
     RsaKeyPair pair;
     pair.public_key = RsaPublicKey{n, e};
-    pair.private_key = RsaPrivateKey{n, d};
+    pair.private_key = RsaPrivateKey{
+        .n = n,
+        .d = d,
+        .p = p,
+        .q = q,
+        .dp = BigUint::Mod(d, BigUint::Sub(p, BigUint(1))),
+        .dq = BigUint::Mod(d, BigUint::Sub(q, BigUint(1))),
+        .qinv = std::move(qinv)};
     return pair;
   }
 }
@@ -115,7 +126,15 @@ std::vector<uint8_t> RsaSignDigest(const RsaPrivateKey& key,
   const size_t k = (key.n.BitLength() + 7) / 8;
   const std::vector<uint8_t> em = EncodeEmsa(digest, k);
   const BigUint m = BigUint::FromBytes(em);
-  const BigUint s = BigUint::PowMod(m, key.d, key.n);
+  // s = m^d mod n by CRT: s_p = m^dp mod p and s_q = m^dq mod q, then
+  // Garner's s = s_q + q * (qinv * (s_p - s_q) mod p), which is below n.
+  // Adding p keeps the difference non-negative.
+  const BigUint s_p = BigUint::PowMod(m, key.dp, key.p);
+  const BigUint s_q = BigUint::PowMod(m, key.dq, key.q);
+  const BigUint diff =
+      BigUint::Sub(BigUint::Add(s_p, key.p), BigUint::Mod(s_q, key.p));
+  const BigUint h = BigUint::MulMod(key.qinv, diff, key.p);
+  const BigUint s = BigUint::Add(s_q, BigUint::Mul(h, key.q));
   return s.ToBytesPadded(k);
 }
 

@@ -28,9 +28,17 @@ struct RsaPublicKey {
   size_t ModulusBytes() const { return (n.BitLength() + 7) / 8; }
 };
 
+// Signing uses the CRT form (RFC 8017 §3.2, second representation): two
+// half-width exponentiations mod p and mod q, recombined by Garner's
+// formula. d stays for tests, which check the CRT path against m^d mod n.
 struct RsaPrivateKey {
   BigUint n;
-  BigUint d;  // private exponent
+  BigUint d;     // private exponent
+  BigUint p;     // first prime factor of n
+  BigUint q;     // second prime factor of n
+  BigUint dp;    // d mod (p - 1)
+  BigUint dq;    // d mod (q - 1)
+  BigUint qinv;  // q^-1 mod p
 };
 
 struct RsaKeyPair {

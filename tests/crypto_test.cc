@@ -1,7 +1,9 @@
 // Tests for the from-scratch crypto substrate: SHA-256 against FIPS vectors
 // and against its scalar compression function as the oracle for the SHA-NI
 // one, HMAC against RFC 4231, big-integer arithmetic (including randomized
-// cross-checks against native 64-bit math), RSA sign/verify and the
+// cross-checks against native 64-bit math, and the Montgomery PowMod against
+// its Mul/DivMod reference), RSA sign/verify with CRT signing checked
+// against the private exponent, known-answer keys and signatures, the
 // key-generation memo, Diffie-Hellman, and the endorsement/attestation key
 // chain.
 
@@ -10,6 +12,7 @@
 #include <cstring>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -301,6 +304,121 @@ TEST(BigUintTest, PowModFermat) {
   }
 }
 
+// Modulo 1 every value is 0, an empty product included: both ladders must
+// reduce their starting 1, or x^0 mod 1 comes back as 1.
+TEST(BigUintTest, PowModModulusOneIsZero) {
+  const BigUint one(1);
+  for (uint64_t e : {0ull, 1ull, 2ull, 65537ull}) {
+    EXPECT_TRUE(BigUint::PowMod(BigUint(5), BigUint(e), one).IsZero()) << e;
+    EXPECT_TRUE(BigUint::PowModReference(BigUint(5), BigUint(e), one).IsZero())
+        << e;
+  }
+}
+
+// x^e mod m in native arithmetic, for m < 2^32: an oracle independent of
+// both BigUint ladders.
+uint64_t NativePowMod(uint64_t x, uint64_t e, uint64_t m) {
+  uint64_t result = 1 % m;
+  x %= m;
+  for (; e != 0; e >>= 1) {
+    if (e & 1) {
+      result = result * x % m;
+    }
+    x = x * x % m;
+  }
+  return result;
+}
+
+TEST(BigUintTest, PowModMatchesNativeOnSmallModuli) {
+  Rng rng(0x4d4f01);
+  for (int i = 0; i < 400; ++i) {
+    // Odd and even moduli from 1 up to 32 bits.
+    const uint64_t m = 1 + rng.NextBounded(uint64_t{1} << (1 + i % 32));
+    const uint64_t x = rng.NextU64();
+    const uint64_t e = rng.NextBounded(1u << (i % 20));
+    EXPECT_EQ(BigUint::PowMod(BigUint(x), BigUint(e), BigUint(m)).ToU64(),
+              NativePowMod(x, e, m))
+        << x << "^" << e << " mod " << m;
+  }
+}
+
+// The oracle contract of the Montgomery path: PowMod equals
+// PowModReference for odd moduli of every limb count up to
+// kMontgomeryMaxBits, on edge bases (0, 1, m-1, m, m+1, wider than the
+// Montgomery limbs) and edge exponents (0, 1, all ones, full width). Even
+// and wider moduli take the reference path and must agree too.
+TEST(BigUintTest, PowModMatchesReferenceOverRandomModuli) {
+  Rng rng(0x4d4f02);
+  std::vector<size_t> sizes = {2,   3,   31,  32,  33,  63,  64,   65,
+                               127, 128, 129, 255, 256, 257, 384,  511,
+                               512, 513, 767, 768, 769, 1023, 1024, 1025,
+                               1535, 1536};
+  for (int i = 0; i < 12; ++i) {
+    sizes.push_back(2 + rng.NextBounded(BigUint::kMontgomeryMaxBits - 1));
+  }
+  const BigUint one(1);
+  std::vector<BigUint> moduli;
+  for (const size_t bits : sizes) {
+    BigUint m = BigUint::RandomWithBits(bits, rng);
+    if (!m.IsOdd()) {
+      m = BigUint::Add(m, one);  // even, so no carry out of `bits`
+    }
+    ASSERT_EQ(m.BitLength(), bits);
+    moduli.push_back(m);
+  }
+  // Moduli whose top limb is all ones, like the MODP prime's, push the
+  // CIOS row's carries to their largest.
+  for (const size_t bits : {2u, 64u, 128u, 768u, 1536u}) {
+    moduli.push_back(BigUint::Sub(one.ShiftLeft(bits), one));
+  }
+  moduli.push_back(Modp1536Group().p);
+  for (const BigUint& m : moduli) {
+    const size_t bits = m.BitLength();
+    // Wide exponents only on narrow moduli, so the reference stays cheap.
+    const size_t exp_bits = bits <= 512 ? bits : 160;
+    const std::vector<BigUint> bases = {
+        BigUint(),
+        one,
+        BigUint::Sub(m, one),
+        m,
+        BigUint::Add(m, one),
+        BigUint::RandomInRange(BigUint(), BigUint::Sub(m, one), rng),
+        BigUint::RandomWithBits(bits + 17, rng),
+        BigUint::RandomWithBits(BigUint::kMontgomeryMaxBits + 64, rng)};
+    const std::vector<BigUint> exps = {
+        BigUint(), one, BigUint(2), BigUint(65537),
+        BigUint::Sub(one.ShiftLeft(exp_bits), one),
+        BigUint::RandomWithBits(exp_bits, rng)};
+    for (size_t b = 0; b < bases.size(); ++b) {
+      for (size_t e = 0; e < exps.size(); ++e) {
+        ASSERT_EQ(BigUint::PowMod(bases[b], exps[e], m),
+                  BigUint::PowModReference(bases[b], exps[e], m))
+            << bits << "-bit m=" << m.ToHex() << " base #" << b << " exp #"
+            << e;
+      }
+    }
+  }
+  // m = 1, and even moduli, which PowMod hands to the reference.
+  const BigUint x = BigUint::RandomWithBits(300, rng);
+  const BigUint e = BigUint::RandomWithBits(200, rng);
+  EXPECT_TRUE(BigUint::PowMod(x, e, one).IsZero());
+  for (size_t bits : {2u, 64u, 65u, 512u, 1536u}) {
+    const BigUint even = BigUint::RandomWithBits(bits, rng).ShiftRight(1)
+                             .ShiftLeft(1);
+    ASSERT_FALSE(even.IsOdd());
+    EXPECT_EQ(BigUint::PowMod(x, e, even),
+              BigUint::PowModReference(x, e, even))
+        << bits;
+  }
+  // An odd modulus one limb wider than the Montgomery arrays.
+  const BigUint wide = BigUint::Add(
+      BigUint::RandomWithBits(BigUint::kMontgomeryMaxBits + 1, rng)
+          .ShiftRight(1)
+          .ShiftLeft(1),
+      one);
+  EXPECT_EQ(BigUint::PowMod(x, e, wide), BigUint::PowModReference(x, e, wide));
+}
+
 TEST(BigUintTest, InvModMatchesDefinition) {
   Rng rng(79);
   const BigUint m(1000003);  // prime modulus: everything nonzero invertible
@@ -393,11 +511,119 @@ TEST(RsaTest, DigestInterfaceMatchesMessageInterface) {
   EXPECT_TRUE(RsaVerifyDigest(kp.public_key, Sha256::Hash(Bytes(msg)), sig1));
 }
 
+// EMSA-PKCS1-v1_5 over SHA-256 (RFC 8017 §9.2), written out here
+// independently of rsa.cc, as the integer a signature exponentiates.
+BigUint EmsaInteger(const Sha256Digest& digest, size_t k) {
+  static constexpr uint8_t kDigestInfo[] = {
+      0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01,
+      0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20};
+  std::vector<uint8_t> em = {0x00, 0x01};
+  em.resize(k - sizeof(kDigestInfo) - digest.size() - 1, 0xff);
+  em.push_back(0x00);
+  em.insert(em.end(), std::begin(kDigestInfo), std::end(kDigestInfo));
+  em.insert(em.end(), digest.begin(), digest.end());
+  return BigUint::FromBytes(em);
+}
+
+// The same key with its factors swapped: CRT signing must not depend on
+// which prime is larger.
+RsaPrivateKey WithFactorsSwapped(const RsaPrivateKey& key) {
+  RsaPrivateKey swapped = key;
+  std::swap(swapped.p, swapped.q);
+  std::swap(swapped.dp, swapped.dq);
+  EXPECT_TRUE(BigUint::InvMod(swapped.q, swapped.p, &swapped.qinv));
+  return swapped;
+}
+
+// Signing runs two half-width exponentiations and Garner's recombination;
+// the result must be m^d mod n as the reference ladder computes it, for
+// either order of the factors.
+TEST(RsaTest, CrtSignatureMatchesPrivateExponent) {
+  Rng rng(0x4b4105);
+  const BigUint one(1);
+  // Signatures whose s_q = m^dq mod q is not below p, so the recombination
+  // must reduce it mod p first; only possible when q > p.
+  int s_q_reduced = 0;
+  for (const size_t bits : {512u, 768u}) {
+    const RsaKeyPair kp = GenerateRsaKeyPair(bits, rng);
+    const size_t k = kp.public_key.ModulusBytes();
+    for (const RsaPrivateKey& key :
+         {kp.private_key, WithFactorsSwapped(kp.private_key)}) {
+      EXPECT_EQ(BigUint::Mul(key.p, key.q), key.n);
+      EXPECT_EQ(key.dp, BigUint::Mod(key.d, BigUint::Sub(key.p, one)));
+      EXPECT_EQ(key.dq, BigUint::Mod(key.d, BigUint::Sub(key.q, one)));
+      EXPECT_EQ(BigUint::MulMod(key.qinv, key.q, key.p), one);
+      for (int i = 0; i < 8; ++i) {
+        const Sha256Digest digest = Sha256::Hash(
+            Bytes("crt-" + std::to_string(bits) + "-" + std::to_string(i)));
+        const BigUint m = EmsaInteger(digest, k);
+        const std::vector<uint8_t> sig = RsaSignDigest(key, digest);
+        ASSERT_EQ(sig.size(), k);
+        EXPECT_EQ(BigUint::FromBytes(sig),
+                  BigUint::PowModReference(m, key.d, key.n))
+            << bits << "-bit key, message " << i;
+        s_q_reduced += BigUint::PowModReference(m, key.dq, key.q) >= key.p;
+      }
+    }
+  }
+  EXPECT_GT(s_q_reduced, 0);
+}
+
+std::string HashHex(const BigUint& v) {
+  const std::vector<uint8_t> bytes = v.ToBytes();
+  return DigestToHex(Sha256::Hash(bytes));
+}
+
+// Known answers recorded from the Mul/DivMod implementation before the
+// Montgomery ladder and CRT signing went in: key generation (its primes
+// come from Miller-Rabin over PowMod), the Rng position after it, and
+// PKCS#1 v1.5 signatures, which are deterministic, must all be
+// byte-identical to what that code produced.
+TEST(RsaTest, KnownAnswerKeysAndSignatures) {
+  struct Pin {
+    size_t bits;
+    uint64_t seed;
+    const char* n_sha;
+    const char* d_sha;
+    uint64_t next_draw;
+    const char* sig_sha;
+  };
+  const Pin pins[] = {
+      {512, 0x4b4101,
+       "e87e48937aebb4b2f45633c9b429d14a01891981264e4aa908953af80721bf44",
+       "088b9d69e1469c0c3f938b477b6785fb8a116903fa958bd3bc3f3765d42c66a7",
+       0x6f13dd5c63e85716ull,
+       "e282bd8266e5a57e87d219b9720455f25f058a1ecbd7a43c1a28a459d0580d77"},
+      {768, 0x4b4102,
+       "895a20d14893aa4d7d13bc937dd309a8c5059cc7fb3a37ea323ecb774f1c9d0e",
+       "ea79f92aa20e676e17c0b945e2349de233ee3a223c5601ea365505512b7a0be7",
+       0x9764f067f9bd45edull,
+       "98ff7c00dec558e9a8c4a2dd1b84c6adbf2df45d6f0f91424bfec4d8b0f8b0e8"},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    const RsaKeyPair kp = GenerateRsaKeyPair(pin.bits, rng);
+    EXPECT_EQ(kp.public_key.n.BitLength(), pin.bits);
+    EXPECT_EQ(HashHex(kp.public_key.n), pin.n_sha) << pin.bits;
+    EXPECT_EQ(HashHex(kp.private_key.d), pin.d_sha) << pin.bits;
+    EXPECT_EQ(rng.NextU64(), pin.next_draw) << pin.bits;
+    const std::vector<uint8_t> sig = RsaSignDigest(
+        kp.private_key,
+        Sha256::Hash(Bytes("snic-kat-" + std::to_string(pin.bits))));
+    EXPECT_EQ(DigestToHex(Sha256::Hash(sig)), pin.sig_sha) << pin.bits;
+  }
+}
+
 void ExpectSameKeyPair(const RsaKeyPair& a, const RsaKeyPair& b) {
   EXPECT_TRUE(a.public_key.n == b.public_key.n);
   EXPECT_TRUE(a.public_key.e == b.public_key.e);
   EXPECT_TRUE(a.private_key.n == b.private_key.n);
   EXPECT_TRUE(a.private_key.d == b.private_key.d);
+  EXPECT_TRUE(a.private_key.p == b.private_key.p);
+  EXPECT_TRUE(a.private_key.q == b.private_key.q);
+  EXPECT_TRUE(a.private_key.dp == b.private_key.dp);
+  EXPECT_TRUE(a.private_key.dq == b.private_key.dq);
+  EXPECT_TRUE(a.private_key.qinv == b.private_key.qinv);
 }
 
 TEST(RsaKeyGenMemoTest, SameSeedSameKeyAndSameLaterDraws) {
@@ -478,6 +704,21 @@ TEST(DhTest, TestGroupPrimeIsPrime) {
   Rng rng(49);
   EXPECT_TRUE(BigUint::IsProbablePrime(SmallTestGroup().p, 30, rng));
   EXPECT_EQ(SmallTestGroup().p.BitLength(), 256u);
+}
+
+// Known answers recorded from the Mul/DivMod ladder: the fixed group's
+// prime and public values over it and over the 1536-bit MODP group, the
+// widest modulus the Montgomery path takes.
+TEST(DhTest, KnownAnswerPublicValues) {
+  EXPECT_EQ(SmallTestGroup().p.ToHex(),
+            "9ba5209e7f1c949f5f468090af4350b4c57de545ca617f6fe281b3a40d3d5d23");
+  Rng small_rng(0x4b4104);
+  EXPECT_EQ(DhParticipant(SmallTestGroup(), small_rng).public_value().ToHex(),
+            "64d7e562be9553ab161a19e83b557e6bf3bcae80142d63635ff87f7de3d253f6");
+  Rng modp_rng(0x4b4103);
+  EXPECT_EQ(
+      HashHex(DhParticipant(Modp1536Group(), modp_rng).public_value()),
+      "c17c804b9b31381282be0cef4384cf1608cb669a10d551b5a79be8b2b79e6694");
 }
 
 TEST(DhTest, Modp1536GroupShape) {

@@ -1,8 +1,6 @@
 # Runs the command after `--` in an empty WORK_DIR:
-#   cmake -DWORK_DIR=DIR -P rejects_bad_argument.cmake -- PROGRAM ARGS...
-# The program must exit 2 and leave the directory empty. A program that
-# ignored or misread the argument would run its default work, exit 0 or 1,
-# and (for the benches) write its result file there.
+#   cmake -DWORK_DIR=DIR -DWANT_EXIT=CODE -P run_in_empty_dir.cmake -- PROGRAM ARGS...
+# The program must exit with WANT_EXIT and leave the directory empty.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(command)
@@ -21,8 +19,9 @@ execute_process(COMMAND ${command}
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 file(GLOB left "${WORK_DIR}/*")
-if(NOT code EQUAL 2)
-  message(FATAL_ERROR "`${command}` exited with '${code}', want 2\n${err}")
+if(NOT code EQUAL WANT_EXIT)
+  message(FATAL_ERROR
+    "`${command}` exited with '${code}', want ${WANT_EXIT}\n${out}${err}")
 endif()
 if(left)
   message(FATAL_ERROR "`${command}` left files behind: ${left}")
