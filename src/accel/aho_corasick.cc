@@ -1,5 +1,6 @@
 #include "src/accel/aho_corasick.h"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/common/rng.h"
@@ -71,13 +72,25 @@ AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
     }
   }
   nodes_[n].child_begin = static_cast<uint32_t>(n);
-  for (uint32_t c = nodes_[0].child_begin; c < nodes_[1].child_begin; ++c) {
-    root_[labels_[c]] = c;
-  }
 
-  // Phase 3: fail links and per-node output, in breadth-first order so a
-  // node's fail target (always strictly shallower) is already final.
+  // Phase 3: fail links, per-node output and the dense rows, in
+  // breadth-first order so a node's fail target (always strictly shallower,
+  // hence numbered lower) is already final and, if it has a row, its row is
+  // complete. A row starts as a copy of its fail target's row (all zeros for
+  // the root) and then takes the node's own gotos.
+  rows_.resize(std::min<size_t>(n, kDenseNodes) * 256);
   for (size_t v = 0; v < n; ++v) {
+    if (v < kDenseNodes) {
+      uint32_t* row = &rows_[v * 256];
+      if (v != 0) {
+        const uint32_t* fail_row = &rows_[nodes_[v].fail * 256];
+        std::copy(fail_row, fail_row + 256, row);
+      }
+      for (uint32_t c = nodes_[v].child_begin; c < nodes_[v + 1].child_begin;
+           ++c) {
+        row[labels_[c]] = c;
+      }
+    }
     for (uint32_t c = nodes_[v].child_begin; c < nodes_[v + 1].child_begin;
          ++c) {
       Node& child = nodes_[c];
@@ -92,7 +105,7 @@ AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
 }
 
 uint32_t AhoCorasick::Next(uint32_t state, uint8_t byte) const {
-  while (state != 0) {
+  while (state >= kDenseNodes) {
     const uint32_t end = nodes_[state + 1].child_begin;
     for (uint32_t c = nodes_[state].child_begin; c < end; ++c) {
       if (labels_[c] >= byte) {
@@ -104,7 +117,14 @@ uint32_t AhoCorasick::Next(uint32_t state, uint8_t byte) const {
     }
     state = nodes_[state].fail;
   }
-  return root_[byte];
+  return rows_[state * 256 + byte];
+}
+
+inline uint32_t AhoCorasick::Step(uint32_t state, uint8_t byte) const {
+  if (state < kDenseNodes) {
+    return rows_[state * 256 + byte];
+  }
+  return used_[byte] ? Next(state, byte) : 0;
 }
 
 MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
@@ -112,7 +132,7 @@ MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
   result.bytes_scanned = data.size();
   uint32_t state = 0;
   for (uint8_t byte : data) {
-    state = used_[byte] ? Next(state, byte) : 0;
+    state = Step(state, byte);
     const Node& node = nodes_[state];
     result.match_count += node.match_count;
     if (result.first_pattern == UINT32_MAX) {
@@ -126,7 +146,7 @@ MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
   MatchResult result;
   uint32_t state = 0;
   for (size_t i = 0; i < data.size(); ++i) {
-    state = used_[data[i]] ? Next(state, data[i]) : 0;
+    state = Step(state, data[i]);
     const Node& node = nodes_[state];
     if (node.match_count > 0) {
       result.match_count = 1;

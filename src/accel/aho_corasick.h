@@ -64,6 +64,20 @@ class AhoCorasick {
   // needs only the byte on each edge: `labels_[c]` is the byte leading into
   // node c. Output is precomputed per node, so a scan reads one record per
   // byte and never walks dictionary links.
+  //
+  // The first kDenseNodes nodes, the root and the shallowest states, also
+  // get a full 256-entry transition row: goto with the fail chase already
+  // completed, 0 for a byte that leads nowhere. On CAIDA-like payloads
+  // through the paper-sized corpus a scan spends ~99% of its bytes in these
+  // states. There it takes one load per byte and does not test the byte
+  // first: the used_ test's outcome follows the payload's bytes, and rows
+  // placed behind it scanned only ~1.1x faster than no rows, against ~1.9x
+  // without it. Every other state keeps the sparse path: the used_ test,
+  // then a search of its CSR children, then its fail chase, which ends at
+  // the first state that has a row. The rows take a fixed 64 KB; 16 or
+  // 4,096 of them scanned no faster than 64.
+  static constexpr uint32_t kDenseNodes = 64;
+
   struct Node {
     uint32_t child_begin = 0;
     uint32_t fail = 0;
@@ -74,13 +88,17 @@ class AhoCorasick {
     uint32_t match_count = 0;
   };
 
-  // Goto with fail-link fallback; the root row makes the root dense.
+  // Goto with fail-link fallback, down to the first state with a row.
   uint32_t Next(uint32_t state, uint8_t byte) const;
+  // One scan transition: the row when `state` has one, else Next.
+  uint32_t Step(uint32_t state, uint8_t byte) const;
 
   std::vector<Node> nodes_;      // node_count() records plus an end sentinel
   std::vector<uint8_t> labels_;  // CSR edge bytes, indexed by child node
-  std::array<uint32_t, 256> root_{};  // root's child per byte, 0 if none
-  // Bytes that occur in any pattern; any other byte returns the walk
+  // Row of state s at [s * 256, s * 256 + 256), for the first
+  // min(kDenseNodes, nodes) states.
+  std::vector<uint32_t> rows_;
+  // Bytes that occur in any pattern; any other byte returns a sparse state
   // straight to the root without a fail chase.
   std::array<bool, 256> used_{};
   size_t pattern_count_;

@@ -390,18 +390,30 @@ class MontgomeryContext {
 
   // base^exp mod m for base < m, both in normal form, by a 4-bit fixed
   // window scanned from the top: four squarings, then one multiplication
-  // by a table entry base^digit, per window.
+  // by a table entry base^digit, per window. The table holds powers only
+  // up to the exponent's largest digit: e = 65537, every RSA verify's
+  // exponent, needs base^1 alone.
   Limbs Pow(const Limbs& base, const BigUint& exp) const {
+    const std::vector<uint32_t>& e = exp.limbs();
+    const size_t windows = (exp.BitLength() + 3) / 4;
+    // Eight windows per 32-bit limb.
+    auto digit_at = [&e](size_t w) {
+      return (e[w / 8] >> (4 * (w % 8))) & 0xfu;
+    };
+    uint32_t top_digit = 0;
+    for (size_t w = 0; w < windows; ++w) {
+      top_digit = std::max(top_digit, digit_at(w));
+    }
     Limbs one{};
     one[0] = 1;
     std::array<Limbs, 16> table{};
     Mul(one, r2_, &table[0]);  // R mod m: 1 in Montgomery form
-    Mul(base, r2_, &table[1]);
-    for (size_t i = 2; i < table.size(); ++i) {
+    if (top_digit > 0) {
+      Mul(base, r2_, &table[1]);
+    }
+    for (size_t i = 2; i <= top_digit; ++i) {
       Mul(table[i - 1], table[1], &table[i]);
     }
-    const std::vector<uint32_t>& e = exp.limbs();
-    const size_t windows = (exp.BitLength() + 3) / 4;
     Limbs acc = table[0];
     for (size_t w = windows; w-- > 0;) {
       if (w + 1 != windows) {
@@ -409,8 +421,7 @@ class MontgomeryContext {
           Mul(acc, acc, &acc);
         }
       }
-      // Eight windows per 32-bit limb.
-      const uint32_t digit = (e[w / 8] >> (4 * (w % 8))) & 0xfu;
+      const uint32_t digit = digit_at(w);
       if (digit != 0) {
         Mul(acc, table[digit], &acc);
       }

@@ -1,5 +1,6 @@
 // Tests for the accelerator substrate: Aho-Corasick correctness (naive and
-// hash-set matcher cross-checks, pinned DPI-corpus graph sizes), ZIP
+// hash-set matcher cross-checks over automata with and without sparse
+// states, known answers and pinned graph sizes for the DPI corpus), ZIP
 // round-trips (property-style over random inputs), the virtual cluster
 // pool's single-owner semantics, and the DPI timing model's shape.
 
@@ -135,16 +136,25 @@ TEST(AhoCorasickTest, ScanFirstMatchStopsEarly) {
   EXPECT_LT(result.bytes_scanned, 20u);
 }
 
+// Rounds 0-39 build at most 61 nodes, so every state has a dense row; rounds
+// 40-79 build hundreds, so scans also take the sparse path and fail chases
+// that end in a row.
 TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
   Rng rng(31337);
-  for (int round = 0; round < 40; ++round) {
+  size_t small_rounds = 0;
+  size_t large_rounds = 0;
+  for (int round = 0; round < 80; ++round) {
+    const bool large = round >= 40;
     // Small alphabet maximizes overlaps and fail-link traffic.
+    const uint64_t letters = large ? 3 + rng.NextBounded(2) : 3;
+    const uint64_t count = large ? 40 + rng.NextBounded(161) : 12;
+    const uint64_t max_len = large ? 8 : 5;
     std::vector<std::string> patterns;
-    for (int i = 0; i < 12; ++i) {
+    for (uint64_t i = 0; i < count; ++i) {
       std::string p;
-      const size_t len = 1 + rng.NextBounded(5);
+      const size_t len = 1 + rng.NextBounded(max_len);
       for (size_t j = 0; j < len; ++j) {
-        p.push_back(static_cast<char>('a' + rng.NextBounded(3)));
+        p.push_back(static_cast<char>('a' + rng.NextBounded(letters)));
       }
       patterns.push_back(p);
       // Every other round repeats earlier patterns: duplicates share one
@@ -153,19 +163,32 @@ TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
         patterns.push_back(patterns[rng.NextBounded(patterns.size())]);
       }
     }
-    // 'd', 'e' and 0xff occur in no pattern: they must reset the walk.
+    // The two letters after the alphabet and 0xff occur in no pattern: they
+    // must reset the walk.
     std::string text;
     for (int i = 0; i < 300; ++i) {
-      const uint64_t pick = rng.NextBounded(round % 4 < 2 ? 3 : 6);
-      text.push_back(pick == 5 ? '\xff' : static_cast<char>('a' + pick));
+      const uint64_t pick =
+          rng.NextBounded(round % 4 < 2 ? letters : letters + 3);
+      text.push_back(pick == letters + 2 ? '\xff'
+                                         : static_cast<char>('a' + pick));
     }
     AhoCorasick ac(patterns);
+    (ac.node_count() > 64 ? large_rounds : small_rounds) += 1;
     SCOPED_TRACE(testing::Message() << "round " << round);
     ExpectScansMatchNaive(ac, patterns, text);
     // Short prefixes exercise early first matches and clean misses.
     for (size_t len : {0, 1, 2, 3, 5, 8}) {
       ExpectScansMatchNaive(ac, patterns, text.substr(0, len));
     }
+  }
+  EXPECT_EQ(small_rounds, 40u);
+  EXPECT_EQ(large_rounds, 40u);
+
+  // No patterns: the root alone, which nothing leaves.
+  const AhoCorasick empty(std::vector<std::string>{});
+  EXPECT_EQ(empty.node_count(), 1u);
+  for (const std::string text : {"", "abc", "\xff GET /"}) {
+    ExpectScansMatchNaive(empty, {}, text);
   }
 }
 
@@ -247,6 +270,58 @@ TEST(AhoCorasickTest, DpiCorpusMatchesHashOracle) {
   // Every planted, overlapped and back-to-back payload holds a whole
   // pattern.
   EXPECT_GE(matched, 900u);
+}
+
+// Known answers for both scans over the paper-sized corpus: an FNV-1a hash
+// of (match_count, first_pattern, bytes_scanned) of Scan and of
+// ScanFirstMatch over 2,000 CAIDA-like payloads, every other one with a
+// pattern planted in it. The DPI NFs of a chain share one automaton, so the
+// datapath's own checks compare a scan with itself; this pin, recorded with
+// the plain goto-and-fail walk, is what holds any faster walk to the same
+// answers.
+TEST(AhoCorasickTest, DpiCorpusScanKnownAnswers) {
+  const auto patterns = GenerateDpiRuleset(33471, 11);
+  const AhoCorasick ac(patterns);
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  Rng rng(77);
+  trace::PacketStream stream(trace::TraceConfig::CaidaLike(7));
+  uint64_t matched = 0;
+  uint64_t occurrences = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const net::Packet packet = stream.Next();
+    const auto parsed = net::Parse(packet.bytes());
+    ASSERT_TRUE(parsed.ok());
+    const auto payload =
+        packet.bytes().subspan(parsed.value().payload_offset);
+    std::string text(payload.begin(), payload.end());
+    if (i % 2 == 1) {
+      // Every other plant follows a false start: half of another pattern,
+      // which the walk abandons through its fail links.
+      std::string p = patterns[rng.NextBounded(patterns.size())];
+      if (i % 4 == 3) {
+        const std::string& q = patterns[rng.NextBounded(patterns.size())];
+        p.insert(0, q.substr(0, q.size() / 2));
+      }
+      text.insert(rng.NextBounded(text.size() + 1), p);
+    }
+    const MatchResult scan = ac.Scan(Bytes(text));
+    const MatchResult stop = ac.ScanFirstMatch(Bytes(text));
+    for (const MatchResult& r : {scan, stop}) {
+      mix(r.match_count);
+      mix(r.first_pattern);
+      mix(r.bytes_scanned);
+    }
+    occurrences += scan.match_count;
+    matched += stop.Matched() ? 1 : 0;
+  }
+  EXPECT_EQ(matched, 1000u);
+  EXPECT_EQ(occurrences, 1000u);
+  EXPECT_EQ(hash, 14837138408600143015ULL);
 }
 
 // The DPI graph sizes of the paper-sized corpus. They size the DPI NF's

@@ -345,7 +345,8 @@ TEST(BigUintTest, PowModMatchesNativeOnSmallModuli) {
 // The oracle contract of the Montgomery path: PowMod equals
 // PowModReference for odd moduli of every limb count up to
 // kMontgomeryMaxBits, on edge bases (0, 1, m-1, m, m+1, wider than the
-// Montgomery limbs) and edge exponents (0, 1, all ones, full width). Even
+// Montgomery limbs) and edge exponents (0, 1, 3, 65537, all ones, full
+// width, and each largest 4-bit digit the window table is sized by). Even
 // and wider moduli take the reference path and must agree too.
 TEST(BigUintTest, PowModMatchesReferenceOverRandomModuli) {
   Rng rng(0x4d4f02);
@@ -386,7 +387,7 @@ TEST(BigUintTest, PowModMatchesReferenceOverRandomModuli) {
         BigUint::RandomWithBits(bits + 17, rng),
         BigUint::RandomWithBits(BigUint::kMontgomeryMaxBits + 64, rng)};
     const std::vector<BigUint> exps = {
-        BigUint(), one, BigUint(2), BigUint(65537),
+        BigUint(), one, BigUint(2), BigUint(3), BigUint(65537),
         BigUint::Sub(one.ShiftLeft(exp_bits), one),
         BigUint::RandomWithBits(exp_bits, rng)};
     for (size_t b = 0; b < bases.size(); ++b) {
@@ -395,6 +396,22 @@ TEST(BigUintTest, PowModMatchesReferenceOverRandomModuli) {
                   BigUint::PowModReference(bases[b], exps[e], m))
             << bits << "-bit m=" << m.ToHex() << " base #" << b << " exp #"
             << e;
+      }
+    }
+    // The window table is built up to the exponent's largest 4-bit digit:
+    // exponents whose largest digit is each of 1..15, with every smaller
+    // digit below it (hex d, d-1, ..., 1, 0), and one digit d alone at the
+    // top of a wide run of zeros.
+    const BigUint base = bases[5];
+    for (uint64_t d = 1; d <= 15; ++d) {
+      uint64_t run = 0;
+      for (uint64_t k = d + 1; k-- > 0;) {
+        run = (run << 4) | k;
+      }
+      for (const BigUint& exp : {BigUint(run), BigUint(d).ShiftLeft(60)}) {
+        ASSERT_EQ(BigUint::PowMod(base, exp, m),
+                  BigUint::PowModReference(base, exp, m))
+            << bits << "-bit m=" << m.ToHex() << " exp=" << exp.ToHex();
       }
     }
   }
