@@ -5,9 +5,13 @@
 // recording every DRAM round trip.
 //
 // Budgets, both enforced in the verdict and the exit code: metrics alone
-// must stay below 30%, and metrics+trace must stay within 80% — the bar
-// that lets tracing stay ON for the big sweeps. The budgets were
-// recalibrated when the prepared-trace fast path landed: instrumentation
+// must stay below 20%, and metrics+trace must stay within 80% — the bar
+// that lets tracing stay ON for the big sweeps. A replay publishes its
+// metrics once, after the run (src/sim/replay.cc), so the metrics variant
+// pays only a per-grant bus-wait record and that publish; its budget keeps
+// 2x headroom over the worst measured full run (docs/PERFORMANCE.md,
+// "Effect on the observability budgets"). The budgets were recalibrated
+// when the prepared-trace fast path landed: instrumentation
 // still costs the same ~0.5-2.5 ns per replayed event it always did (ring
 // records are fixed-size stores flushed at task join, see
 // src/obs/trace_ring.h; an allocate-and-stringify event log costs ~10x
@@ -40,7 +44,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr double kMetricsBudgetPct = 30.0;
+constexpr double kMetricsBudgetPct = 20.0;
 constexpr double kTraceBudgetPct = 80.0;
 
 // Scheduler/co-tenant interference on a shared host only ever *adds* time,
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
   const uint64_t seed = U64Flag(argc, argv, "--seed", 2024);
 
   PrintHeader("Observability overhead on the Fig. 5a replay path",
-              "budgets: metrics <30%, metrics+trace <=80% vs the "
+              "budgets: metrics <20%, metrics+trace <=80% vs the "
               "uninstrumented fast path");
 
   // --jobs=N: sweep workers; the checksum (and so the replay results) is

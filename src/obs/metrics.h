@@ -26,9 +26,9 @@
 // must stay single-threaded.
 //
 // Cost: control-plane components bind DefaultRegistry() at construction, so
-// their sites are unconditional adds; the sim layer's sites cost one null
-// check while detached, and bench/obs_overhead.cc tracks the attached cost
-// on the Fig. 5 replay path.
+// their sites are unconditional adds; a replay publishes its full-run counts
+// once after the run (src/sim/replay.cc), and bench/obs_overhead.cc tracks
+// that cost on the Fig. 5 replay path.
 
 #ifndef SNIC_OBS_METRICS_H_
 #define SNIC_OBS_METRICS_H_

@@ -1,44 +1,10 @@
 #include "src/sim/bus.h"
 
 #include <algorithm>
-#include <string>
 
 #include "src/fault/fault.h"
 
 namespace snic::sim {
-namespace {
-
-// One registration body for both frontends (BusArbiter and InlineBus) so
-// the series names and histogram geometry cannot drift apart.
-void AttachDomainObs(obs::MetricRegistry* registry, const obs::Labels& labels,
-                     uint32_t num_domains,
-                     std::vector<obs::Counter*>* requests,
-                     std::vector<obs::LatencyHistogram*>* wait_cycles) {
-  requests->clear();
-  wait_cycles->clear();
-  for (uint32_t d = 0; d < num_domains; ++d) {
-    obs::Labels domain_labels = labels;
-    domain_labels.emplace_back("domain", std::to_string(d));
-    requests->push_back(
-        &registry->GetCounter("sim.bus.requests", domain_labels));
-    wait_cycles->push_back(&registry->GetHistogram(
-        "sim.bus.wait_cycles", domain_labels, 0.0, 4096.0, 64));
-  }
-}
-
-}  // namespace
-
-void BusArbiter::AttachObs(obs::MetricRegistry* registry,
-                           const obs::Labels& labels, uint32_t num_domains) {
-  AttachDomainObs(registry, labels, num_domains, &obs_requests_,
-                  &obs_wait_cycles_);
-}
-
-void InlineBus::AttachObs(obs::MetricRegistry* registry,
-                          const obs::Labels& labels, uint32_t num_domains) {
-  AttachDomainObs(registry, labels, num_domains, &obs_requests_,
-                  &obs_wait_cycles_);
-}
 
 uint64_t FcfsArbiter::Grant(uint64_t arrival_cycle, uint32_t domain) {
   // An injected bus timeout stalls the request before arbitration; the extra
@@ -47,7 +13,7 @@ uint64_t FcfsArbiter::Grant(uint64_t arrival_cycle, uint32_t domain) {
       arrival_cycle + SNIC_FAULT_STALL(fault::sites::kBusTimeout, domain);
   const uint64_t grant =
       bus_detail::FcfsGrant(issue, transfer_cycles_, &busy_until_);
-  RecordGrant(arrival_cycle, grant, domain);
+  RecordGrant(arrival_cycle, grant);
   return grant;
 }
 
@@ -65,7 +31,7 @@ uint64_t RoundRobinArbiter::Grant(uint64_t arrival_cycle, uint32_t domain) {
   const uint64_t grant = bus_detail::RoundRobinGrant(
       issue, transfer_cycles_, num_domains_, domain, &busy_until_,
       &last_domain_, domain_ready_.data());
-  RecordGrant(arrival_cycle, grant, domain);
+  RecordGrant(arrival_cycle, grant);
   return grant;
 }
 
@@ -98,7 +64,7 @@ uint64_t TemporalPartitionArbiter::Grant(uint64_t arrival_cycle,
   const uint64_t earliest = std::max(issue, domain_busy_until_[domain]);
   const uint64_t grant = NextIssueSlot(earliest, domain);
   domain_busy_until_[domain] = grant + config_.transfer_cycles;
-  RecordGrant(arrival_cycle, grant, domain);
+  RecordGrant(arrival_cycle, grant);
   return grant;
 }
 

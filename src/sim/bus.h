@@ -17,8 +17,10 @@
 //    policy switch over the same inline math, plus a per-domain rotation
 //    memo for temporal partitioning so arbitration over a run of accesses
 //    is incremental adds instead of a 64-bit divide per grant.
-// Both produce identical grants, stats, and obs series for identical
-// request streams; tests/sim_differential_test.cc holds them together.
+// Both produce identical grants and stats for identical request streams;
+// tests/sim_differential_test.cc holds them together. Neither publishes
+// metrics: the replay engines publish their full-run counts once per
+// replay (src/sim/replay.cc).
 
 #ifndef SNIC_SIM_BUS_H_
 #define SNIC_SIM_BUS_H_
@@ -30,7 +32,6 @@
 
 #include "src/common/status.h"
 #include "src/fault/fault.h"
-#include "src/obs/metrics.h"
 
 namespace snic::sim {
 
@@ -147,27 +148,14 @@ class BusArbiter {
   const BusStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BusStats(); }
 
-  // Registers `sim.bus.requests{domain=d}` counters and
-  // `sim.bus.wait_cycles{domain=d}` histograms for domains [0, num_domains)
-  // under `labels`. Per-grant cost when attached: one increment plus one
-  // histogram add; a size check when not attached.
-  void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels,
-                 uint32_t num_domains);
-
  protected:
-  void RecordGrant(uint64_t arrival, uint64_t grant, uint32_t domain) {
+  void RecordGrant(uint64_t arrival, uint64_t grant) {
     ++stats_.requests;
     stats_.total_wait_cycles += grant - arrival;
     stats_.total_busy_cycles += transfer_cycles();
-    if (domain < obs_requests_.size()) {
-      obs_requests_[domain]->Inc();
-      obs_wait_cycles_[domain]->Record(static_cast<double>(grant - arrival));
-    }
   }
 
   BusStats stats_;
-  std::vector<obs::Counter*> obs_requests_;
-  std::vector<obs::LatencyHistogram*> obs_wait_cycles_;
 };
 
 // First-come-first-served: a single busy-until register. Models commodity
@@ -246,7 +234,7 @@ std::unique_ptr<BusArbiter> MakeArbiter(BusPolicy policy,
                                         uint32_t dead_time_cycles = 12);
 
 // Devirtualized arbiter for the replay hot path: same policies, same grant
-// schedule, same stats and obs series as the MakeArbiter() family, but
+// schedule, same stats as the MakeArbiter() family, but
 // Grant() is a non-virtual inline switch and the temporal policy amortizes
 // window arithmetic across a run of requests via a per-domain rotation
 // memo. Requests must be presented in the same (globally ordered) way the
@@ -302,21 +290,12 @@ class InlineBus {
     ++stats_.requests;
     stats_.total_wait_cycles += grant - arrival_cycle;
     stats_.total_busy_cycles += transfer_cycles_;
-    if (domain < obs_requests_.size()) {
-      obs_requests_[domain]->Inc();
-      obs_wait_cycles_[domain]->Record(
-          static_cast<double>(grant - arrival_cycle));
-    }
     return grant;
   }
 
   uint32_t transfer_cycles() const { return transfer_cycles_; }
   const BusStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BusStats(); }
-
-  // Same series as BusArbiter::AttachObs.
-  void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels,
-                 uint32_t num_domains);
 
  private:
   BusPolicy policy_;
@@ -331,8 +310,6 @@ class InlineBus {
   std::vector<uint64_t> domain_busy_until_;  // temporal
   std::vector<uint64_t> rotation_start_;     // temporal window memo
   BusStats stats_;
-  std::vector<obs::Counter*> obs_requests_;
-  std::vector<obs::LatencyHistogram*> obs_wait_cycles_;
 };
 
 }  // namespace snic::sim

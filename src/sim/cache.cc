@@ -39,13 +39,6 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   RebuildWayRanges();
 }
 
-void Cache::AttachObs(obs::MetricRegistry* registry,
-                      const obs::Labels& labels) {
-  obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
-  obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
-  obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
-}
-
 void Cache::DomainWayRange(uint32_t domain, uint32_t* begin,
                            uint32_t* end) const {
   switch (config_.policy) {
@@ -97,7 +90,6 @@ uint32_t Cache::WaysForDomain(uint32_t domain) const {
 bool Cache::MissFill(uint64_t tag, uint32_t domain, size_t base,
                      uint32_t begin, uint32_t end) {
   ++stats_.misses;
-  if (obs_misses_ != nullptr) obs_misses_->Inc();
   // Victim: first invalid way, else LRU within the allowed range (with
   // occasional random-way eviction under pseudo-LRU). Both rules collapse
   // into ONE scan through the lru==0-means-invalid invariant (see cache.h):
@@ -115,10 +107,7 @@ bool Cache::MissFill(uint64_t tag, uint32_t domain, size_t base,
                                              (end - begin));
     }
   }
-  if (evicting) {
-    ++stats_.evictions;
-    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
-  }
+  stats_.evictions += evicting ? 1 : 0;
   tags_[base + victim] = tag;
   domains_[base + victim] = domain;
   lru_[base + victim] = tick_;

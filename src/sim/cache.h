@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/obs/metrics.h"
 
 // AVX2 gives the scans 4-wide 64-bit lane compares (vpcmpeqq); baseline
 // x86-64 (SSE2) has no 64-bit lane compare at all, so below AVX2 the scalar
@@ -256,13 +255,7 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  CacheStats& mutable_stats() { return stats_; }
   void ResetStats() { stats_ = CacheStats(); }
-
-  // Registers `sim.cache.{hits,misses,evictions}` counters under `labels`
-  // (callers add `level`/`core`/`config` dimensions). Hot-path cost when
-  // attached: one pointer increment per event; one null check when not.
-  void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels);
 
   uint32_t num_sets() const { return num_sets_; }
 
@@ -308,9 +301,6 @@ class Cache {
   std::vector<uint32_t> way_end_;
   std::vector<uint32_t> secdcp_ways_;  // per-domain way counts under kSecDcp
   CacheStats stats_;
-  obs::Counter* obs_hits_ = nullptr;
-  obs::Counter* obs_misses_ = nullptr;
-  obs::Counter* obs_evictions_ = nullptr;
 };
 
 inline bool Cache::Access(uint64_t addr, uint32_t domain) {
@@ -346,7 +336,6 @@ inline bool Cache::Access(uint64_t addr, uint32_t domain) {
     lru_[base + w] = tick_;
     domains_[base + w] = domain;
     ++stats_.hits;
-    if (obs_hits_ != nullptr) obs_hits_->Inc();
     return true;
   }
   return MissFill(tag, domain, base, begin, end);

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "src/common/units.h"
 #include "src/sim/bus.h"
+#include "src/sim/replay_sinks.h"
 
 namespace snic::sim {
 namespace {
@@ -35,13 +35,6 @@ ReferenceCache::ReferenceCache(const CacheConfig& config) : config_(config) {
     secdcp_ways_.assign(config_.num_domains,
                         config_.associativity / config_.num_domains);
   }
-}
-
-void ReferenceCache::AttachObs(obs::MetricRegistry* registry,
-                               const obs::Labels& labels) {
-  obs_hits_ = &registry->GetCounter("sim.cache.hits", labels);
-  obs_misses_ = &registry->GetCounter("sim.cache.misses", labels);
-  obs_evictions_ = &registry->GetCounter("sim.cache.evictions", labels);
 }
 
 void ReferenceCache::DomainWayRange(uint32_t domain, uint32_t* begin,
@@ -103,13 +96,11 @@ bool ReferenceCache::Access(uint64_t addr, uint32_t domain) {
       line.lru = tick_;
       line.domain = domain;
       ++stats_.hits;
-      if (obs_hits_ != nullptr) obs_hits_->Inc();
       return true;
     }
   }
 
   ++stats_.misses;
-  if (obs_misses_ != nullptr) obs_misses_->Inc();
   // Victim: invalid way first, else LRU within the allowed range (with
   // occasional random-way eviction under pseudo-LRU).
   Line* victim = nullptr;
@@ -133,7 +124,6 @@ bool ReferenceCache::Access(uint64_t addr, uint32_t domain) {
   }
   if (victim->valid) {
     ++stats_.evictions;
-    if (obs_evictions_ != nullptr) obs_evictions_->Inc();
   }
   victim->valid = true;
   victim->tag = tag;
@@ -202,48 +192,9 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
       MakeArbiter(config.bus_policy, config.bus_transfer_cycles, num_cores,
                   config.bus_epoch_cycles, config.bus_dead_time_cycles);
 
-  // Observability sinks. Both stay null without obs hooks, so every
-  // `if (trace != nullptr)` below is then one untaken branch.
-  obs::MetricRegistry* metrics = nullptr;
-  obs::TraceRing* trace = nullptr;
-  uint32_t trace_pid_base = 0;
-  if (obs_hooks != nullptr) {
-    metrics = obs_hooks->metrics;
-    trace = obs_hooks->trace;
-    trace_pid_base = obs_hooks->trace_pid_base;
-  }
-  const uint32_t bus_pid = trace_pid_base + num_cores;
-  // Interned once per replay; each hot-path emission below is then a
-  // fixed-size record store (docs/OBSERVABILITY.md "Binary tracing & spans").
-  uint16_t dram_id = 0;
-  uint16_t xfer_id = 0;
-  uint16_t warmup_id = 0;
-  if (trace != nullptr) {
-    dram_id = trace->Intern("dram");
-    xfer_id = trace->Intern("xfer");
-    warmup_id = trace->Intern("warmup_done");
-  }
-  if (metrics != nullptr) {
-    obs::Labels l2_labels = obs_hooks->labels;
-    l2_labels.emplace_back("level", "l2");
-    l2.AttachObs(metrics, l2_labels);
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      obs::Labels l1_labels = obs_hooks->labels;
-      l1_labels.emplace_back("level", "l1");
-      l1_labels.emplace_back("core", std::to_string(c));
-      l1s[c].AttachObs(metrics, l1_labels);
-    }
-    bus->AttachObs(metrics, obs_hooks->labels, num_cores);
-  }
-  if (trace != nullptr) {
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      trace->SetProcessName(trace_pid_base + c, "core" + std::to_string(c));
-    }
-    trace->SetProcessName(bus_pid, "bus");
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      trace->SetThreadName(bus_pid, c, "domain" + std::to_string(c));
-    }
-  }
+  replay_detail::ReplaySinks sinks(obs_hooks, num_cores,
+                                   config.bus_transfer_cycles);
+  CacheStats l2_at_reset;
 
   struct CoreState {
     size_t next_event = 0;
@@ -312,10 +263,8 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
       // Core-issued uncached ops (semaphores, device registers) do cross
       // the arbitrated bus.
       const uint64_t grant = bus->Grant(core.cycle + 1, best);
-      if (trace != nullptr) {
-        trace->EmitComplete(xfer_id, grant, config.bus_transfer_cycles,
-                            bus_pid, best);
-      }
+      sinks.RecordBusWait(best, core.cycle + 1, grant);
+      sinks.EmitXfer(best, grant);
       {
         // Store-queue model: the core retires the store immediately unless
         // more than kStoreQueueDepth transfers are queued ahead of it.
@@ -335,18 +284,15 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
           ++core.l2_misses;
           const uint64_t request_time = core.cycle + latency;
           const uint64_t grant = bus->Grant(request_time, best);
+          sinks.RecordBusWait(best, request_time, grant);
           latency = (grant - core.cycle) + config.bus_transfer_cycles +
                     config.dram_latency_cycles;
-          if (trace != nullptr) {
-            // One span on the core's lane for the whole DRAM round trip
-            // (arbitration wait + transfer + DRAM), one on the bus lane for
-            // the transfer itself.
-            trace->EmitComplete(dram_id, request_time,
-                                (core.cycle + latency) - request_time,
-                                trace_pid_base + best, 0);
-            trace->EmitComplete(xfer_id, grant, config.bus_transfer_cycles,
-                                bus_pid, best);
-          }
+          // One span on the core's lane for the whole DRAM round trip
+          // (arbitration wait + transfer + DRAM), one on the bus lane for
+          // the transfer itself.
+          sinks.EmitDram(best, request_time,
+                         (core.cycle + latency) - request_time);
+          sinks.EmitXfer(best, grant);
         }
       }
     }
@@ -362,15 +308,14 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
       core.mem_at_reset = core.mem_accesses;
       core.l1_miss_at_reset = core.l1_misses;
       core.l2_miss_at_reset = core.l2_misses;
-      if (trace != nullptr) {
-        trace->EmitInstant(warmup_id, core.cycle, trace_pid_base + best, 0);
-      }
+      sinks.EmitWarmupDone(best, core.cycle);
       if (!stats_reset_issued) {
         bool all_reset = true;
         for (const CoreState& s : cores) {
           all_reset &= s.reset_done;
         }
         if (all_reset) {
+          l2_at_reset = l2.stats();
           l2.ResetStats();
           bus->ResetStats();
           stats_reset_issued = true;
@@ -393,22 +338,11 @@ ReplayResult ReferenceReplay(const MachineConfig& config,
   result.l2_stats = l2.stats();
   result.bus_stats = bus->stats();
 
-  // Per-core post-warmup counters: published once at the end of the run, so
-  // they cost nothing on the hot path.
-  if (metrics != nullptr) {
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      obs::Labels core_labels = obs_hooks->labels;
-      core_labels.emplace_back("core", std::to_string(c));
-      const CoreResult& r = result.cores[c];
-      metrics->GetCounter("sim.core.instructions", core_labels)
-          .Inc(r.instructions);
-      metrics->GetCounter("sim.core.cycles", core_labels).Inc(r.cycles);
-      metrics->GetCounter("sim.core.l1.hits", core_labels).Inc(r.L1Hits());
-      metrics->GetCounter("sim.core.l1.misses", core_labels).Inc(r.l1_misses);
-      metrics->GetCounter("sim.core.l2.hits", core_labels).Inc(r.L2Hits());
-      metrics->GetCounter("sim.core.l2.misses", core_labels).Inc(r.l2_misses);
-    }
+  std::vector<CacheStats> l1(num_cores);
+  for (uint32_t c = 0; c < num_cores; ++c) {
+    l1[c] = l1s[c].stats();
   }
+  sinks.Publish(l2_at_reset, l1, result);
   return result;
 }
 

@@ -17,8 +17,9 @@
 //    Cache::Access for every access sequence.
 //  - ReferenceReplay must produce a ReplayResult (per-core counters,
 //    l2_stats, bus_stats) byte-identical to Replay for every trace set and
-//    MachineConfig, including the observability side effects (metric series
-//    and binary trace records, in the same order).
+//    MachineConfig, including the observability side effects (the full-run
+//    counts both engines hand to replay_detail::ReplaySinks::Publish, and
+//    binary trace records in the same order).
 //  - Behavioural changes land in BOTH models in the same commit, with the
 //    differential test as the witness; a change to only one of them is a
 //    bug by definition.
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/obs/metrics.h"
 #include "src/sim/cache.h"
 #include "src/sim/mem_access.h"
 #include "src/sim/replay.h"
@@ -53,7 +53,6 @@ class ReferenceCache {
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats(); }
-  void AttachObs(obs::MetricRegistry* registry, const obs::Labels& labels);
   uint32_t num_sets() const { return num_sets_; }
 
  private:
@@ -73,9 +72,6 @@ class ReferenceCache {
   std::vector<Line> lines_;  // num_sets_ * associativity, row-major by set
   std::vector<uint32_t> secdcp_ways_;  // per-domain way counts under kSecDcp
   CacheStats stats_;
-  obs::Counter* obs_hits_ = nullptr;
-  obs::Counter* obs_misses_ = nullptr;
-  obs::Counter* obs_evictions_ = nullptr;
 };
 
 // The pre-optimization replay engine: materialized traces, per-event argmin

@@ -7,6 +7,7 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/sim/replay_sinks.h"
 
 namespace snic::sim {
 
@@ -322,9 +323,7 @@ class TracePreparer {
     out_->tail_instr_ = d_instr_;
     out_->tail_mem_ = d_mem_;
     out_->tail_uncached_ = d_uncached_;
-    out_->l1_hits_ = l1_.stats().hits;
-    out_->l1_misses_ = l1_.stats().misses;
-    out_->l1_evictions_ = l1_.stats().evictions;
+    out_->l1_stats_ = l1_.stats();
   }
 
  private:
@@ -421,6 +420,94 @@ PreparedTrace PreparedTrace::Prepare(const EncodedTrace& trace,
 }
 
 // ---------------------------------------------------------------------------
+// Observability shared by both engines.
+
+namespace replay_detail {
+
+ReplaySinks::ReplaySinks(const ReplayObs* hooks, uint32_t num_cores,
+                         uint32_t transfer_cycles)
+    : hooks_(hooks), transfer_cycles_(transfer_cycles) {
+  if (hooks == nullptr) {
+    return;
+  }
+  if (hooks->metrics != nullptr) {
+    bus_waits_.assign(num_cores, obs::LatencyHistogram(0.0, 4096.0, 64));
+  }
+  trace_ = hooks->trace;
+  if (trace_ == nullptr) {
+    return;
+  }
+  // Interned once per replay; each hot-path emission is then a fixed-size
+  // record store (docs/OBSERVABILITY.md "Binary tracing & spans").
+  dram_ = trace_->Intern("dram");
+  xfer_ = trace_->Intern("xfer");
+  warmup_done_ = trace_->Intern("warmup_done");
+  pid_base_ = hooks->trace_pid_base;
+  bus_pid_ = pid_base_ + num_cores;
+  for (uint32_t c = 0; c < num_cores; ++c) {
+    trace_->SetProcessName(pid_base_ + c, "core" + std::to_string(c));
+  }
+  trace_->SetProcessName(bus_pid_, "bus");
+  for (uint32_t c = 0; c < num_cores; ++c) {
+    trace_->SetThreadName(bus_pid_, c, "domain" + std::to_string(c));
+  }
+}
+
+void ReplaySinks::Publish(const CacheStats& l2_at_reset,
+                          const std::vector<CacheStats>& l1,
+                          const ReplayResult& result) const {
+  if (hooks_ == nullptr || hooks_->metrics == nullptr) {
+    return;
+  }
+  obs::MetricRegistry& metrics = *hooks_->metrics;
+  auto labelled = [&](const char* key, const std::string& value) {
+    obs::Labels labels = hooks_->labels;
+    labels.emplace_back(key, value);
+    return labels;
+  };
+  auto publish_cache = [&](const obs::Labels& labels, const CacheStats& s) {
+    metrics.GetCounter("sim.cache.hits", labels).Inc(s.hits);
+    metrics.GetCounter("sim.cache.misses", labels).Inc(s.misses);
+    metrics.GetCounter("sim.cache.evictions", labels).Inc(s.evictions);
+  };
+
+  // Cache and bus series count the whole run, warmup included.
+  CacheStats l2 = l2_at_reset;
+  l2.hits += result.l2_stats.hits;
+  l2.misses += result.l2_stats.misses;
+  l2.evictions += result.l2_stats.evictions;
+  publish_cache(labelled("level", "l2"), l2);
+  for (size_t c = 0; c < l1.size(); ++c) {
+    obs::Labels labels = labelled("level", "l1");
+    labels.emplace_back("core", std::to_string(c));
+    publish_cache(labels, l1[c]);
+  }
+  for (size_t d = 0; d < bus_waits_.size(); ++d) {
+    const obs::LatencyHistogram& waits = bus_waits_[d];
+    const obs::Labels labels = labelled("domain", std::to_string(d));
+    metrics.GetCounter("sim.bus.requests", labels).Inc(waits.count());
+    SNIC_CHECK(metrics
+                   .GetHistogram("sim.bus.wait_cycles", labels, waits.lo(),
+                                 waits.hi(), waits.histogram().NumBuckets())
+                   .MergeFrom(waits));
+  }
+
+  // Core series count only after warmup, like ReplayResult.
+  for (size_t c = 0; c < result.cores.size(); ++c) {
+    const obs::Labels labels = labelled("core", std::to_string(c));
+    const CoreResult& r = result.cores[c];
+    metrics.GetCounter("sim.core.instructions", labels).Inc(r.instructions);
+    metrics.GetCounter("sim.core.cycles", labels).Inc(r.cycles);
+    metrics.GetCounter("sim.core.l1.hits", labels).Inc(r.L1Hits());
+    metrics.GetCounter("sim.core.l1.misses", labels).Inc(r.l1_misses);
+    metrics.GetCounter("sim.core.l2.hits", labels).Inc(r.L2Hits());
+    metrics.GetCounter("sim.core.l2.misses", labels).Inc(r.l2_misses);
+  }
+}
+
+}  // namespace replay_detail
+
+// ---------------------------------------------------------------------------
 // Fast replay engine: merge of prepared global events.
 
 ReplayResult Replay(const MachineConfig& config,
@@ -449,55 +536,9 @@ ReplayResult Replay(const MachineConfig& config,
   InlineBus bus(config.bus_policy, config.bus_transfer_cycles, num_cores,
                 config.bus_epoch_cycles, config.bus_dead_time_cycles);
 
-  // Observability sinks. Both stay null without obs hooks, so every
-  // `if (trace != nullptr)` below is then one untaken branch.
-  obs::MetricRegistry* metrics = nullptr;
-  obs::TraceRing* trace = nullptr;
-  uint32_t trace_pid_base = 0;
-  if (obs_hooks != nullptr) {
-    metrics = obs_hooks->metrics;
-    trace = obs_hooks->trace;
-    trace_pid_base = obs_hooks->trace_pid_base;
-  }
-  const uint32_t bus_pid = trace_pid_base + num_cores;
-  // Interned once per replay; each hot-path emission below is then a
-  // fixed-size record store (docs/OBSERVABILITY.md "Binary tracing & spans").
-  uint16_t dram_id = 0;
-  uint16_t xfer_id = 0;
-  uint16_t warmup_id = 0;
-  if (trace != nullptr) {
-    dram_id = trace->Intern("dram");
-    xfer_id = trace->Intern("xfer");
-    warmup_id = trace->Intern("warmup_done");
-  }
-  if (metrics != nullptr) {
-    obs::Labels l2_labels = obs_hooks->labels;
-    l2_labels.emplace_back("level", "l2");
-    l2.AttachObs(metrics, l2_labels);
-    // Per-core L1 series: the totals were counted at prepare time; create
-    // and bump them in the order a live per-core L1 would have registered
-    // them so merged snapshots stay byte-identical to the reference.
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      obs::Labels l1_labels = obs_hooks->labels;
-      l1_labels.emplace_back("level", "l1");
-      l1_labels.emplace_back("core", std::to_string(c));
-      metrics->GetCounter("sim.cache.hits", l1_labels).Inc(traces[c]->l1_hits_);
-      metrics->GetCounter("sim.cache.misses", l1_labels)
-          .Inc(traces[c]->l1_misses_);
-      metrics->GetCounter("sim.cache.evictions", l1_labels)
-          .Inc(traces[c]->l1_evictions_);
-    }
-    bus.AttachObs(metrics, obs_hooks->labels, num_cores);
-  }
-  if (trace != nullptr) {
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      trace->SetProcessName(trace_pid_base + c, "core" + std::to_string(c));
-    }
-    trace->SetProcessName(bus_pid, "bus");
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      trace->SetThreadName(bus_pid, c, "domain" + std::to_string(c));
-    }
-  }
+  replay_detail::ReplaySinks sinks(obs_hooks, num_cores,
+                                   config.bus_transfer_cycles);
+  CacheStats l2_at_reset;
 
   struct CoreState {
     const PreparedTrace::GlobalEvent* rec = nullptr;
@@ -605,17 +646,13 @@ ReplayResult Replay(const MachineConfig& config,
             ++core.l2_misses;
             const uint64_t request_time = cycle + latency;
             const uint64_t grant = bus.Grant(request_time, best);
+            sinks.RecordBusWait(best, request_time, grant);
             latency = (grant - cycle) + transfer_cycles + dram_cycles;
-            if (trace != nullptr) {
-              // One span on the core's lane for the whole DRAM round trip
-              // (arbitration wait + transfer + DRAM), one on the bus lane
-              // for the transfer itself.
-              trace->EmitComplete(dram_id, request_time,
-                                  (cycle + latency) - request_time,
-                                  trace_pid_base + best, 0);
-              trace->EmitComplete(xfer_id, grant, config.bus_transfer_cycles,
-                                  bus_pid, best);
-            }
+            // One span on the core's lane for the whole DRAM round trip
+            // (arbitration wait + transfer + DRAM), one on the bus lane for
+            // the transfer itself.
+            sinks.EmitDram(best, request_time, (cycle + latency) - request_time);
+            sinks.EmitXfer(best, grant);
           }
           core.cycle = cycle + latency;
           break;
@@ -624,10 +661,8 @@ ReplayResult Replay(const MachineConfig& config,
           // Core-issued uncached ops (semaphores, device registers) cross
           // the arbitrated bus through the store-queue model.
           const uint64_t grant = bus.Grant(cycle + 1, best);
-          if (trace != nullptr) {
-            trace->EmitComplete(xfer_id, grant, config.bus_transfer_cycles,
-                                bus_pid, best);
-          }
+          sinks.RecordBusWait(best, cycle + 1, grant);
+          sinks.EmitXfer(best, grant);
           constexpr uint64_t kStoreQueueDepth = 8;
           const uint64_t backlog = grant - (cycle + 1);
           const uint64_t queue_cap = kStoreQueueDepth * transfer_cycles;
@@ -655,12 +690,11 @@ ReplayResult Replay(const MachineConfig& config,
         core.mem_at_reset = core.mem_accesses;
         core.l1_miss_at_reset = core.l1_misses;
         core.l2_miss_at_reset = core.l2_misses;
-        if (trace != nullptr) {
-          trace->EmitInstant(warmup_id, core.cycle, trace_pid_base + best, 0);
-        }
+        sinks.EmitWarmupDone(best, core.cycle);
         // Cores with empty traces never cross, matching the reference's
         // all-cores condition (the reset is then never issued).
         if (++crossed == num_cores) {
+          l2_at_reset = l2.stats();
           l2.ResetStats();
           bus.ResetStats();
         }
@@ -700,24 +734,11 @@ ReplayResult Replay(const MachineConfig& config,
   result.l2_stats = l2.stats();
   result.bus_stats = bus.stats();
 
-  // Per-core post-warmup counters: published once at the end of the run, so
-  // they cost nothing on the hot path.
-  if (metrics != nullptr) {
-    for (uint32_t c = 0; c < num_cores; ++c) {
-      obs::Labels core_labels = obs_hooks->labels;
-      core_labels.emplace_back("core", std::to_string(c));
-      const CoreResult& r = result.cores[c];
-      metrics->GetCounter("sim.core.instructions", core_labels)
-          .Inc(r.instructions);
-      metrics->GetCounter("sim.core.cycles", core_labels).Inc(r.cycles);
-      metrics->GetCounter("sim.core.l1.hits", core_labels).Inc(r.L1Hits());
-      metrics->GetCounter("sim.core.l1.misses", core_labels)
-          .Inc(r.l1_misses);
-      metrics->GetCounter("sim.core.l2.hits", core_labels).Inc(r.L2Hits());
-      metrics->GetCounter("sim.core.l2.misses", core_labels)
-          .Inc(r.l2_misses);
-    }
+  std::vector<CacheStats> l1(num_cores);
+  for (uint32_t c = 0; c < num_cores; ++c) {
+    l1[c] = traces[c]->l1_stats_;
   }
+  sinks.Publish(l2_at_reset, l1, result);
   return result;
 }
 

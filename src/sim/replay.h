@@ -33,7 +33,7 @@
 // event carries independently of any other core's progress. So replaying
 // only the global events, merged by that same key, touches the L2 / bus /
 // trace ring in exactly the reference's sequence. Results — every counter,
-// every metric increment, the order of every trace-ring record — are byte-
+// every published metric, the order of every trace-ring record — are byte-
 // identical to the scalar sim::ReferenceReplay oracle (src/sim/reference.h,
 // held by tests/sim_differential_test.cc). See docs/PERFORMANCE.md.
 //
@@ -103,15 +103,16 @@ struct ReplayResult {
 };
 
 // Observability sinks for one replay. All optional; when `metrics` is set the
-// engine registers per-core counters (`sim.core.l1.hits{core=c}`, ...,
-// `sim.core.l2.misses{core=c}`), cache-level counters (`sim.cache.*`), and
-// per-domain bus series (`sim.bus.requests` / `sim.bus.wait_cycles`). When
-// `trace` is set, every DRAM-bound access becomes a fixed-size binary ring
-// record ("dram" / "xfer" spans, "warmup_done" instants): one lane per core
-// (pid = trace_pid_base + core) plus a shared bus lane (pid =
-// trace_pid_base + num_cores, tid = domain). Convert offline with
-// TraceRing::ToChromeJson() (or tools/snic_trace) to see FCFS-vs-temporal
-// bus schedules side by side in Perfetto.
+// engine publishes, once after the run, per-core post-warmup counters
+// (`sim.core.l1.hits{core=c}`, ..., `sim.core.l2.misses{core=c}`), full-run
+// cache-level counters (`sim.cache.*`), and full-run per-domain bus series
+// (`sim.bus.requests` / `sim.bus.wait_cycles`). When `trace` is set, every
+// DRAM-bound access becomes a fixed-size binary ring record ("dram" / "xfer"
+// spans, "warmup_done" instants): one lane per core (pid = trace_pid_base +
+// core) plus a shared bus lane (pid = trace_pid_base + num_cores, tid =
+// domain). Convert offline with TraceRing::ToChromeJson() (or
+// tools/snic_trace) to see FCFS-vs-temporal bus schedules side by side in
+// Perfetto.
 struct ReplayObs {
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
@@ -192,10 +193,8 @@ class PreparedTrace {
   uint64_t tail_instr_ = 0;
   uint64_t tail_mem_ = 0;
   uint64_t tail_uncached_ = 0;
-  // Full-run private-L1 totals (sim.cache.* series for level=l1).
-  uint64_t l1_hits_ = 0;
-  uint64_t l1_misses_ = 0;
-  uint64_t l1_evictions_ = 0;
+  // Full-run private-L1 stats (published as the level=l1 cache series).
+  CacheStats l1_stats_;
 };
 
 // Replays one prepared trace per core: the fastest path, and the form every

@@ -222,6 +222,31 @@ TEST(ReplayObservability, PublishesSeriesAndWellFormedTrace) {
     ASSERT_NE(registry.FindHistogram("sim.bus.wait_cycles", labels), nullptr);
   }
 
+  // Full-run identities no engine computes directly (the traces are
+  // read-only, so every L2 miss is one bus request): each L1 sees all 4000
+  // reads, the L2 sees every L1 miss, and the bus every L2 miss — warm-up
+  // included, although ReplayResult::l2_stats counts only after it.
+  auto count = [&](const char* name, Labels labels) {
+    labels.insert(labels.begin(), {"config", "test"});
+    const Counter* counter = registry.FindCounter(name, labels);
+    EXPECT_NE(counter, nullptr) << name;
+    return counter == nullptr ? 0 : counter->value();
+  };
+  uint64_t l1_misses = 0;
+  for (uint32_t c = 0; c < 2; ++c) {
+    const Labels l1 = {{"level", "l1"}, {"core", std::to_string(c)}};
+    EXPECT_EQ(count("sim.cache.hits", l1) + count("sim.cache.misses", l1),
+              4000u);
+    l1_misses += count("sim.cache.misses", l1);
+  }
+  const Labels l2 = {{"level", "l2"}};
+  EXPECT_EQ(count("sim.cache.hits", l2) + count("sim.cache.misses", l2),
+            l1_misses);
+  EXPECT_EQ(count("sim.bus.requests", {{"domain", "0"}}) +
+                count("sim.bus.requests", {{"domain", "1"}}),
+            count("sim.cache.misses", l2));
+  EXPECT_GT(count("sim.cache.misses", l2), result.l2_stats.misses);
+
   // The converted trace parses and spans are non-overlapping per (pid, tid).
   ASSERT_GT(trace.size(), 0u);
   auto parsed = json::Value::Parse(trace.ToChromeJson());

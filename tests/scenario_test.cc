@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -291,7 +292,7 @@ std::vector<std::pair<std::string, std::string>> ReadCuratedSpecs() {
 
 TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
   const auto curated = ReadCuratedSpecs();
-  ASSERT_EQ(curated.size(), 18u) << SNIC_CURATED_SPECS_DIR;
+  ASSERT_EQ(curated.size(), 19u) << SNIC_CURATED_SPECS_DIR;
   Fnv all;
   for (const auto& [file, text] : curated) {
     const auto spec = ParseScenarioSpec(text);
@@ -302,7 +303,7 @@ TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
     EXPECT_EQ(SerializeScenarioSpec(reparsed.value()), canonical) << file;
     MixCanonical(all, spec.value());
   }
-  EXPECT_EQ(all.h, 0xe96bd3eb0e83df65ull);
+  EXPECT_EQ(all.h, 0x593080c4a168f4c9ull);
 }
 
 TEST(ScenarioSpecTest, DownstreamRoundTripsAndIsOmittedWhenUnset) {
@@ -490,7 +491,7 @@ int64_t RingLaneCount(const std::string& report, const std::string& tenant) {
 // records in both runs.
 TEST(ScenarioRunnerTest, CuratedBystanderRingLanesAreNonEmpty) {
   const auto curated = ReadCuratedSpecs();
-  ASSERT_EQ(curated.size(), 18u) << SNIC_CURATED_SPECS_DIR;
+  ASSERT_EQ(curated.size(), 19u) << SNIC_CURATED_SPECS_DIR;
   size_t lanes = 0;
   for (const auto& [file, text] : curated) {
     const auto parsed = ParseScenarioSpec(text);
@@ -566,38 +567,59 @@ TEST(ScenarioRunnerTest, LongTenantNamesKeepEveryReportLineWhole) {
             RunConstellation(short_spec.value(), kSeed).tenants[0].report);
 }
 
-// The runner installs its registry and ring once and every component binds
-// them at construction, so the overload target's breaker-gated accelerator
-// dispatch records on the target's lane, and on no other.
-TEST(ScenarioRunnerTest, GatedOverloadTargetRecordsAccelDispatch) {
+// Runs the curated spec in `file` with a ring and counts the accel.* records
+// on its overload target's lane by name. The runner installs its registry and
+// ring once and every component binds them at construction, so the target's
+// breaker-gated accelerator dispatch records there, and on no other lane.
+std::map<std::string, size_t> TargetAccelRecords(const std::string& file) {
   const auto curated = ReadCuratedSpecs();
-  const auto overload = std::find_if(
+  const auto entry = std::find_if(
       curated.begin(), curated.end(),
-      [](const auto& entry) { return entry.first == "overload_400.json"; });
-  ASSERT_NE(overload, curated.end());
-  const auto spec = ParseScenarioSpec(overload->second);
-  ASSERT_TRUE(spec.ok());
+      [&](const auto& named) { return named.first == file; });
+  if (entry == curated.end()) {
+    ADD_FAILURE() << "no curated " << file;
+    return {};
+  }
+  const auto spec = ParseScenarioSpec(entry->second);
+  EXPECT_TRUE(spec.ok()) << file;
   uint32_t target_pid = 0;
-  for (size_t i = 0; i < spec.value().tenants.size(); ++i) {
+  for (size_t i = 0; spec.ok() && i < spec.value().tenants.size(); ++i) {
     if (spec.value().tenants[i].name == spec.value().overload.target) {
       target_pid = static_cast<uint32_t>(i + 1);  // adoption order
     }
   }
-  ASSERT_NE(target_pid, 0u);
+  if (target_pid == 0) {
+    ADD_FAILURE() << file << " has no overload target";
+    return {};
+  }
 
   obs::TraceRing ring;
   const RunResult run = RunConstellation(spec.value(), kSeed, &ring);
-  ASSERT_EQ(run.tenants.size(), spec.value().tenants.size());
-  size_t dispatches = 0;
+  EXPECT_EQ(run.tenants.size(), spec.value().tenants.size());
+  std::map<std::string, size_t> counts;
   for (size_t i = 0; i < ring.size(); ++i) {
     const obs::TraceRecord& r = ring.record(i);
     const std::string_view name = ring.NameOf(r.name);
     if (name.substr(0, 6) == "accel.") {
-      EXPECT_EQ(r.pid, target_pid) << name;
+      EXPECT_EQ(r.pid, target_pid) << file << ": " << name;
+      counts[std::string(name)] += r.pid == target_pid;
     }
-    dispatches += name == obs::spans::kAccelDispatch && r.pid == target_pid;
   }
-  EXPECT_GT(dispatches, 0u);
+  return counts;
+}
+
+TEST(ScenarioRunnerTest, GatedOverloadTargetRecordsAccelDispatch) {
+  auto counts = TargetAccelRecords("overload_400.json");
+  EXPECT_GT(counts[std::string(obs::spans::kAccelDispatch)], 0u);
+}
+
+// overload_accel_breaker adds accelerator faults to overload_400's target:
+// its breaker trips and its work falls back, on its own lane only.
+TEST(ScenarioRunnerTest, AccelFaultsTripOnlyTheTargetsBreaker) {
+  auto counts = TargetAccelRecords("overload_accel_breaker.json");
+  EXPECT_GT(counts[std::string(obs::spans::kAccelBreaker)], 0u);
+  EXPECT_GT(counts[std::string(obs::spans::kAccelFallback)], 0u);
+  EXPECT_GT(counts[std::string(obs::spans::kAccelDispatch)], 0u);
 }
 
 TEST(ScenarioRunnerTest, VerdictFailuresNameTheBrokenPredicate) {

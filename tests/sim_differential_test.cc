@@ -289,6 +289,81 @@ TEST(SimDifferentialTest, MetricAndTraceRingSideEffectsMatchReference) {
   }
 }
 
+// FNV-1a over a byte string, chained from `h`.
+uint64_t Fnv1a(uint64_t h, const std::string& bytes) {
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SimDifferentialTest, ReplayTelemetryKnownAnswers) {
+  // The differential test above holds the engines to each other, so it
+  // cannot see a telemetry change both of them make. This pin holds them to
+  // recorded answers: FNV-1a of every cell's metric snapshot and binary
+  // trace ring over 2 and 4 cores x FCFS / round-robin / temporal bus x
+  // shared / partitioned L2 x warmup 0, 0.1, 0.25. Each cell replays twice
+  // into one registry, so the second publish adds onto existing series.
+  const BusPolicy buses[] = {BusPolicy::kFcfs, BusPolicy::kRoundRobin,
+                             BusPolicy::kTemporalPartition};
+  const PartitionPolicy l2_policies[] = {PartitionPolicy::kShared,
+                                         PartitionPolicy::kStaticEqual};
+  const double warmups[] = {0.0, 0.1, 0.25};
+  uint64_t metrics_digest = 0xcbf29ce484222325ULL;
+  uint64_t ring_digest = 0xcbf29ce484222325ULL;
+  int cells = 0;
+  for (uint32_t cores : {2u, 4u}) {
+    for (BusPolicy bus : buses) {
+      for (PartitionPolicy l2 : l2_policies) {
+        for (double warmup : warmups) {
+          Rng rng(0x7e1e0000 + static_cast<uint64_t>(cells));
+          std::vector<InstructionTrace> traces;
+          std::vector<const InstructionTrace*> mix;
+          for (uint32_t c = 0; c < cores; ++c) {
+            traces.push_back(MakeTrace(rng, 600, static_cast<Workload>(c % 3)));
+          }
+          for (const auto& t : traces) {
+            mix.push_back(&t);
+          }
+          MachineConfig config = MachineConfig::MarvellLike(cores, KiB(32),
+                                                            /*secure=*/false);
+          config.l2.policy = l2;
+          config.bus_policy = bus;
+
+          std::string exports[2];
+          std::string rings[2];
+          for (int engine = 0; engine < 2; ++engine) {
+            obs::MetricRegistry metrics;
+            obs::TraceRing ring(1 << 16);
+            ReplayObs hooks;
+            hooks.metrics = &metrics;
+            hooks.trace = &ring;
+            hooks.labels = {{"config", "pin"}};
+            for (int rep = 0; rep < 2; ++rep) {
+              if (engine == 0) {
+                Replay(config, mix, warmup, &hooks);
+              } else {
+                ReferenceReplay(config, mix, warmup, &hooks);
+              }
+            }
+            exports[engine] = metrics.ExportJson();
+            rings[engine] = ring.SerializeBinary();
+          }
+          EXPECT_EQ(exports[0], exports[1]) << "cell " << cells;
+          EXPECT_EQ(rings[0], rings[1]) << "cell " << cells;
+          metrics_digest = Fnv1a(metrics_digest, exports[0]);
+          ring_digest = Fnv1a(ring_digest, rings[0]);
+          ++cells;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 36);
+  EXPECT_EQ(metrics_digest, 0x7a7982bfde017c24ULL) << std::hex << metrics_digest;
+  EXPECT_EQ(ring_digest, 0xb4665cbc84a55346ULL) << std::hex << ring_digest;
+}
+
 // ---------------------------------------------------------------------------
 // Raw cache differential: Cache vs ReferenceCache under op streams the
 // replay engines never issue (flush and repartition mid-stream).
