@@ -12,6 +12,9 @@ constexpr uint32_t kVictimCore = 1;
 constexpr uint32_t kAttackerCore = 2;
 constexpr uint64_t kVictimId = 0x11;
 constexpr size_t kAllocatorSlots = 64;
+// The victim's translated flow: 10.1.2.3 -> 93.184.216.34.
+constexpr uint32_t kVictimFlowSrcIp = 0x0a010203;
+constexpr uint32_t kVictimFlowDstIp = 0x5db8d822;
 
 void WriteU64(PhysicalMemory& memory, uint64_t paddr, uint64_t value) {
   uint8_t bytes[8];
@@ -68,8 +71,8 @@ AttackOutcome RunPacketCorruptionAttack(SnicDevice& device) {
   // The victim (MazuNAT) has a translated packet sitting in its buffer.
   net::PacketBuilder builder;
   net::FiveTuple tuple;
-  tuple.src_ip = net::Ipv4FromString("10.1.2.3");
-  tuple.dst_ip = net::Ipv4FromString("93.184.216.34");
+  tuple.src_ip = kVictimFlowSrcIp;
+  tuple.dst_ip = kVictimFlowDstIp;
   tuple.src_port = 5555;
   tuple.dst_port = 443;
   tuple.protocol = 6;

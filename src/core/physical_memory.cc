@@ -68,6 +68,15 @@ void PhysicalMemory::WriteByte(uint64_t paddr, uint8_t value) {
   Write(paddr, std::span<const uint8_t>(&value, 1));
 }
 
+std::span<const uint8_t> PhysicalMemory::PageView(uint64_t page_index) const {
+  SNIC_CHECK(page_index < num_pages());
+  const std::vector<uint8_t>* page = PageData(page_index);
+  if (page == nullptr) {
+    return {};
+  }
+  return std::span<const uint8_t>(page->data(), page->size());
+}
+
 void PhysicalMemory::ZeroPage(uint64_t page_index) {
   SNIC_CHECK(page_index < num_pages());
   pages_.erase(page_index);  // sparse zero page

@@ -38,6 +38,11 @@ class PhysicalMemory {
   uint8_t ReadByte(uint64_t paddr) const;
   void WriteByte(uint64_t paddr, uint8_t value);
 
+  // Read-only view of a whole page's bytes where they lie, with no copy;
+  // empty for a page never written (it reads as zeros). The view is valid
+  // until the page is next written or zeroed.
+  std::span<const uint8_t> PageView(uint64_t page_index) const;
+
   // Zeroes a page (nf_teardown scrub).
   void ZeroPage(uint64_t page_index);
 

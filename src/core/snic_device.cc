@@ -152,7 +152,9 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // Bind pages: ownership, denylist, and the function's locked TLB (virtual
   // address space starts at 0; one entry per physical page).
   crypto::Sha256 measurement;
-  std::vector<uint8_t> page_buffer(memory_.page_bytes());
+  // Image pages are hashed where they lie; a page the NIC OS never wrote
+  // reads as zeros, and only then is a zero page materialized to hash.
+  std::vector<uint8_t> zero_page;
   const double sha_before = coproc_.elapsed_ms();
   for (size_t i = 0; i < record->pages.size(); ++i) {
     const uint64_t page = record->pages[i];
@@ -167,11 +169,12 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     // The measurement covers the *initial image* pages (heap pages are
     // zero-filled and excluded, like SGX's unmeasured heap).
     if (i < args.image_pages.size()) {
-      memory_.Read(entry.phys_base,
-                   std::span<uint8_t>(page_buffer.data(), page_buffer.size()));
-      coproc_.DigestUpdate(measurement, std::span<const uint8_t>(
-                                            page_buffer.data(),
-                                            page_buffer.size()));
+      std::span<const uint8_t> bytes = memory_.PageView(page);
+      if (bytes.empty()) {
+        zero_page.resize(memory_.page_bytes(), 0);
+        bytes = zero_page;
+      }
+      coproc_.DigestUpdate(measurement, bytes);
     }
   }
   record->tlb.Lock();

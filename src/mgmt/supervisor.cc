@@ -74,14 +74,10 @@ Status Supervisor::LaunchChild(const std::string& name, Child& child,
   // must equal what the tenant image predicts. A NIC OS that staged the
   // wrong bytes (or a bit-flipped image) is caught here, every restart.
   // The device re-measures every launch; the prediction is the tenant's own
-  // and depends only on the image, so it is computed once per flavour.
-  std::optional<crypto::Sha256Digest>& predicted =
-      child.degraded ? child.expected_degraded : child.expected;
-  if (!predicted.has_value()) {
-    predicted = ExpectedMeasurement(
-        launch_image, nic_os_->device().memory().page_bytes());
-  }
-  const crypto::Sha256Digest& expected = *predicted;
+  // and depends only on the launched image, its configuration and the page
+  // size, so it comes from the process-wide memo keyed by exactly those.
+  const crypto::Sha256Digest expected = MemoizedExpectedMeasurement(
+      launch_image, nic_os_->device().memory().page_bytes());
   auto measured = nic_os_->device().MeasurementOf(nf_id);
   if (!measured.ok() || measured.value() != expected) {
     (void)nic_os_->NfDestroy(nf_id);

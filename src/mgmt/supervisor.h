@@ -5,7 +5,8 @@
 // their state — so recovery must go through the same trusted instructions as
 // a first launch. The Supervisor leans on that: every restart re-runs
 // NfCreate, re-checks the device's fresh launch measurement against the
-// tenant image's (mgmt::ExpectedMeasurement, computed once per child) and
+// tenant image's (mgmt::MemoizedExpectedMeasurement: hashed once per
+// distinct image, page size and configuration in the process) and
 // re-verifies a fresh attestation quote. A restarted function is never
 // trusted on the supervisor's say-so; the hardware measurement chain vouches
 // for it each time.
@@ -29,13 +30,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crypto/keys.h"
-#include "src/crypto/sha256.h"
 #include "src/mgmt/nic_os.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_ring.h"
@@ -164,10 +163,6 @@ class Supervisor {
     uint64_t restart_due = 0;       // valid while kRestarting
     uint32_t consecutive_failures = 0;
     CrashCause last_cause = CrashCause::kGeneric;
-    // ExpectedMeasurement of the image and of its degraded (accelerator-
-    // stripped) flavour, each computed at its first launch.
-    std::optional<crypto::Sha256Digest> expected;
-    std::optional<crypto::Sha256Digest> expected_degraded;
   };
 
   // NfCreate (accelerators stripped when degraded) + measurement check +

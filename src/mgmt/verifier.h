@@ -6,7 +6,8 @@
 // by requiring the function to attest" (§4.8). This module gives the tenant
 // the two halves of that check:
 //   * ExpectedMeasurement() — recompute, from the uploaded image alone, the
-//     cumulative hash trusted hardware will produce at nf_launch;
+//     cumulative hash trusted hardware will produce at nf_launch (and
+//     MemoizedExpectedMeasurement(), the same once per distinct image);
 //   * Verifier — a policy object holding trusted vendor keys and expected
 //     measurements, which validates quotes end to end and issues channel
 //     keys only for functions that match.
@@ -34,6 +35,16 @@ namespace snic::mgmt {
 // the integration tests pin the two together.
 crypto::Sha256Digest ExpectedMeasurement(const FunctionImage& image,
                                          uint64_t page_bytes);
+
+// ExpectedMeasurement through a process-wide memo keyed by its exact inputs
+// (page_bytes, image.code_and_data, image.SerializeConfig()), for callers
+// that predict the same image again and again — the Supervisor on every
+// relaunch. Thread-safe; the memo stops growing at a fixed entry cap and is
+// never destroyed. Callers whose images never repeat (multi-MB one-off
+// uploads) should call ExpectedMeasurement directly: the memo keeps a copy
+// of every image it stores.
+crypto::Sha256Digest MemoizedExpectedMeasurement(const FunctionImage& image,
+                                                 uint64_t page_bytes);
 
 class Verifier {
  public:

@@ -99,10 +99,14 @@ std::vector<uint8_t> RefillBlock(uint64_t posted_total, uint32_t count,
   return core::vnic::EncodeDescriptors(batch);
 }
 
+// Every synthesized frame flows 10.0.0.9 -> 203.0.113.7.
+constexpr uint32_t kFrameSrcIp = 0x0a000009;
+constexpr uint32_t kFrameDstIp = 0xcb007107;
+
 net::Packet MakePacket(Rng& rng, uint16_t port) {
   net::FiveTuple tuple;
-  tuple.src_ip = net::Ipv4FromString("10.0.0.9");
-  tuple.dst_ip = net::Ipv4FromString("203.0.113.7");
+  tuple.src_ip = kFrameSrcIp;
+  tuple.dst_ip = kFrameDstIp;
   tuple.src_port = static_cast<uint16_t>(10000 + rng.NextBounded(100));
   tuple.dst_port = port;
   tuple.protocol = 6;

@@ -290,7 +290,12 @@ std::vector<std::pair<std::string, std::string>> ReadCuratedSpecs() {
   return specs;
 }
 
-TEST(ScenarioSpecTest, CuratedSpecsKeepTheirCanonicalForm) {
+// The checked-in files are hand-formatted, not canonical text. What holds
+// is that each parses, that its canonical serialization is a fixed point
+// (parse + re-serialize gives the same bytes), and that the digest of all
+// nineteen canonical forms is pinned, so a schema change cannot silently
+// change what a curated spec means.
+TEST(ScenarioSpecTest, CuratedSpecsReserializeStablyUnderAPinnedDigest) {
   const auto curated = ReadCuratedSpecs();
   ASSERT_EQ(curated.size(), 19u) << SNIC_CURATED_SPECS_DIR;
   Fnv all;

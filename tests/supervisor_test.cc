@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -11,6 +12,7 @@
 #include "src/mgmt/verifier.h"
 #include "src/obs/span_names.h"
 #include "src/obs/trace_ring.h"
+#include "src/runtime/thread_pool.h"
 
 namespace snic::mgmt {
 namespace {
@@ -399,6 +401,114 @@ TEST_F(SupervisorTest, RestartQueueDrainsInDeterministicOrder) {
   const std::vector<std::string> second = run();
   EXPECT_EQ(first.size(), 3u);
   EXPECT_EQ(first, second);
+}
+
+
+// ---------------------------------------------------------------------------
+// The process-wide expected-measurement memo (MemoizedExpectedMeasurement),
+// which every launch and relaunch consults. Its key is the exact inputs of
+// ExpectedMeasurement. Each test launches an image right after a near twin
+// of it: were the memo to answer the second from the twin's entry, the
+// relaunch check would compare the device's fresh digest against the wrong
+// prediction and refuse the launch.
+// ---------------------------------------------------------------------------
+
+TEST_F(SupervisorTest, MemoKeysOnPageSize) {
+  core::SnicConfig small_config = Config();
+  small_config.page_bytes = 64ull << 10;
+  core::SnicDevice small_device(small_config, vendor_);
+  NicOs small_os(&small_device);
+  const FunctionImage image = SimpleImage("paged");
+
+  Supervisor on_huge = MakeSupervisor(SupConfig());
+  Supervisor on_small(&small_os, vendor_.public_key(), SupConfig());
+  ASSERT_TRUE(on_huge.Adopt(image).ok());
+  ASSERT_TRUE(on_small.Adopt(image).ok());
+
+  const uint64_t huge_page = device_.memory().page_bytes();
+  const uint64_t small_page = small_device.memory().page_bytes();
+  ASSERT_NE(huge_page, small_page);
+  const crypto::Sha256Digest at_huge =
+      MemoizedExpectedMeasurement(image, huge_page);
+  const crypto::Sha256Digest at_small =
+      MemoizedExpectedMeasurement(image, small_page);
+  EXPECT_NE(at_huge, at_small);
+  EXPECT_EQ(at_huge, ExpectedMeasurement(image, huge_page));
+  EXPECT_EQ(at_small, ExpectedMeasurement(image, small_page));
+}
+
+TEST_F(SupervisorTest, MemoMissesOnAOneByteCodeChange) {
+  const FunctionImage original = SimpleImage("flipped");
+  FunctionImage flipped = original;
+  flipped.code_and_data[1234] ^= 0x01;
+
+  Supervisor first = MakeSupervisor(SupConfig());
+  Supervisor second = MakeSupervisor(SupConfig());
+  ASSERT_TRUE(first.Adopt(original).ok());
+  ASSERT_TRUE(second.Adopt(flipped).ok());
+
+  const uint64_t page = device_.memory().page_bytes();
+  EXPECT_NE(MemoizedExpectedMeasurement(original, page),
+            MemoizedExpectedMeasurement(flipped, page));
+  EXPECT_EQ(MemoizedExpectedMeasurement(flipped, page),
+            ExpectedMeasurement(flipped, page));
+}
+
+TEST_F(SupervisorTest, MemoMissesOnTheDegradedFlavour) {
+  const FunctionImage image = SimpleImage("degrading", /*zip_clusters=*/1);
+  Supervisor supervisor = MakeSupervisor(SupConfig());
+  ASSERT_TRUE(supervisor.Adopt(image).ok());
+  supervisor.Tick(100);
+  supervisor.ReportCrash("degrading", CrashCause::kAccelFault);
+  ASSERT_TRUE(supervisor.IsDegraded("degrading"));
+  // The relaunch differs from the adopted image only in its accelerator
+  // request, which lives in the serialized configuration.
+  TickUntilRunning(supervisor, "degrading", 150, 2000);
+  ASSERT_EQ(supervisor.HealthOf("degrading"), NfHealth::kRunning);
+  EXPECT_EQ(supervisor.stats().reattestations, 2u);
+
+  FunctionImage degraded = image;
+  degraded.accel_clusters = {0, 0, 0};
+  const uint64_t page = device_.memory().page_bytes();
+  EXPECT_NE(MemoizedExpectedMeasurement(image, page),
+            MemoizedExpectedMeasurement(degraded, page));
+  EXPECT_EQ(MemoizedExpectedMeasurement(degraded, page),
+            ExpectedMeasurement(degraded, page));
+}
+
+TEST(SupervisorMemoTest, ConcurrentLookupsAgree) {
+  // An image no other test in this binary predicts, so the workers race on
+  // the memo's misses as well as its hits.
+  FunctionImage image;
+  image.name = "memo-race";
+  image.code_and_data.assign(5000, 0x5d);
+  image.memory_bytes = 8ull << 20;
+  constexpr uint64_t kPages[] = {2ull << 20, 64ull << 10};
+  std::vector<crypto::Sha256Digest> want;
+  for (const uint64_t page : kPages) {
+    want.push_back(ExpectedMeasurement(image, page));
+  }
+
+  runtime::ThreadPool pool(4);
+  std::vector<std::future<std::vector<crypto::Sha256Digest>>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(pool.Submit([&image, &kPages] {
+      std::vector<crypto::Sha256Digest> got;
+      for (int round = 0; round < 3; ++round) {
+        for (const uint64_t page : kPages) {
+          got.push_back(MemoizedExpectedMeasurement(image, page));
+        }
+      }
+      return got;
+    }));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const std::vector<crypto::Sha256Digest> got = futures[i].get();
+    ASSERT_EQ(got.size(), 3 * want.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k], want[k % want.size()]) << "worker " << i;
+    }
+  }
 }
 
 }  // namespace
