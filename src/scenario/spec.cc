@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <iterator>
-#include <set>
+#include <type_traits>
 #include <utility>
 
 #include "src/fault/fault.h"
@@ -18,512 +18,718 @@ Status Bad(const std::string& where, const std::string& what) {
   return InvalidArgument("scenario spec: " + where + ": " + what);
 }
 
+// A rejection of a whole section; at the top level (`where` empty) the
+// message follows the "scenario spec: " prefix directly.
+Status SectionBad(const std::string& where, const std::string& what) {
+  return where.empty() ? InvalidArgument("scenario spec: " + what)
+                       : Bad(where, what);
+}
+
+// What a row's decoder sees besides its own value: the section's path (""
+// at the top level) and the spec decoded so far (rows decode in table
+// order, so tenants and bus_domains are in place before any section that
+// refers to them).
+struct Ctx {
+  const std::string& where;
+  std::string_view key;
+  const ScenarioSpec& root;
+
+  // The key's path for error messages, built only when one rejects.
+  std::string at() const {
+    return where.empty() ? std::string(key) : where + "." + std::string(key);
+  }
+};
+
 // Strict integer extraction: a JSON number that is non-negative, integral
 // and within `max`. Anything else rejects.
-Result<uint64_t> U64(const Value& v, const std::string& where, uint64_t max) {
+Result<uint64_t> U64(const Value& v, const Ctx& ctx, uint64_t max) {
   if (!v.is_number()) {
-    return Bad(where, "expected an integer");
+    return Bad(ctx.at(), "expected an integer");
   }
   const double d = v.AsNumber();
   if (d < 0.0 || d != std::floor(d)) {
-    return Bad(where, "expected a non-negative integer");
+    return Bad(ctx.at(), "expected a non-negative integer");
   }
   if (d > static_cast<double>(max)) {
-    return Bad(where, "value out of range");
+    return Bad(ctx.at(), "value out of range");
   }
   return static_cast<uint64_t>(d);
 }
 
-Result<bool> AsBool(const Value& v, const std::string& where) {
-  if (!v.is_bool()) {
-    return Bad(where, "expected true or false");
-  }
-  return v.AsBool();
-}
-
-Result<std::string> AsString(const Value& v, const std::string& where) {
+Result<std::string> AsString(const Value& v, const Ctx& ctx) {
   if (!v.is_string()) {
-    return Bad(where, "expected a string");
+    return Bad(ctx.at(), "expected a string");
   }
   return v.AsString();
 }
 
-// Per-object strict decoding: every member key must be consumed by the
-// caller's dispatch. `seen` collects the handled keys; any leftover key in
-// the object is an unknown-key rejection.
-Status RejectUnknownKeys(const Value& obj, const std::set<std::string>& known,
-                         const std::string& where) {
-  for (const auto& [key, value] : obj.AsObject()) {
-    (void)value;
-    if (known.count(key) == 0) {
-      return Bad(where, "unknown key \"" + key + "\"");
+const TenantSpec* FindTenant(const ScenarioSpec& root, std::string_view name) {
+  for (const TenantSpec& t : root.tenants) {
+    if (t.name == name) {
+      return &t;
     }
   }
-  return OkStatus();
+  return nullptr;
 }
 
-Status ParseSupervisor(const Value& v, SupervisorSpec* out) {
-  const std::string where = "supervisor";
-  if (!v.is_object()) {
+// Whether canonical text carries a row's key always or only when its value
+// is set (nonzero, true, non-empty). Rows with a presence flag (below) are
+// carried only when the flag is set.
+enum class Emit : uint8_t { kAlways, kWhenSet };
+
+// One key of one section. The section's table of rows, in order, is the
+// whole codec for that section: the walker below rejects keys that have no
+// row and keys given twice, then decodes the rows in table order; the
+// emitter writes them in the same order. Every key of the schema is named
+// in exactly one row.
+template <typename T>
+struct Row {
+  std::string_view key;
+  // Decodes the key's value into `out`; `v` is nullptr when the key is
+  // absent (the member keeps its default unless the row says otherwise).
+  Status (*decode)(const Row& row, const Value* v, const Ctx& ctx, T& out);
+  // Appends the key's value to `out`; false omits the key (special rows
+  // decide for themselves; generic ones follow `emit`).
+  bool (*encode)(const Row& row, const T& in, std::string& out);
+  // Required key: the section-level rejection when it is absent.
+  const char* missing = nullptr;
+  // Number rows: inclusive upper bound, and the rejection for zero.
+  uint64_t max = 0;
+  const char* zero = nullptr;
+  bool zero_at_key = false;  // reported at the key instead of the section
+  Emit emit = Emit::kAlways;
+  // Set as soon as the walker finds the key, before any row decodes; the
+  // key is emitted only when it is set.
+  bool T::*present = nullptr;
+
+  constexpr Row Required(const char* why) const {
+    Row r = *this;
+    r.missing = why;
+    return r;
+  }
+  constexpr Row Positive(const char* why, bool at_key = false) const {
+    Row r = *this;
+    r.zero = why;
+    r.zero_at_key = at_key;
+    return r;
+  }
+  constexpr Row WhenSet() const {
+    Row r = *this;
+    r.emit = Emit::kWhenSet;
+    return r;
+  }
+  constexpr Row WhenPresent(bool T::*flag) const {
+    Row r = *this;
+    r.present = flag;
+    return r;
+  }
+};
+
+// Decodes one section object: one pass over its members resolves each to
+// its row (rejecting unknown and duplicate keys, setting presence flags),
+// then required keys are checked and every row decodes in table order.
+template <typename T, size_t N>
+Status Walk(const Row<T> (&rows)[N], const Value& object,
+            const std::string& where, const ScenarioSpec& root, T& out) {
+  if (!object.is_object()) {
     return Bad(where, "expected an object");
   }
-  if (Status s = RejectUnknownKeys(
-          v,
-          {"watchdog_timeout_steps", "backoff_base_steps", "backoff_max_steps",
-           "backoff_jitter_pct", "quarantine_after", "stable_steps",
-           "max_concurrent_restarts", "verify_attestation"},
-          where);
-      !s.ok()) {
-    return s;
-  }
-  for (const auto& [key, val] : v.AsObject()) {
-    const std::string at = where + "." + key;
-    if (key == "verify_attestation") {
-      auto b = AsBool(val, at);
-      if (!b.ok()) return b.status();
-      out->verify_attestation = b.value();
-      continue;
+  const Value* found[N] = {};
+  for (const auto& [key, value] : object.AsObject()) {
+    size_t i = 0;
+    while (i < N && rows[i].key != key) {
+      ++i;
     }
-    auto n = U64(val, at, key == "backoff_jitter_pct" ? 100 : 1000000);
-    if (!n.ok()) return n.status();
-    if (key == "watchdog_timeout_steps") out->watchdog_timeout_steps = n.value();
-    else if (key == "backoff_base_steps") out->backoff_base_steps = n.value();
-    else if (key == "backoff_max_steps") out->backoff_max_steps = n.value();
-    else if (key == "backoff_jitter_pct")
-      out->backoff_jitter_pct = static_cast<uint32_t>(n.value());
-    else if (key == "quarantine_after")
-      out->quarantine_after = static_cast<uint32_t>(n.value());
-    else if (key == "stable_steps") out->stable_steps = n.value();
-    else if (key == "max_concurrent_restarts")
-      out->max_concurrent_restarts = static_cast<uint32_t>(n.value());
-  }
-  return OkStatus();
-}
-
-Status ParseVf(const Value& v, const std::string& where, VfSpec* out) {
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(
-          v, {"ring_slots", "cq_slots", "posted_bytes_limit", "abuse_threshold"},
-          where);
-      !s.ok()) {
-    return s;
-  }
-  for (const auto& [key, val] : v.AsObject()) {
-    auto n = U64(val, where + "." + key, 1u << 30);
-    if (!n.ok()) return n.status();
-    if (key == "ring_slots") out->ring_slots = static_cast<uint32_t>(n.value());
-    else if (key == "cq_slots") out->cq_slots = static_cast<uint32_t>(n.value());
-    else if (key == "posted_bytes_limit") out->posted_bytes_limit = n.value();
-    else if (key == "abuse_threshold")
-      out->abuse_threshold = static_cast<uint32_t>(n.value());
-  }
-  if (out->ring_slots == 0 || out->cq_slots == 0) {
-    return Bad(where, "ring_slots and cq_slots must be positive");
-  }
-  return OkStatus();
-}
-
-Status ParsePolicy(const Value& v, const std::string& where,
-                   OverloadPolicySpec* out) {
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(
-          v,
-          {"rx_queue_capacity_frames", "tx_queue_capacity_frames",
-           "priority_early_drop", "admission_burst_frames",
-           "admission_frames_per_refill", "admission_refill_cycles",
-           "deadline_cycles"},
-          where);
-      !s.ok()) {
-    return s;
-  }
-  for (const auto& [key, val] : v.AsObject()) {
-    const std::string at = where + "." + key;
-    if (key == "priority_early_drop") {
-      auto b = AsBool(val, at);
-      if (!b.ok()) return b.status();
-      out->priority_early_drop = b.value();
-      continue;
+    if (i == N || found[i] != nullptr) {
+      return Bad(where.empty() ? "top level" : where,
+                 (i == N ? "unknown key \"" : "duplicate key \"") + key +
+                     "\"");
     }
-    auto n = U64(val, at, 1u << 30);
-    if (!n.ok()) return n.status();
-    if (key == "rx_queue_capacity_frames")
-      out->rx_queue_capacity_frames = static_cast<uint32_t>(n.value());
-    else if (key == "tx_queue_capacity_frames")
-      out->tx_queue_capacity_frames = static_cast<uint32_t>(n.value());
-    else if (key == "admission_burst_frames")
-      out->admission_burst_frames = n.value();
-    else if (key == "admission_frames_per_refill")
-      out->admission_frames_per_refill = n.value();
-    else if (key == "admission_refill_cycles")
-      out->admission_refill_cycles = n.value();
-    else if (key == "deadline_cycles") out->deadline_cycles = n.value();
-  }
-  return OkStatus();
-}
-
-Status ParseTenant(const Value& v, size_t index, uint32_t bus_domains,
-                   TenantSpec* out) {
-  const std::string where = "tenants[" + std::to_string(index) + "]";
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(
-          v,
-          {"name", "port", "role", "zip_clusters", "bus_domain",
-           "frames_per_step", "dma", "vf", "policy"},
-          where);
-      !s.ok()) {
-    return s;
-  }
-  const Value* name = v.Find("name");
-  const Value* port = v.Find("port");
-  if (name == nullptr || port == nullptr) {
-    return Bad(where, "name and port are required");
-  }
-  auto name_s = AsString(*name, where + ".name");
-  if (!name_s.ok()) return name_s.status();
-  out->name = name_s.value();
-  if (out->name.empty()) {
-    return Bad(where, "name must be non-empty");
-  }
-  auto port_n = U64(*port, where + ".port", 65535);
-  if (!port_n.ok()) return port_n.status();
-  if (port_n.value() == 0) {
-    return Bad(where, "port must be in [1, 65535]");
-  }
-  out->port = static_cast<uint16_t>(port_n.value());
-  if (const Value* role = v.Find("role"); role != nullptr) {
-    auto role_s = AsString(*role, where + ".role");
-    if (!role_s.ok()) return role_s.status();
-    if (role_s.value() == "workload") out->role = TenantRole::kWorkload;
-    else if (role_s.value() == "bystander") out->role = TenantRole::kBystander;
-    else if (role_s.value() == "attacker") out->role = TenantRole::kAttacker;
-    else return Bad(where + ".role", "unknown role \"" + role_s.value() + "\"");
-  }
-  if (const Value* zip = v.Find("zip_clusters"); zip != nullptr) {
-    auto n = U64(*zip, where + ".zip_clusters", 8);
-    if (!n.ok()) return n.status();
-    out->zip_clusters = static_cast<uint32_t>(n.value());
-  }
-  if (const Value* dom = v.Find("bus_domain"); dom != nullptr) {
-    auto n = U64(*dom, where + ".bus_domain", 255);
-    if (!n.ok()) return n.status();
-    if (n.value() >= bus_domains) {
-      return Bad(where + ".bus_domain",
-                 "domain exceeds declared bus_domains (" +
-                     std::to_string(bus_domains) + ")");
+    found[i] = &value;
+    if (rows[i].present != nullptr) {
+      out.*rows[i].present = true;
     }
-    out->bus_domain = static_cast<int32_t>(n.value());
   }
-  if (const Value* fps = v.Find("frames_per_step"); fps != nullptr) {
-    auto n = U64(*fps, where + ".frames_per_step", 1024);
-    if (!n.ok()) return n.status();
-    out->frames_per_step = n.value();
+  for (size_t i = 0; i < N; ++i) {
+    if (found[i] == nullptr && rows[i].missing != nullptr) {
+      return SectionBad(where, rows[i].missing);
+    }
   }
-  if (const Value* dma = v.Find("dma"); dma != nullptr) {
-    auto b = AsBool(*dma, where + ".dma");
-    if (!b.ok()) return b.status();
-    out->dma = b.value();
-  }
-  if (const Value* vf = v.Find("vf"); vf != nullptr) {
-    out->has_vf = true;
-    if (Status s = ParseVf(*vf, where + ".vf", &out->vf); !s.ok()) {
+  for (size_t i = 0; i < N; ++i) {
+    const Row<T>& row = rows[i];
+    const Ctx ctx{where, row.key, root};
+    if (Status s = row.decode(row, found[i], ctx, out); !s.ok()) {
       return s;
     }
   }
-  if (const Value* policy = v.Find("policy"); policy != nullptr) {
-    out->has_policy = true;
-    if (Status s = ParsePolicy(*policy, where + ".policy", &out->policy);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (out->role == TenantRole::kAttacker && !out->has_vf) {
-    return Bad(where, "attacker-role tenants require a vf");
-  }
   return OkStatus();
 }
 
-Status ParseFaultRule(const Value& v, size_t index,
-                      const std::set<std::string>& tenant_names,
-                      FaultRuleSpec* out) {
-  const std::string where = "faults[" + std::to_string(index) + "]";
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(v,
-                                   {"site", "nf", "raw_id", "skip", "count",
-                                    "period", "stall_cycles", "on_attempt"},
-                                   where);
-      !s.ok()) {
-    return s;
-  }
-  const Value* site = v.Find("site");
-  if (site == nullptr) {
-    return Bad(where, "site is required");
-  }
-  auto site_s = AsString(*site, where + ".site");
-  if (!site_s.ok()) return site_s.status();
-  out->site = site_s.value();
-  bool known = false;
-  for (std::string_view s : KnownFaultSites()) {
-    known |= s == out->site;
-  }
-  if (!known) {
-    return Bad(where + ".site",
-               "\"" + out->site + "\" is not a registered fault site");
-  }
-  const Value* nf = v.Find("nf");
-  const Value* raw = v.Find("raw_id");
-  if (nf != nullptr && raw != nullptr) {
-    return Bad(where, "nf and raw_id are mutually exclusive");
-  }
-  if (nf != nullptr) {
-    auto nf_s = AsString(*nf, where + ".nf");
-    if (!nf_s.ok()) return nf_s.status();
-    if (nf_s.value() != "any") {
-      if (tenant_names.count(nf_s.value()) == 0) {
-        return Bad(where + ".nf",
-                   "\"" + nf_s.value() + "\" is not a declared tenant");
-      }
-      out->nf = nf_s.value();
+// Canonical text of one section object: its rows in table order.
+template <typename T, size_t N>
+void EmitObject(const Row<T> (&rows)[N], const T& in, std::string& out) {
+  out += '{';
+  const char* separator = "";
+  for (const Row<T>& row : rows) {
+    if (row.present != nullptr && !(in.*row.present)) {
+      continue;
     }
-  }
-  if (raw != nullptr) {
-    auto n = U64(*raw, where + ".raw_id", ~uint64_t{0} >> 1);
-    if (!n.ok()) return n.status();
-    out->has_raw_id = true;
-    out->raw_id = n.value();
-  }
-  if (const Value* skip = v.Find("skip"); skip != nullptr) {
-    auto n = U64(*skip, where + ".skip", 1u << 30);
-    if (!n.ok()) return n.status();
-    out->skip = n.value();
-  }
-  if (const Value* count = v.Find("count"); count != nullptr) {
-    if (count->is_string()) {
-      if (count->AsString() != "forever") {
-        return Bad(where + ".count", "expected an integer or \"forever\"");
-      }
-      out->count = fault::FaultRule::kForever;
+    const size_t mark = out.size();
+    out += separator;
+    out += '"';
+    out += row.key;
+    out += "\":";
+    if (row.encode(row, in, out)) {
+      separator = ",";
     } else {
-      auto n = U64(*count, where + ".count", 1u << 30);
-      if (!n.ok()) return n.status();
-      if (n.value() == 0) {
-        return Bad(where + ".count", "count must be positive");
-      }
-      out->count = n.value();
+      out.resize(mark);
     }
   }
-  if (const Value* period = v.Find("period"); period != nullptr) {
-    auto n = U64(*period, where + ".period", 1u << 30);
-    if (!n.ok()) return n.status();
-    out->period = n.value();
-  }
-  if (const Value* stall = v.Find("stall_cycles"); stall != nullptr) {
-    auto n = U64(*stall, where + ".stall_cycles", 1u << 30);
-    if (!n.ok()) return n.status();
-    out->stall_cycles = n.value();
-  }
-  if (const Value* attempt = v.Find("on_attempt"); attempt != nullptr) {
-    auto n = U64(*attempt, where + ".on_attempt", 1u << 20);
-    if (!n.ok()) return n.status();
-    out->on_attempt = n.value();
-  }
-  return OkStatus();
+  out += '}';
 }
 
-Status ParseOverload(const Value& v, const std::vector<TenantSpec>& tenants,
-                     OverloadSpec* out) {
-  const std::string where = "overload";
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(v,
-                                   {"target", "load_pct", "baseline_pct",
-                                    "service_per_step", "downstream"},
-                                   where);
-      !s.ok()) {
-    return s;
-  }
-  const auto find = [&tenants](const std::string& name) -> const TenantSpec* {
-    for (const TenantSpec& t : tenants) {
-      if (t.name == name) {
-        return &t;
-      }
+template <typename T, size_t N>
+void EmitList(const Row<T> (&rows)[N], const std::vector<T>& items,
+              std::string& out) {
+  out += '[';
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) {
+      out += ',';
     }
-    return nullptr;
-  };
-  const Value* target = v.Find("target");
-  if (target == nullptr) {
-    return Bad(where, "target is required");
+    EmitObject(rows, items[i], out);
   }
-  auto target_s = AsString(*target, where + ".target");
-  if (!target_s.ok()) return target_s.status();
-  if (find(target_s.value()) == nullptr) {
-    return Bad(where + ".target",
-               "\"" + target_s.value() + "\" is not a declared tenant");
-  }
-  out->target = target_s.value();
-  for (const char* key : {"load_pct", "baseline_pct", "service_per_step"}) {
-    if (const Value* val = v.Find(key); val != nullptr) {
-      auto n = U64(*val, where + "." + key, 100000);
-      if (!n.ok()) return n.status();
-      if (std::string_view(key) == "load_pct") out->load_pct = n.value();
-      else if (std::string_view(key) == "baseline_pct")
-        out->baseline_pct = n.value();
-      else out->service_per_step = n.value();
-    }
-  }
-  if (out->service_per_step == 0) {
-    return Bad(where + ".service_per_step", "must be positive");
-  }
-  if (const Value* downstream = v.Find("downstream"); downstream != nullptr) {
-    const std::string at = where + ".downstream";
-    auto name = AsString(*downstream, at);
-    if (!name.ok()) return name.status();
-    const TenantSpec* tenant = find(name.value());
-    if (tenant == nullptr) {
-      return Bad(at, "\"" + name.value() + "\" is not a declared tenant");
-    }
-    if (name.value() == out->target) {
-      return Bad(at, "must differ from the target");
-    }
-    if (tenant->role != TenantRole::kWorkload) {
-      return Bad(at, "\"" + name.value() + "\" is not a workload-role tenant");
-    }
-    out->downstream = name.value();
-  }
-  return OkStatus();
+  out += ']';
 }
 
-Status ParseAttack(const Value& v, const std::vector<TenantSpec>& tenants,
-                   AttackSpec* out) {
-  const std::string where = "attack";
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
+// --- Generic rows, by member pointer.
+
+template <typename M>
+struct MemberOf;
+template <typename C, typename F>
+struct MemberOf<F C::*> {
+  using Class = C;
+  using Field = F;
+};
+template <auto M>
+using ClassOf = typename MemberOf<decltype(M)>::Class;
+template <auto M>
+using FieldOf = typename MemberOf<decltype(M)>::Field;
+template <auto M>
+using DecoderOf = Status (*)(const Row<ClassOf<M>>&, const Value*,
+                             const Ctx&, ClassOf<M>&);
+
+// The canonical text of a bool, unsigned, string or string-array member.
+template <auto M>
+bool EncodeMember(const Row<ClassOf<M>>& row, const ClassOf<M>& in,
+                  std::string& out) {
+  using F = FieldOf<M>;
+  const F& value = in.*M;
+  bool set;
+  if constexpr (std::is_arithmetic_v<F>) {
+    set = value != F{};
+  } else {
+    set = !value.empty();
   }
-  if (Status s =
-          RejectUnknownKeys(v, {"target", "flood_rings", "squat"}, where);
-      !s.ok()) {
-    return s;
+  if (row.emit == Emit::kWhenSet && !set) {
+    return false;
   }
-  const Value* target = v.Find("target");
-  if (target == nullptr) {
-    return Bad(where, "target is required");
-  }
-  auto target_s = AsString(*target, where + ".target");
-  if (!target_s.ok()) return target_s.status();
-  bool is_attacker = false;
-  for (const TenantSpec& t : tenants) {
-    if (t.name == target_s.value()) {
-      is_attacker = t.role == TenantRole::kAttacker;
+  if constexpr (std::is_same_v<F, bool>) {
+    out += value ? "true" : "false";
+  } else if constexpr (std::is_arithmetic_v<F>) {
+    out += std::to_string(value);
+  } else if constexpr (std::is_same_v<F, std::string>) {
+    out += obs::json::Quote(value);
+  } else {
+    out += '[';
+    for (size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) {
+        out += ',';
+      }
+      out += obs::json::Quote(value[i]);
     }
+    out += ']';
   }
-  if (!is_attacker) {
-    return Bad(where + ".target",
-               "\"" + target_s.value() + "\" is not an attacker-role tenant");
-  }
-  out->target = target_s.value();
-  if (const Value* flood = v.Find("flood_rings"); flood != nullptr) {
-    auto n = U64(*flood, where + ".flood_rings", 4096);
-    if (!n.ok()) return n.status();
-    out->flood_rings = n.value();
-  }
-  if (const Value* squat = v.Find("squat"); squat != nullptr) {
-    auto b = AsBool(*squat, where + ".squat");
-    if (!b.ok()) return b.status();
-    out->squat = b.value();
-  }
-  return OkStatus();
+  return true;
 }
 
-Status ParseVerdicts(const Value& v, const std::set<std::string>& tenant_names,
-                     VerdictSpec* out) {
-  const std::string where = "verdicts";
-  if (!v.is_object()) {
-    return Bad(where, "expected an object");
-  }
-  if (Status s = RejectUnknownKeys(
-          v,
-          {"bystander_identical", "containment", "must_recover",
-           "recovery_deadline_steps", "goodput_floor_pct", "queue_bound",
-           "detect_abuse"},
-          where);
-      !s.ok()) {
-    return s;
-  }
-  const auto parse_names = [&](const Value& arr, const std::string& at,
-                               std::vector<std::string>* names) -> Status {
-    if (!arr.is_array()) {
-      return Bad(at, "expected an array of tenant names");
-    }
-    for (const Value& item : arr.AsArray()) {
-      auto s = AsString(item, at);
-      if (!s.ok()) return s.status();
-      if (tenant_names.count(s.value()) == 0) {
-        return Bad(at, "\"" + s.value() + "\" is not a declared tenant");
-      }
-      names->push_back(s.value());
-    }
+// A member with its own decoder (sites, references, abuse kinds).
+template <auto M>
+constexpr Row<ClassOf<M>> Custom(std::string_view key, DecoderOf<M> decode) {
+  return {.key = key, .decode = decode, .encode = EncodeMember<M>};
+}
+
+template <auto M>
+Status DecodeNumber(const Row<ClassOf<M>>& row, const Value* v,
+                    const Ctx& ctx, ClassOf<M>& out) {
+  if (v == nullptr) {
     return OkStatus();
-  };
-  if (const Value* b = v.Find("bystander_identical"); b != nullptr) {
-    auto val = AsBool(*b, where + ".bystander_identical");
-    if (!val.ok()) return val.status();
-    out->bystander_identical = val.value();
   }
-  if (const Value* c = v.Find("containment"); c != nullptr) {
-    if (Status s = parse_names(*c, where + ".containment", &out->containment);
-        !s.ok()) {
-      return s;
+  auto n = U64(*v, ctx, row.max);
+  if (!n.ok()) return n.status();
+  if (n.value() == 0 && row.zero != nullptr) {
+    return row.zero_at_key ? Bad(ctx.at(), row.zero)
+                           : SectionBad(ctx.where, row.zero);
+  }
+  out.*M = static_cast<FieldOf<M>>(n.value());
+  return OkStatus();
+}
+
+// A non-negative integer member of at most `max`.
+template <auto M>
+constexpr Row<ClassOf<M>> Number(std::string_view key, uint64_t max) {
+  static_assert(std::is_unsigned_v<FieldOf<M>>);
+  Row<ClassOf<M>> row = Custom<M>(key, DecodeNumber<M>);
+  row.max = max;
+  return row;
+}
+
+template <auto M>
+Status DecodeFlag(const Row<ClassOf<M>>&, const Value* v, const Ctx& ctx,
+                  ClassOf<M>& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (!v->is_bool()) {
+    return Bad(ctx.at(), "expected true or false");
+  }
+  out.*M = v->AsBool();
+  return OkStatus();
+}
+
+template <auto M>
+constexpr Row<ClassOf<M>> Flag(std::string_view key) {
+  return Custom<M>(key, DecodeFlag<M>);
+}
+
+template <auto M>
+Status DecodeName(const Row<ClassOf<M>>&, const Value* v, const Ctx& ctx,
+                  ClassOf<M>& out) {
+  auto name = AsString(*v, ctx);  // present: the row is Required
+  if (!name.ok()) return name.status();
+  if (name.value().empty()) {
+    return SectionBad(ctx.where, "name must be non-empty");
+  }
+  out.*M = std::move(name).value();
+  return OkStatus();
+}
+
+// A non-empty name (the spec's, a tenant's).
+template <auto M>
+constexpr Row<ClassOf<M>> Name(std::string_view key) {
+  return Custom<M>(key, DecodeName<M>);
+}
+
+template <auto M>
+Status DecodeTenantNames(const Row<ClassOf<M>>&, const Value* v,
+                         const Ctx& ctx, ClassOf<M>& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (!v->is_array()) {
+    return Bad(ctx.at(), "expected an array of tenant names");
+  }
+  for (const Value& item : v->AsArray()) {
+    auto name = AsString(item, ctx);
+    if (!name.ok()) return name.status();
+    if (FindTenant(ctx.root, name.value()) == nullptr) {
+      return Bad(ctx.at(), "\"" + name.value() + "\" is not a declared tenant");
     }
-  }
-  if (const Value* r = v.Find("must_recover"); r != nullptr) {
-    if (Status s = parse_names(*r, where + ".must_recover", &out->must_recover);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (const Value* d = v.Find("recovery_deadline_steps"); d != nullptr) {
-    auto n = U64(*d, where + ".recovery_deadline_steps", 1u << 30);
-    if (!n.ok()) return n.status();
-    out->recovery_deadline_steps = n.value();
-  }
-  if (const Value* g = v.Find("goodput_floor_pct"); g != nullptr) {
-    auto n = U64(*g, where + ".goodput_floor_pct", 1000);
-    if (!n.ok()) return n.status();
-    out->goodput_floor_pct = n.value();
-  }
-  if (const Value* q = v.Find("queue_bound"); q != nullptr) {
-    auto val = AsBool(*q, where + ".queue_bound");
-    if (!val.ok()) return val.status();
-    out->queue_bound = val.value();
-  }
-  if (const Value* a = v.Find("detect_abuse"); a != nullptr) {
-    if (!a->is_array()) {
-      return Bad(where + ".detect_abuse", "expected an array");
-    }
-    for (const Value& item : a->AsArray()) {
-      auto s = AsString(item, where + ".detect_abuse");
-      if (!s.ok()) return s.status();
-      if (!AbuseKindFromName(s.value()).has_value()) {
-        return Bad(where + ".detect_abuse",
-                   "unknown abuse kind \"" + s.value() + "\"");
-      }
-      out->detect_abuse.push_back(s.value());
-    }
+    (out.*M).push_back(std::move(name).value());
   }
   return OkStatus();
 }
 
-void AppendQuoted(std::string& out, std::string_view s) {
-  out += obs::json::Quote(s);
+// An array of declared tenant names.
+template <auto M>
+constexpr Row<ClassOf<M>> Names(std::string_view key) {
+  return Custom<M>(key, DecodeTenantNames<M>);
 }
+
+template <auto M, const auto& Rows>
+Status DecodeObject(const Row<ClassOf<M>>&, const Value* v, const Ctx& ctx,
+                    ClassOf<M>& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  return Walk(Rows, *v, ctx.at(), ctx.root, out.*M);
+}
+
+template <auto M, const auto& Rows>
+bool EncodeObject(const Row<ClassOf<M>>&, const ClassOf<M>& in,
+                  std::string& out) {
+  EmitObject(Rows, in.*M, out);
+  return true;
+}
+
+// A nested section decoded and emitted by its own table.
+template <auto M, const auto& Rows>
+constexpr Row<ClassOf<M>> Object(std::string_view key) {
+  return {.key = key,
+          .decode = DecodeObject<M, Rows>,
+          .encode = EncodeObject<M, Rows>};
+}
+
+// --- Section tables, leaves first.
+
+constexpr Row<SupervisorSpec> kSupervisorRows[] = {
+    Number<&SupervisorSpec::watchdog_timeout_steps>("watchdog_timeout_steps",
+                                                    1000000),
+    Number<&SupervisorSpec::backoff_base_steps>("backoff_base_steps", 1000000),
+    Number<&SupervisorSpec::backoff_max_steps>("backoff_max_steps", 1000000),
+    Number<&SupervisorSpec::backoff_jitter_pct>("backoff_jitter_pct", 100),
+    Number<&SupervisorSpec::quarantine_after>("quarantine_after", 1000000),
+    Number<&SupervisorSpec::stable_steps>("stable_steps", 1000000),
+    Number<&SupervisorSpec::max_concurrent_restarts>("max_concurrent_restarts",
+                                                     1000000),
+    Flag<&SupervisorSpec::verify_attestation>("verify_attestation"),
+};
+
+constexpr const char* kSlotsPositive =
+    "ring_slots and cq_slots must be positive";
+constexpr Row<VfSpec> kVfRows[] = {
+    Number<&VfSpec::ring_slots>("ring_slots", 1u << 30).Positive(kSlotsPositive),
+    Number<&VfSpec::cq_slots>("cq_slots", 1u << 30).Positive(kSlotsPositive),
+    Number<&VfSpec::posted_bytes_limit>("posted_bytes_limit", 1u << 30),
+    Number<&VfSpec::abuse_threshold>("abuse_threshold", 1u << 30),
+};
+
+constexpr Row<OverloadPolicySpec> kPolicyRows[] = {
+    Number<&OverloadPolicySpec::rx_queue_capacity_frames>(
+        "rx_queue_capacity_frames", 1u << 30),
+    Number<&OverloadPolicySpec::tx_queue_capacity_frames>(
+        "tx_queue_capacity_frames", 1u << 30),
+    Flag<&OverloadPolicySpec::priority_early_drop>("priority_early_drop"),
+    Number<&OverloadPolicySpec::admission_burst_frames>(
+        "admission_burst_frames", 1u << 30),
+    Number<&OverloadPolicySpec::admission_frames_per_refill>(
+        "admission_frames_per_refill", 1u << 30),
+    Number<&OverloadPolicySpec::admission_refill_cycles>(
+        "admission_refill_cycles", 1u << 30),
+    Number<&OverloadPolicySpec::deadline_cycles>("deadline_cycles", 1u << 30),
+};
+
+Status DecodeRole(const Row<TenantSpec>&, const Value* v, const Ctx& ctx,
+                  TenantSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  auto name = AsString(*v, ctx);
+  if (!name.ok()) return name.status();
+  for (TenantRole role : {TenantRole::kWorkload, TenantRole::kBystander,
+                          TenantRole::kAttacker}) {
+    if (TenantRoleName(role) == name.value()) {
+      out.role = role;
+      return OkStatus();
+    }
+  }
+  return Bad(ctx.at(), "unknown role \"" + name.value() + "\"");
+}
+
+bool EncodeRole(const Row<TenantSpec>&, const TenantSpec& in,
+                std::string& out) {
+  out += obs::json::Quote(TenantRoleName(in.role));
+  return true;
+}
+
+// -1 (absent) keeps the tenant off the bus.
+Status DecodeBusDomain(const Row<TenantSpec>&, const Value* v, const Ctx& ctx,
+                       TenantSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  auto n = U64(*v, ctx, 255);
+  if (!n.ok()) return n.status();
+  if (n.value() >= ctx.root.bus_domains) {
+    return Bad(ctx.at(), "domain exceeds declared bus_domains (" +
+                             std::to_string(ctx.root.bus_domains) + ")");
+  }
+  out.bus_domain = static_cast<int32_t>(n.value());
+  return OkStatus();
+}
+
+bool EncodeBusDomain(const Row<TenantSpec>&, const TenantSpec& in,
+                     std::string& out) {
+  if (in.bus_domain < 0) {
+    return false;
+  }
+  out += std::to_string(in.bus_domain);
+  return true;
+}
+
+constexpr const char* kNameAndPort = "name and port are required";
+constexpr Row<TenantSpec> kTenantRows[] = {
+    Name<&TenantSpec::name>("name")
+        .Required(kNameAndPort),
+    Number<&TenantSpec::port>("port", 65535)
+        .Required(kNameAndPort)
+        .Positive("port must be in [1, 65535]"),
+    {.key = "role", .decode = DecodeRole, .encode = EncodeRole},
+    Number<&TenantSpec::zip_clusters>("zip_clusters", 8),
+    {.key = "bus_domain", .decode = DecodeBusDomain, .encode = EncodeBusDomain},
+    Number<&TenantSpec::frames_per_step>("frames_per_step", 1024),
+    Flag<&TenantSpec::dma>("dma").WhenSet(),
+    Object<&TenantSpec::vf, kVfRows>("vf").WhenPresent(&TenantSpec::has_vf),
+    Object<&TenantSpec::policy, kPolicyRows>("policy").WhenPresent(
+        &TenantSpec::has_policy),
+};
+
+Status DecodeSite(const Row<FaultRuleSpec>&, const Value* v, const Ctx& ctx,
+                  FaultRuleSpec& out) {
+  auto site = AsString(*v, ctx);  // present: the row is Required
+  if (!site.ok()) return site.status();
+  for (std::string_view known : KnownFaultSites()) {
+    if (known == site.value()) {
+      out.site = std::move(site).value();
+      return OkStatus();
+    }
+  }
+  return Bad(ctx.at(),
+             "\"" + site.value() + "\" is not a registered fault site");
+}
+
+// A tenant name or "any" (kept empty); exclusive with raw_id.
+Status DecodeFaultNf(const Row<FaultRuleSpec>&, const Value* v,
+                     const Ctx& ctx, FaultRuleSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (out.has_raw_id) {
+    return Bad(ctx.where, "nf and raw_id are mutually exclusive");
+  }
+  auto nf = AsString(*v, ctx);
+  if (!nf.ok()) return nf.status();
+  if (nf.value() == "any") {
+    return OkStatus();
+  }
+  if (FindTenant(ctx.root, nf.value()) == nullptr) {
+    return Bad(ctx.at(), "\"" + nf.value() + "\" is not a declared tenant");
+  }
+  out.nf = std::move(nf).value();
+  return OkStatus();
+}
+
+// A positive integer, or "forever".
+Status DecodeCount(const Row<FaultRuleSpec>&, const Value* v, const Ctx& ctx,
+                   FaultRuleSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (v->is_string()) {
+    if (v->AsString() != "forever") {
+      return Bad(ctx.at(), "expected an integer or \"forever\"");
+    }
+    out.count = fault::FaultRule::kForever;
+    return OkStatus();
+  }
+  auto n = U64(*v, ctx, 1u << 30);
+  if (!n.ok()) return n.status();
+  if (n.value() == 0) {
+    return Bad(ctx.at(), "count must be positive");
+  }
+  out.count = n.value();
+  return OkStatus();
+}
+
+bool EncodeCount(const Row<FaultRuleSpec>&, const FaultRuleSpec& in,
+                 std::string& out) {
+  out += in.count == fault::FaultRule::kForever ? "\"forever\""
+                                                : std::to_string(in.count);
+  return true;
+}
+
+constexpr Row<FaultRuleSpec> kFaultRows[] = {
+    Custom<&FaultRuleSpec::site>("site", DecodeSite).Required("site is required"),
+    Custom<&FaultRuleSpec::nf>("nf", DecodeFaultNf).WhenSet(),
+    Number<&FaultRuleSpec::raw_id>("raw_id", ~uint64_t{0} >> 1)
+        .WhenPresent(&FaultRuleSpec::has_raw_id),
+    Number<&FaultRuleSpec::skip>("skip", 1u << 30),
+    {.key = "count", .decode = DecodeCount, .encode = EncodeCount},
+    Number<&FaultRuleSpec::period>("period", 1u << 30),
+    Number<&FaultRuleSpec::stall_cycles>("stall_cycles", 1u << 30).WhenSet(),
+    Number<&FaultRuleSpec::on_attempt>("on_attempt", 1u << 20).WhenSet(),
+};
+
+Status DecodeOverloadTarget(const Row<OverloadSpec>&, const Value* v,
+                            const Ctx& ctx, OverloadSpec& out) {
+  auto target = AsString(*v, ctx);  // present: the row is Required
+  if (!target.ok()) return target.status();
+  if (FindTenant(ctx.root, target.value()) == nullptr) {
+    return Bad(ctx.at(),
+               "\"" + target.value() + "\" is not a declared tenant");
+  }
+  out.target = std::move(target).value();
+  return OkStatus();
+}
+
+// A workload-role tenant other than the target.
+Status DecodeDownstream(const Row<OverloadSpec>&, const Value* v,
+                        const Ctx& ctx, OverloadSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  auto name = AsString(*v, ctx);
+  if (!name.ok()) return name.status();
+  const TenantSpec* tenant = FindTenant(ctx.root, name.value());
+  if (tenant == nullptr) {
+    return Bad(ctx.at(), "\"" + name.value() + "\" is not a declared tenant");
+  }
+  if (name.value() == out.target) {
+    return Bad(ctx.at(), "must differ from the target");
+  }
+  if (tenant->role != TenantRole::kWorkload) {
+    return Bad(ctx.at(),
+               "\"" + name.value() + "\" is not a workload-role tenant");
+  }
+  out.downstream = std::move(name).value();
+  return OkStatus();
+}
+
+constexpr Row<OverloadSpec> kOverloadRows[] = {
+    Custom<&OverloadSpec::target>("target", DecodeOverloadTarget)
+        .Required("target is required"),
+    Number<&OverloadSpec::load_pct>("load_pct", 100000),
+    Number<&OverloadSpec::baseline_pct>("baseline_pct", 100000),
+    Number<&OverloadSpec::service_per_step>("service_per_step", 100000)
+        .Positive("must be positive", /*at_key=*/true),
+    Custom<&OverloadSpec::downstream>("downstream", DecodeDownstream).WhenSet(),
+};
+
+Status DecodeAttackTarget(const Row<AttackSpec>&, const Value* v,
+                          const Ctx& ctx, AttackSpec& out) {
+  auto target = AsString(*v, ctx);  // present: the row is Required
+  if (!target.ok()) return target.status();
+  const TenantSpec* tenant = FindTenant(ctx.root, target.value());
+  if (tenant == nullptr || tenant->role != TenantRole::kAttacker) {
+    return Bad(ctx.at(),
+               "\"" + target.value() + "\" is not an attacker-role tenant");
+  }
+  out.target = std::move(target).value();
+  return OkStatus();
+}
+
+constexpr Row<AttackSpec> kAttackRows[] = {
+    Custom<&AttackSpec::target>("target", DecodeAttackTarget)
+        .Required("target is required"),
+    Number<&AttackSpec::flood_rings>("flood_rings", 4096),
+    Flag<&AttackSpec::squat>("squat"),
+};
+
+Status DecodeAbuseKinds(const Row<VerdictSpec>&, const Value* v,
+                        const Ctx& ctx, VerdictSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (!v->is_array()) {
+    return Bad(ctx.at(), "expected an array");
+  }
+  for (const Value& item : v->AsArray()) {
+    auto kind = AsString(item, ctx);
+    if (!kind.ok()) return kind.status();
+    if (!AbuseKindFromName(kind.value()).has_value()) {
+      return Bad(ctx.at(), "unknown abuse kind \"" + kind.value() + "\"");
+    }
+    out.detect_abuse.push_back(std::move(kind).value());
+  }
+  return OkStatus();
+}
+
+constexpr Row<VerdictSpec> kVerdictRows[] = {
+    Flag<&VerdictSpec::bystander_identical>("bystander_identical"),
+    Names<&VerdictSpec::containment>("containment").WhenSet(),
+    Names<&VerdictSpec::must_recover>("must_recover").WhenSet(),
+    Number<&VerdictSpec::recovery_deadline_steps>("recovery_deadline_steps",
+                                                  1u << 30)
+        .WhenSet(),
+    Number<&VerdictSpec::goodput_floor_pct>("goodput_floor_pct", 1000)
+        .WhenSet(),
+    Flag<&VerdictSpec::queue_bound>("queue_bound"),
+    Custom<&VerdictSpec::detect_abuse>("detect_abuse", DecodeAbuseKinds)
+        .WhenSet(),
+};
+
+// A non-empty array of tenants with unique names and ports.
+Status DecodeTenants(const Row<ScenarioSpec>&, const Value* v, const Ctx& ctx,
+                     ScenarioSpec& out) {
+  if (v == nullptr || !v->is_array() || v->AsArray().empty()) {
+    return SectionBad(ctx.where, "tenants must be a non-empty array");
+  }
+  for (size_t i = 0; i < v->AsArray().size(); ++i) {
+    const std::string where = "tenants[" + std::to_string(i) + "]";
+    TenantSpec tenant;
+    if (Status s = Walk(kTenantRows, v->AsArray()[i], where, ctx.root, tenant);
+        !s.ok()) {
+      return s;
+    }
+    if (tenant.role == TenantRole::kAttacker && !tenant.has_vf) {
+      return Bad(where, "attacker-role tenants require a vf");
+    }
+    if (FindTenant(out, tenant.name) != nullptr) {
+      return SectionBad(ctx.where,
+                        "duplicate tenant name \"" + tenant.name + "\"");
+    }
+    for (const TenantSpec& earlier : out.tenants) {
+      if (earlier.port == tenant.port) {
+        return SectionBad(ctx.where, "duplicate tenant port " +
+                                         std::to_string(tenant.port));
+      }
+    }
+    out.tenants.push_back(std::move(tenant));
+  }
+  return OkStatus();
+}
+
+bool EncodeTenants(const Row<ScenarioSpec>&, const ScenarioSpec& in,
+                   std::string& out) {
+  EmitList(kTenantRows, in.tenants, out);
+  return true;
+}
+
+Status DecodeFaults(const Row<ScenarioSpec>&, const Value* v, const Ctx& ctx,
+                    ScenarioSpec& out) {
+  if (v == nullptr) {
+    return OkStatus();
+  }
+  if (!v->is_array()) {
+    return SectionBad(ctx.where, "faults must be an array");
+  }
+  for (size_t i = 0; i < v->AsArray().size(); ++i) {
+    FaultRuleSpec rule;
+    if (Status s = Walk(kFaultRows, v->AsArray()[i],
+                        "faults[" + std::to_string(i) + "]", ctx.root, rule);
+        !s.ok()) {
+      return s;
+    }
+    out.faults.push_back(std::move(rule));
+  }
+  return OkStatus();
+}
+
+bool EncodeFaults(const Row<ScenarioSpec>&, const ScenarioSpec& in,
+                  std::string& out) {
+  if (in.faults.empty()) {
+    return false;
+  }
+  EmitList(kFaultRows, in.faults, out);
+  return true;
+}
+
+constexpr Row<ScenarioSpec> kSpecRows[] = {
+    Name<&ScenarioSpec::name>("name")
+        .Required("name is required"),
+    Number<&ScenarioSpec::steps>("steps", 10000000)
+        .Positive("steps must be positive"),
+    Number<&ScenarioSpec::cycles_per_step>("cycles_per_step", 1000000)
+        .Positive("cycles_per_step must be positive"),
+    Number<&ScenarioSpec::bus_domains>("bus_domains", 64),
+    Object<&ScenarioSpec::supervisor, kSupervisorRows>("supervisor"),
+    {.key = "tenants", .decode = DecodeTenants, .encode = EncodeTenants},
+    {.key = "faults", .decode = DecodeFaults, .encode = EncodeFaults},
+    Object<&ScenarioSpec::overload, kOverloadRows>("overload").WhenPresent(
+        &ScenarioSpec::has_overload),
+    Object<&ScenarioSpec::attack, kAttackRows>("attack").WhenPresent(
+        &ScenarioSpec::has_attack),
+    Object<&ScenarioSpec::verdicts, kVerdictRows>("verdicts"),
+};
 
 }  // namespace
 
@@ -588,110 +794,9 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view json_text) {
   if (!root.is_object()) {
     return InvalidArgument("scenario spec: top level must be an object");
   }
-  if (Status s = RejectUnknownKeys(
-          root,
-          {"name", "steps", "cycles_per_step", "bus_domains", "supervisor",
-           "tenants", "faults", "overload", "attack", "verdicts"},
-          "top level");
-      !s.ok()) {
-    return s;
-  }
-
   ScenarioSpec spec;
-  const Value* name = root.Find("name");
-  if (name == nullptr) {
-    return InvalidArgument("scenario spec: name is required");
-  }
-  auto name_s = AsString(*name, "name");
-  if (!name_s.ok()) return name_s.status();
-  spec.name = name_s.value();
-  if (spec.name.empty()) {
-    return InvalidArgument("scenario spec: name must be non-empty");
-  }
-
-  if (const Value* steps = root.Find("steps"); steps != nullptr) {
-    auto n = U64(*steps, "steps", 10000000);
-    if (!n.ok()) return n.status();
-    if (n.value() == 0) {
-      return InvalidArgument("scenario spec: steps must be positive");
-    }
-    spec.steps = n.value();
-  }
-  if (const Value* cps = root.Find("cycles_per_step"); cps != nullptr) {
-    auto n = U64(*cps, "cycles_per_step", 1000000);
-    if (!n.ok()) return n.status();
-    if (n.value() == 0) {
-      return InvalidArgument("scenario spec: cycles_per_step must be positive");
-    }
-    spec.cycles_per_step = n.value();
-  }
-  if (const Value* domains = root.Find("bus_domains"); domains != nullptr) {
-    auto n = U64(*domains, "bus_domains", 64);
-    if (!n.ok()) return n.status();
-    spec.bus_domains = static_cast<uint32_t>(n.value());
-  }
-  if (const Value* sup = root.Find("supervisor"); sup != nullptr) {
-    if (Status s = ParseSupervisor(*sup, &spec.supervisor); !s.ok()) {
-      return s;
-    }
-  }
-
-  const Value* tenants = root.Find("tenants");
-  if (tenants == nullptr || !tenants->is_array() ||
-      tenants->AsArray().empty()) {
-    return InvalidArgument(
-        "scenario spec: tenants must be a non-empty array");
-  }
-  std::set<std::string> names;
-  std::set<uint16_t> ports;
-  for (size_t i = 0; i < tenants->AsArray().size(); ++i) {
-    TenantSpec tenant;
-    if (Status s = ParseTenant(tenants->AsArray()[i], i, spec.bus_domains,
-                               &tenant);
-        !s.ok()) {
-      return s;
-    }
-    if (!names.insert(tenant.name).second) {
-      return InvalidArgument("scenario spec: duplicate tenant name \"" +
-                             tenant.name + "\"");
-    }
-    if (!ports.insert(tenant.port).second) {
-      return InvalidArgument("scenario spec: duplicate tenant port " +
-                             std::to_string(tenant.port));
-    }
-    spec.tenants.push_back(std::move(tenant));
-  }
-
-  if (const Value* faults = root.Find("faults"); faults != nullptr) {
-    if (!faults->is_array()) {
-      return InvalidArgument("scenario spec: faults must be an array");
-    }
-    for (size_t i = 0; i < faults->AsArray().size(); ++i) {
-      FaultRuleSpec rule;
-      if (Status s = ParseFaultRule(faults->AsArray()[i], i, names, &rule);
-          !s.ok()) {
-        return s;
-      }
-      spec.faults.push_back(std::move(rule));
-    }
-  }
-  if (const Value* overload = root.Find("overload"); overload != nullptr) {
-    spec.has_overload = true;
-    if (Status s = ParseOverload(*overload, spec.tenants, &spec.overload);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (const Value* attack = root.Find("attack"); attack != nullptr) {
-    spec.has_attack = true;
-    if (Status s = ParseAttack(*attack, spec.tenants, &spec.attack); !s.ok()) {
-      return s;
-    }
-  }
-  if (const Value* verdicts = root.Find("verdicts"); verdicts != nullptr) {
-    if (Status s = ParseVerdicts(*verdicts, names, &spec.verdicts); !s.ok()) {
-      return s;
-    }
+  if (Status s = Walk(kSpecRows, root, std::string(), spec, spec); !s.ok()) {
+    return s;
   }
 
   // Cross-cutting semantic checks that need the whole spec.
@@ -740,163 +845,8 @@ Result<ScenarioSpec> ParseScenarioSpec(std::string_view json_text) {
 }
 
 std::string SerializeScenarioSpec(const ScenarioSpec& spec) {
-  std::string out = "{";
-  out += "\"name\":";
-  AppendQuoted(out, spec.name);
-  out += ",\"steps\":" + std::to_string(spec.steps);
-  out += ",\"cycles_per_step\":" + std::to_string(spec.cycles_per_step);
-  out += ",\"bus_domains\":" + std::to_string(spec.bus_domains);
-
-  const SupervisorSpec& sup = spec.supervisor;
-  out += ",\"supervisor\":{";
-  out += "\"watchdog_timeout_steps\":" +
-         std::to_string(sup.watchdog_timeout_steps);
-  out += ",\"backoff_base_steps\":" + std::to_string(sup.backoff_base_steps);
-  out += ",\"backoff_max_steps\":" + std::to_string(sup.backoff_max_steps);
-  out += ",\"backoff_jitter_pct\":" + std::to_string(sup.backoff_jitter_pct);
-  out += ",\"quarantine_after\":" + std::to_string(sup.quarantine_after);
-  out += ",\"stable_steps\":" + std::to_string(sup.stable_steps);
-  out += ",\"max_concurrent_restarts\":" +
-         std::to_string(sup.max_concurrent_restarts);
-  out += ",\"verify_attestation\":";
-  out += sup.verify_attestation ? "true" : "false";
-  out += "}";
-
-  out += ",\"tenants\":[";
-  for (size_t i = 0; i < spec.tenants.size(); ++i) {
-    const TenantSpec& t = spec.tenants[i];
-    out += i == 0 ? "{" : ",{";
-    out += "\"name\":";
-    AppendQuoted(out, t.name);
-    out += ",\"port\":" + std::to_string(t.port);
-    out += ",\"role\":";
-    AppendQuoted(out, TenantRoleName(t.role));
-    out += ",\"zip_clusters\":" + std::to_string(t.zip_clusters);
-    if (t.bus_domain >= 0) {
-      out += ",\"bus_domain\":" + std::to_string(t.bus_domain);
-    }
-    out += ",\"frames_per_step\":" + std::to_string(t.frames_per_step);
-    if (t.dma) {
-      out += ",\"dma\":true";
-    }
-    if (t.has_vf) {
-      out += ",\"vf\":{\"ring_slots\":" + std::to_string(t.vf.ring_slots);
-      out += ",\"cq_slots\":" + std::to_string(t.vf.cq_slots);
-      out += ",\"posted_bytes_limit\":" +
-             std::to_string(t.vf.posted_bytes_limit);
-      out +=
-          ",\"abuse_threshold\":" + std::to_string(t.vf.abuse_threshold) + "}";
-    }
-    if (t.has_policy) {
-      const OverloadPolicySpec& p = t.policy;
-      out += ",\"policy\":{\"rx_queue_capacity_frames\":" +
-             std::to_string(p.rx_queue_capacity_frames);
-      out += ",\"tx_queue_capacity_frames\":" +
-             std::to_string(p.tx_queue_capacity_frames);
-      out += ",\"priority_early_drop\":";
-      out += p.priority_early_drop ? "true" : "false";
-      out += ",\"admission_burst_frames\":" +
-             std::to_string(p.admission_burst_frames);
-      out += ",\"admission_frames_per_refill\":" +
-             std::to_string(p.admission_frames_per_refill);
-      out += ",\"admission_refill_cycles\":" +
-             std::to_string(p.admission_refill_cycles);
-      out += ",\"deadline_cycles\":" + std::to_string(p.deadline_cycles) + "}";
-    }
-    out += "}";
-  }
-  out += "]";
-
-  if (!spec.faults.empty()) {
-    out += ",\"faults\":[";
-    for (size_t i = 0; i < spec.faults.size(); ++i) {
-      const FaultRuleSpec& r = spec.faults[i];
-      out += i == 0 ? "{" : ",{";
-      out += "\"site\":";
-      AppendQuoted(out, r.site);
-      if (!r.nf.empty()) {
-        out += ",\"nf\":";
-        AppendQuoted(out, r.nf);
-      }
-      if (r.has_raw_id) {
-        out += ",\"raw_id\":" + std::to_string(r.raw_id);
-      }
-      out += ",\"skip\":" + std::to_string(r.skip);
-      if (r.count == fault::FaultRule::kForever) {
-        out += ",\"count\":\"forever\"";
-      } else {
-        out += ",\"count\":" + std::to_string(r.count);
-      }
-      out += ",\"period\":" + std::to_string(r.period);
-      if (r.stall_cycles > 0) {
-        out += ",\"stall_cycles\":" + std::to_string(r.stall_cycles);
-      }
-      if (r.on_attempt > 0) {
-        out += ",\"on_attempt\":" + std::to_string(r.on_attempt);
-      }
-      out += "}";
-    }
-    out += "]";
-  }
-
-  if (spec.has_overload) {
-    const OverloadSpec& o = spec.overload;
-    out += ",\"overload\":{\"target\":";
-    AppendQuoted(out, o.target);
-    out += ",\"load_pct\":" + std::to_string(o.load_pct);
-    out += ",\"baseline_pct\":" + std::to_string(o.baseline_pct);
-    out += ",\"service_per_step\":" + std::to_string(o.service_per_step);
-    if (!o.downstream.empty()) {
-      out += ",\"downstream\":";
-      AppendQuoted(out, o.downstream);
-    }
-    out += "}";
-  }
-  if (spec.has_attack) {
-    const AttackSpec& a = spec.attack;
-    out += ",\"attack\":{\"target\":";
-    AppendQuoted(out, a.target);
-    out += ",\"flood_rings\":" + std::to_string(a.flood_rings);
-    out += ",\"squat\":";
-    out += a.squat ? "true" : "false";
-    out += "}";
-  }
-
-  const VerdictSpec& verdict = spec.verdicts;
-  out += ",\"verdicts\":{";
-  out += "\"bystander_identical\":";
-  out += verdict.bystander_identical ? "true" : "false";
-  const auto names_array = [&out](const char* key,
-                                  const std::vector<std::string>& names) {
-    out += ",\"";
-    out += key;
-    out += "\":[";
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (i > 0) out += ",";
-      AppendQuoted(out, names[i]);
-    }
-    out += "]";
-  };
-  if (!verdict.containment.empty()) {
-    names_array("containment", verdict.containment);
-  }
-  if (!verdict.must_recover.empty()) {
-    names_array("must_recover", verdict.must_recover);
-  }
-  if (verdict.recovery_deadline_steps > 0) {
-    out += ",\"recovery_deadline_steps\":" +
-           std::to_string(verdict.recovery_deadline_steps);
-  }
-  if (verdict.goodput_floor_pct > 0) {
-    out +=
-        ",\"goodput_floor_pct\":" + std::to_string(verdict.goodput_floor_pct);
-  }
-  out += ",\"queue_bound\":";
-  out += verdict.queue_bound ? "true" : "false";
-  if (!verdict.detect_abuse.empty()) {
-    names_array("detect_abuse", verdict.detect_abuse);
-  }
-  out += "}}";
+  std::string out;
+  EmitObject(kSpecRows, spec, out);
   return out;
 }
 

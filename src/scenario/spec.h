@@ -12,13 +12,16 @@
 // seeded families of specs; bench/scenario_matrix sweeps them.
 //
 // Parsing is DECODE-OR-REJECT, like the vNIC descriptor path: the JSON must
-// be structurally exact — unknown keys, wrong types, fractional or
-// out-of-range numbers, unregistered fault sites, dangling tenant
-// references all reject with a precise error. A spec either decodes into a
-// fully-validated ScenarioSpec or it does not run at all; there is no
-// lenient mode. tests/fuzz_roundtrip_test.cc holds every-prefix truncation
-// and single-byte mutants to "clean error, never crash, never
-// mis-decode-silently".
+// be structurally exact — unknown keys, duplicate keys, wrong types,
+// fractional or out-of-range numbers, unregistered fault sites, dangling
+// tenant references all reject with a precise error. A spec either decodes
+// into a fully-validated ScenarioSpec or it does not run at all; there is
+// no lenient mode. spec.cc declares each section as one ordered table of
+// rows, one per key; that table alone drives unknown- and duplicate-key
+// rejection, decoding (in row order) and the canonical text (in the same
+// order). tests/fuzz_roundtrip_test.cc holds every-prefix truncation and
+// single-byte mutants to "clean error, never crash, never
+// mis-decode-silently", and pins every one of those decode outcomes.
 
 #ifndef SNIC_SCENARIO_SPEC_H_
 #define SNIC_SCENARIO_SPEC_H_

@@ -26,9 +26,11 @@
 #include "src/mgmt/nic_os.h"
 #include "src/mgmt/verifier.h"
 #include "src/net/parser.h"
+#include "src/obs/trace_ring.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/spec.h"
 #include "src/sim/mem_access.h"
+#include "tests/scenario_spec_cases.h"
 
 namespace snic {
 namespace {
@@ -965,6 +967,41 @@ TEST(ScenarioSpecFuzzTest, SingleByteMutantsDecodeOrRejectAndNeverCrash) {
       EXPECT_FALSE(a.status().message().empty()) << "iter " << iter;
     }
   }
+}
+
+// Every decode outcome over the inputs above, folded into one pinned
+// digest: the canonical text of each accepted input, the exact message of
+// each rejected one. Inputs are the 3,000 single-byte mutants of the
+// previous test (same draws), every truncation of the three bases, and
+// every row of ScenarioSpecTest.RejectsPreciselyNotLeniently. A codec
+// rewrite must accept, canonicalize and reject exactly as before.
+TEST(ScenarioSpecFuzzTest, DecodeOutcomeKnownAnswers) {
+  obs::Fnv fnv;
+  const auto mix = [&fnv](std::string_view input) {
+    const auto out = scenario::ParseScenarioSpec(input);
+    fnv.Mix(out.ok() ? "ok " + scenario::SerializeScenarioSpec(out.value())
+                     : "error " + out.status().message());
+    fnv.Mix("\n");
+  };
+  Rng rng(0x5bec);
+  const std::vector<std::string> bases = {RichSpecJson(), AttackSpecJson(),
+                                          ChainSpecJson()};
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string mutant = bases[iter % bases.size()];
+    const size_t at = rng.NextBounded(mutant.size());
+    mutant[at] = static_cast<char>(mutant[at] ^
+                                   static_cast<char>(1 + rng.NextBounded(255)));
+    mix(mutant);
+  }
+  for (const std::string& base : bases) {
+    for (size_t len = 0; len < base.size(); ++len) {
+      mix(std::string_view(base).substr(0, len));
+    }
+  }
+  for (const scenario::SpecRejectCase& c : scenario::kSpecRejectCases) {
+    mix(c.json);
+  }
+  EXPECT_EQ(fnv.h, 0xacdad275ee43ff53ull);
 }
 
 }  // namespace

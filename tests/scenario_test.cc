@@ -12,18 +12,22 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/obs/span_names.h"
 #include "src/obs/trace_ring.h"
 #include "src/scenario/digest.h"
 #include "src/scenario/generator.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/spec.h"
+#include "tests/scenario_spec_cases.h"
 
 namespace snic::scenario {
 namespace {
@@ -120,72 +124,32 @@ TEST(ScenarioSpecTest, MinimalSpecParses) {
   EXPECT_EQ(spec.value().tenants[1].role, TenantRole::kBystander);
 }
 
+// A key given twice rejects in every section, naming the key; neither copy
+// wins. (Kept apart from kSpecRejectCases, whose messages the
+// decode-outcome digest pins.)
+constexpr SpecRejectCase kDuplicateKeyCases[] = {
+    {R"({"name": "t", "name": "u", "tenants":
+         [{"name": "a", "port": 1}]})",
+     "scenario spec: top level: duplicate key \"name\""},
+    {R"({"name": "t", "tenants": [{"name": "a", "port": 1, "port": 2}]})",
+     "scenario spec: tenants[0]: duplicate key \"port\""},
+    {R"({"name": "t", "supervisor": {"stable_steps": 5, "stable_steps": 6},
+         "tenants": [{"name": "a", "port": 1}]})",
+     "scenario spec: supervisor: duplicate key \"stable_steps\""},
+    {R"({"name": "t", "tenants": [{"name": "a", "port": 1,
+         "vf": {"ring_slots": 8, "cq_slots": 8, "ring_slots": 4}}]})",
+     "scenario spec: tenants[0].vf: duplicate key \"ring_slots\""},
+    {R"({"name": "t", "tenants": [{"name": "a", "port": 1}],
+         "faults": [{"site": "vpp.rx.drop", "skip": 1, "skip": 2}]})",
+     "scenario spec: faults[0]: duplicate key \"skip\""},
+};
+
 TEST(ScenarioSpecTest, RejectsPreciselyNotLeniently) {
-  struct Case {
-    const char* json;
-    const char* error_substring;
-  };
-  const Case cases[] = {
-      {"", "JSON"},
-      {"[]", "object"},
-      {R"({"steps": 10, "tenants": []})", "name"},
-      {R"({"name": "t", "steps": 10})", "tenants"},
-      {R"({"name": "t", "steps": 10, "tenants": [], "bogus": 1})", "bogus"},
-      {R"({"name": "t", "steps": 0, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}]})",
-       "steps"},
-      {R"({"name": "t", "steps": 1.5, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}]})",
-       "integer"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "pilot"}]})",
-       "role"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"},
-            {"name": "a", "port": 2, "role": "workload"}]})",
-       "duplicate"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "faults": [{"site": "no.such.site", "nf": "a"}]})",
-       "no.such.site"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "faults": [{"site": "vpp.rx.drop", "nf": "ghost"}]})",
-       "ghost"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "faults": [{"site": "vpp.rx.drop", "nf": "a", "on_attempt": 1}]})",
-       "on_attempt"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "attacker"}]})",
-       "vf"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload", "bus_domain": 0}]})",
-       "bus_domain"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "verdicts": {"bystander_identical": true}})",
-       "bystander"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "overload": {"target": "a", "downstream": "ghost"}})",
-       "overload.downstream: \"ghost\" is not a declared tenant"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"}],
-           "overload": {"target": "a", "downstream": "a"}})",
-       "overload.downstream: must differ from the target"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"},
-            {"name": "b", "port": 2, "role": "bystander"}],
-           "overload": {"target": "a", "downstream": "b"}})",
-       "overload.downstream: \"b\" is not a workload-role tenant"},
-      {R"({"name": "t", "steps": 10, "tenants":
-           [{"name": "a", "port": 1, "role": "workload"},
-            {"name": "b", "port": 2, "role": "workload"}],
-           "overload": {"target": "a", "downstream": 2}})",
-       "overload.downstream: expected a string"},
-  };
-  for (const Case& c : cases) {
+  std::vector<SpecRejectCase> cases(std::begin(kSpecRejectCases),
+                                    std::end(kSpecRejectCases));
+  cases.insert(cases.end(), std::begin(kDuplicateKeyCases),
+               std::end(kDuplicateKeyCases));
+  for (const SpecRejectCase& c : cases) {
     const auto spec = ParseScenarioSpec(c.json);
     ASSERT_FALSE(spec.ok()) << c.json;
     EXPECT_NE(spec.status().message().find(c.error_substring),
@@ -194,11 +158,83 @@ TEST(ScenarioSpecTest, RejectsPreciselyNotLeniently) {
   }
 }
 
+// The sites a spec may name are exactly the audited registry
+// (tools/snic_lint/fault_sites.txt), so a site added to src/fault/fault.h
+// and the registry but not to KnownFaultSites() fails here.
 TEST(ScenarioSpecTest, KnownFaultSitesMatchesRegistryShape) {
+  std::ifstream in(SNIC_FAULT_SITES_FILE);
+  ASSERT_TRUE(in.is_open()) << SNIC_FAULT_SITES_FILE;
+  std::set<std::string> registry;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') {
+      registry.insert(line);
+    }
+  }
   const auto& sites = KnownFaultSites();
-  EXPECT_GE(sites.size(), 17u);
-  for (const auto site : sites) {
-    EXPECT_FALSE(site.empty());
+  const std::set<std::string> known(sites.begin(), sites.end());
+  EXPECT_EQ(known.size(), sites.size()) << "KnownFaultSites() repeats a site";
+  EXPECT_EQ(known, registry);
+}
+
+// Each object key under `v` as its path of keys ("tenants.vf.ring_slots";
+// array elements share their array's path).
+void CollectKeys(const obs::json::Value& v, const std::string& prefix,
+                 std::set<std::string>& paths) {
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.AsObject()) {
+      paths.insert(prefix + key);
+      CollectKeys(member, prefix + key + ".", paths);
+    }
+  } else if (v.is_array()) {
+    for (const obs::json::Value& item : v.AsArray()) {
+      CollectKeys(item, prefix, paths);
+    }
+  }
+}
+
+// docs/ROBUSTNESS.md "Spec schema" names every key the codec accepts: the
+// canonical text of a spec that sets every optional section and key holds
+// them all, and each must appear in backticks in that section.
+TEST(ScenarioSpecTest, SchemaDocNamesEveryKey) {
+  const auto spec = ParseScenarioSpec(R"({
+    "name": "every-key", "bus_domains": 1,
+    "tenants": [
+      { "name": "o", "port": 1, "bus_domain": 0, "dma": true,
+        "policy": { "rx_queue_capacity_frames": 8 } },
+      { "name": "d", "port": 2 },
+      { "name": "b", "port": 3, "role": "bystander" },
+      { "name": "x", "port": 4, "role": "attacker", "vf": {} }
+    ],
+    "faults": [
+      { "site": "supervisor.reattest", "nf": "o", "on_attempt": 1 },
+      { "site": "sim.bus.timeout", "raw_id": 0, "stall_cycles": 5 }
+    ],
+    "overload": { "target": "o", "downstream": "d" },
+    "attack": { "target": "x" },
+    "verdicts": { "bystander_identical": true, "containment": ["x"],
+                  "must_recover": ["o"], "recovery_deadline_steps": 50,
+                  "goodput_floor_pct": 50, "queue_bound": true,
+                  "detect_abuse": ["flood"] }
+  })");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const auto canonical =
+      obs::json::Value::Parse(SerializeScenarioSpec(spec.value()));
+  ASSERT_TRUE(canonical.ok());
+  std::set<std::string> paths;
+  CollectKeys(canonical.value(), "", paths);
+  EXPECT_EQ(paths.size(), 61u);
+
+  std::ifstream in(SNIC_ROBUSTNESS_DOC);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string doc = text.str();
+  const size_t begin = doc.find("### Spec schema");
+  ASSERT_NE(begin, std::string::npos) << SNIC_ROBUSTNESS_DOC;
+  const std::string section = doc.substr(begin, doc.find("\n### ", begin) - begin);
+  for (const std::string& path : paths) {
+    const std::string key = path.substr(path.rfind('.') + 1);
+    EXPECT_NE(section.find("`" + key + "`"), std::string::npos)
+        << "docs/ROBUSTNESS.md \"Spec schema\" does not name `" << key << "`";
   }
 }
 
