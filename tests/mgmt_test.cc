@@ -251,6 +251,39 @@ TEST_F(ConstellationTest, TwoFunctionsOnOneNicAttestEachOther) {
   EXPECT_TRUE(result.Ok());
 }
 
+// Known answers recorded before EstablishChannel sent its quotes through the
+// wire codec: for fixed seeds, the channel key of a function+enclave pair
+// and of a function+function pair. Both ends hold the same key, and it moves
+// if either side's nonce or DH draws move.
+TEST_F(ConstellationTest, ChannelKeysKeepRecordedKnownAnswers) {
+  const auto id = nic_os_.NfCreate(SimpleImage("tls-mbox"));
+  ASSERT_TRUE(id.ok());
+  SnicFunctionParty function = Party("F", id.value(), SimpleImage("tls-mbox"));
+  Rng platform_rng(41);
+  crypto::VendorAuthority platform_vendor(512, platform_rng);
+  EnclaveParty enclave("P", {1, 2, 3, 4}, platform_vendor, 512, platform_rng);
+  Rng enclave_session(42);
+  const PairwiseResult with_enclave = EstablishChannel(
+      function, enclave, crypto::SmallTestGroup(), enclave_session);
+  ASSERT_TRUE(with_enclave.Ok());
+  EXPECT_EQ(with_enclave.channel_a->key(), with_enclave.channel_b->key());
+  EXPECT_EQ(
+      crypto::DigestToHex(with_enclave.channel_a->key()),
+      "15b69c08ae86ee00e92dd1005c96a2538846c1dbb05fffb9aa24ff4a520a35e9");
+
+  const auto id2 = nic_os_.NfCreate(SimpleImage("f2"));
+  ASSERT_TRUE(id2.ok());
+  SnicFunctionParty peer = Party("F2", id2.value(), SimpleImage("f2"));
+  Rng function_session(47);
+  const PairwiseResult with_function = EstablishChannel(
+      function, peer, crypto::SmallTestGroup(), function_session);
+  ASSERT_TRUE(with_function.Ok());
+  EXPECT_EQ(with_function.channel_a->key(), with_function.channel_b->key());
+  EXPECT_EQ(
+      crypto::DigestToHex(with_function.channel_a->key()),
+      "7edaec5ce1f1800cb232d9f342b45a8412ae1d317d00af251ba3c5f1139c8b5a");
+}
+
 TEST_F(ConstellationTest, PeerRejectsFunctionLaunchedFromAnotherImage) {
   // The tenant uploaded image A; a faulty or hostile NIC OS launched image
   // B in its place. B attests with a valid device chain, but its

@@ -1,6 +1,8 @@
 # Runs the command after `--` in an empty WORK_DIR:
-#   cmake -DWORK_DIR=DIR -DWANT_EXIT=CODE -P run_in_empty_dir.cmake -- PROGRAM ARGS...
-# The program must exit with WANT_EXIT and leave the directory empty.
+#   cmake -DWORK_DIR=DIR -DWANT_EXIT=CODE [-DWANT_STDOUT=FILE]
+#         -P run_in_empty_dir.cmake -- PROGRAM ARGS...
+# The program must exit with WANT_EXIT and leave the directory empty; with
+# WANT_STDOUT, its standard output must also equal FILE byte for byte.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(command)
@@ -25,4 +27,11 @@ if(NOT code EQUAL WANT_EXIT)
 endif()
 if(left)
   message(FATAL_ERROR "`${command}` left files behind: ${left}")
+endif()
+if(DEFINED WANT_STDOUT)
+  file(READ "${WANT_STDOUT}" want)
+  if(NOT out STREQUAL want)
+    message(FATAL_ERROR
+      "`${command}` printed other output than ${WANT_STDOUT}:\n${out}")
+  endif()
 endif()

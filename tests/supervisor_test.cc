@@ -338,6 +338,89 @@ TEST_F(SupervisorTest, CrashDuringRecoveryFailsExactlyTheTargetedAttempt) {
   EXPECT_EQ(supervisor.stats().restarts, 1u);
 }
 
+// Known answers recorded before the Supervisor's attestation exchange went
+// through the wire codec: an Adopt -> crash -> restart run, without and with
+// a supervisor.reattest rule on recovery attempt 1. Besides the counters and
+// the child's final id and health, the run pins the Supervisor's Rng stream:
+// backoff jitter spans the whole backoff and the clock advances one cycle
+// per tick, so the cycle each relaunch lands on is a jitter draw taken after
+// every earlier nonce and DH draw. The second crash's relaunch is the draw
+// after the pinned run.
+TEST_F(SupervisorTest, ReattestRunKeepsRecordedKnownAnswers) {
+  struct Answer {
+    uint64_t reattestations;
+    uint64_t restarts;
+    uint64_t failed_restarts;
+    uint64_t injected;
+    NfHealth health;
+    uint64_t nf_id;
+    uint64_t relaunched_at;
+    uint64_t next_relaunch_at;
+  };
+  auto run = [this](bool with_rule) {
+    fault::FaultPlane plane;
+    if (with_rule) {
+      fault::FaultRule rule;
+      rule.site = std::string(fault::sites::kSupervisorReattest);
+      rule.count = 1;
+      rule.on_attempt = 1;
+      plane.AddRule(rule);
+    }
+    fault::ScopedFaultPlane scoped(&plane);
+    SupervisorConfig config = SupConfig();
+    config.watchdog_timeout_cycles = 0;
+    config.backoff_base_cycles = 4096;
+    config.backoff_max_cycles = 4096;
+    config.backoff_jitter_pct = 100;
+    config.quarantine_after = 5;
+    Supervisor supervisor = MakeSupervisor(config);
+    SNIC_CHECK(supervisor.Adopt(SimpleImage("fw")).ok());
+    supervisor.Tick(100);
+    supervisor.ReportCrash("fw", CrashCause::kGeneric);
+    TickUntilRunning(supervisor, "fw", 101, 40000, /*step=*/1);
+    Answer answer{};
+    answer.reattestations = supervisor.stats().reattestations;
+    answer.restarts = supervisor.stats().restarts;
+    answer.failed_restarts = supervisor.stats().failed_restarts;
+    answer.injected = plane.InjectedAt(fault::sites::kSupervisorReattest);
+    answer.health = supervisor.HealthOf("fw");
+    if (answer.health != NfHealth::kRunning) {
+      return answer;
+    }
+    answer.nf_id = supervisor.NfIdOf("fw").value();
+    answer.relaunched_at = supervisor.now();
+    supervisor.ReportCrash("fw", CrashCause::kGeneric);
+    TickUntilRunning(supervisor, "fw", supervisor.now() + 1,
+                     supervisor.now() + 40000, /*step=*/1);
+    answer.next_relaunch_at = supervisor.now();
+    return answer;
+  };
+  // The fixture's device is shared by both runs, so the second run's nf
+  // ids continue from the first's.
+  const Answer without_rule = run(/*with_rule=*/false);
+  EXPECT_EQ(without_rule.reattestations, 2u);
+  EXPECT_EQ(without_rule.restarts, 1u);
+  EXPECT_EQ(without_rule.failed_restarts, 0u);
+  EXPECT_EQ(without_rule.injected, 0u);
+  EXPECT_EQ(without_rule.health, NfHealth::kRunning);
+  EXPECT_EQ(without_rule.nf_id, 2u);
+  EXPECT_EQ(without_rule.relaunched_at, 4987u);
+  EXPECT_EQ(without_rule.next_relaunch_at, 10605u);
+
+  // Attempt 1 fails closed: its nf id (5) is torn down, its backoff draw is
+  // the one the rule-free run spent on the second crash, and attempt 2 runs
+  // the full trust path.
+  const Answer with_rule = run(/*with_rule=*/true);
+  EXPECT_EQ(with_rule.reattestations, 2u);
+  EXPECT_EQ(with_rule.restarts, 1u);
+  EXPECT_EQ(with_rule.failed_restarts, 1u);
+  EXPECT_EQ(with_rule.injected, 1u);
+  EXPECT_EQ(with_rule.health, NfHealth::kRunning);
+  EXPECT_EQ(with_rule.nf_id, 6u);
+  EXPECT_EQ(with_rule.relaunched_at, 10605u);
+  EXPECT_EQ(with_rule.next_relaunch_at, 15158u);
+}
+
 TEST_F(SupervisorTest, RestartCapDefersBurstToOnePerTick) {
   SupervisorConfig config = SupConfig();
   config.max_concurrent_restarts = 1;
