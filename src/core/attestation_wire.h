@@ -5,11 +5,9 @@
 // self-delimiting binary encoding of AttestationQuote — every field
 // length-prefixed, fixed byte order — with strict-parse semantics: any
 // trailing bytes, truncation, or malformed length is rejected (a verifier
-// must never sign-check attacker-shaped garbage).
-//
-// No bench, tool or example ships quotes over a wire yet, so only tests
-// reach this codec; tools/snic_lint/allowlist.txt exempts it from the
-// unreached-module rule until a remote-verifier path uses it.
+// must never sign-check attacker-shaped garbage). mgmt::ChallengeQuote is
+// the one decoder call: the Supervisor, EstablishChannel and quickstart send
+// every quote they check through this codec.
 
 #ifndef SNIC_CORE_ATTESTATION_WIRE_H_
 #define SNIC_CORE_ATTESTATION_WIRE_H_

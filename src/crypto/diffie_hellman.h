@@ -34,6 +34,10 @@ class DhParticipant {
   // Draws the secret exponent x uniformly from [2, p-2].
   DhParticipant(const DhGroup& group, Rng& rng);
 
+  // The group this participant's exponent lives in; a peer's public value
+  // is only usable in the same group.
+  const DhGroup& group() const { return group_; }
+
   // g^x mod p — sent to the peer.
   const BigUint& public_value() const { return public_value_; }
 

@@ -75,8 +75,10 @@ inline constexpr std::string_view kBreakerProbe = "overload.breaker.probe";
 // kResourceExhausted before touching any resource.
 inline constexpr std::string_view kNfLaunch = "snic.nf_launch";
 // Supervisor re-attestation during a restart (mgmt::Supervisor): a firing
-// hit makes the relaunched child's attestation handshake fail, so the
-// restart attempt is charged as a failed recovery and re-enters backoff.
+// hit corrupts the relaunched child's quote in transit (one byte of its
+// wire encoding flipped); the real decode/verify (mgmt::ChallengeQuote)
+// rejects it, so the restart attempt is charged as a failed recovery and
+// re-enters backoff.
 // This is an attempt-carrying site — the Supervisor passes the 1-based
 // recovery-attempt number, so `FaultRule::on_attempt` can target exactly
 // the Nth attempt (crash-during-recovery scenarios).

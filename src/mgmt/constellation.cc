@@ -1,6 +1,10 @@
 #include "src/mgmt/constellation.h"
 
 #include <cstring>
+#include <utility>
+
+#include "src/core/attestation_wire.h"
+#include "src/mgmt/verifier.h"
 
 namespace snic::mgmt {
 
@@ -114,6 +118,38 @@ Result<std::vector<uint8_t>> SecureChannel::Open(
   return plain;
 }
 
+namespace {
+
+// One direction of the mutual exchange: the challenger draws a fresh nonce
+// and sends it, with the responder's DH share, to `responder`; the quote
+// comes back as bytes. Returns the decoded quote if it passes the
+// challenger's check.
+std::optional<core::AttestationQuote> Challenge(
+    AttestedParty& responder, const crypto::DhGroup& group,
+    const crypto::BigUint& responder_g_x, Rng& rng) {
+  core::AttestationRequest request;
+  request.group = group;
+  request.nonce.resize(16);
+  for (auto& byte : request.nonce) {
+    byte = static_cast<uint8_t>(rng.NextU32());
+  }
+  request.g_x = responder_g_x;
+  const auto quote = responder.Attest(request);
+  if (!quote.ok()) {
+    return std::nullopt;
+  }
+  auto checked = ChallengeQuote(core::SerializeQuote(quote.value()),
+                                responder.vendor_key(), group, request.nonce,
+                                responder.expected_measurement(),
+                                responder.name());
+  if (!checked.ok()) {
+    return std::nullopt;
+  }
+  return std::move(checked).value();
+}
+
+}  // namespace
+
 PairwiseResult EstablishChannel(AttestedParty& a, AttestedParty& b,
                                 const crypto::DhGroup& group, Rng& rng) {
   PairwiseResult result;
@@ -122,43 +158,16 @@ PairwiseResult EstablishChannel(AttestedParty& a, AttestedParty& b,
   crypto::DhParticipant dh_a(group, rng);
   crypto::DhParticipant dh_b(group, rng);
 
-  // A challenges B.
-  std::vector<uint8_t> nonce_a(16);
-  for (auto& byte : nonce_a) {
-    byte = static_cast<uint8_t>(rng.NextU32());
-  }
-  core::AttestationRequest request_b;
-  request_b.group = group;
-  request_b.nonce = nonce_a;
-  request_b.g_x = dh_b.public_value();
-  const auto quote_b = b.Attest(request_b);
-  if (quote_b.ok()) {
-    const crypto::Sha256Digest expected = b.expected_measurement();
-    const auto verification = core::VerifyQuote(b.vendor_key(), quote_b.value(),
-                                                nonce_a, &expected);
-    result.a_verified_b = verification.Ok();
-  }
+  // A challenges B, then B challenges A.
+  const auto quote_b = Challenge(b, group, dh_b.public_value(), rng);
+  const auto quote_a = Challenge(a, group, dh_a.public_value(), rng);
+  result.a_verified_b = quote_b.has_value();
+  result.b_verified_a = quote_a.has_value();
 
-  // B challenges A.
-  std::vector<uint8_t> nonce_b(16);
-  for (auto& byte : nonce_b) {
-    byte = static_cast<uint8_t>(rng.NextU32());
-  }
-  core::AttestationRequest request_a;
-  request_a.group = group;
-  request_a.nonce = nonce_b;
-  request_a.g_x = dh_a.public_value();
-  const auto quote_a = a.Attest(request_a);
-  if (quote_a.ok()) {
-    const crypto::Sha256Digest expected = a.expected_measurement();
-    const auto verification = core::VerifyQuote(a.vendor_key(), quote_a.value(),
-                                                nonce_b, &expected);
-    result.b_verified_a = verification.Ok();
-  }
-
-  if (result.a_verified_b && result.b_verified_a) {
-    result.channel_a = SecureChannel(dh_a.DeriveChannelKey(dh_b.public_value()));
-    result.channel_b = SecureChannel(dh_b.DeriveChannelKey(dh_a.public_value()));
+  // Each side keys from the g^x its peer's verified quote carries.
+  if (quote_a && quote_b) {
+    result.channel_a = SecureChannel(dh_a.DeriveChannelKey(quote_b->g_x));
+    result.channel_b = SecureChannel(dh_b.DeriveChannelKey(quote_a->g_x));
   }
   return result;
 }

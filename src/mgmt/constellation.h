@@ -130,7 +130,10 @@ struct PairwiseResult {
 };
 
 // Runs the full mutual attestation + Diffie-Hellman exchange between two
-// parties. `rng` supplies nonces and ephemeral exponents.
+// parties. `rng` supplies nonces and ephemeral exponents. Each direction
+// sends its quote through the wire codec and mgmt::ChallengeQuote; each side
+// then keys its channel from the g^x in the peer's decoded, verified quote
+// (Appendix A), which for honest parties is the share the request carried.
 PairwiseResult EstablishChannel(AttestedParty& a, AttestedParty& b,
                                 const crypto::DhGroup& group, Rng& rng);
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/core/attestation.h"
+#include "src/core/attestation_wire.h"
 #include "src/crypto/diffie_hellman.h"
 #include "src/fault/fault.h"
 #include "src/mgmt/verifier.h"
@@ -100,19 +101,22 @@ Status Supervisor::LaunchChild(const std::string& name, Child& child,
       (void)nic_os_->NfDestroy(nf_id);
       return quote.status();
     }
-    const core::QuoteVerification verdict =
-        core::VerifyQuote(vendor_key_, quote.value(), request.nonce, &expected);
-    // Crash-during-recovery site: a firing hit poisons this attempt's
-    // attestation verdict after the real exchange ran, so the failure path
-    // exercised is exactly the one a genuinely bad quote would take. The
-    // attempt number lets schedules target "the Nth recovery attempt". The
-    // site is keyed by the child's PREVIOUS nf id (still in child.nf_id
-    // here): that is the identity schedules know, and RetargetRules keeps
-    // it current across successful restarts — the fresh candidate id is
-    // unknowable to a schedule.
-    const bool injected_reattest_fault = SNIC_FAULT_FIRES_ATTEMPT(
-        fault::sites::kSupervisorReattest, child.nf_id, attempt);
-    if (!verdict.Ok() || injected_reattest_fault) {
+    // The quote reaches the Supervisor as bytes. Crash-during-recovery site:
+    // a firing hit flips one byte in transit (the last, in the vendor's
+    // signature on the EK certificate), so the relaunch fails closed through
+    // the real decode/verify path. The attempt number lets schedules target
+    // "the Nth recovery attempt". The site is keyed by the child's PREVIOUS
+    // nf id (still in child.nf_id here): that is the identity schedules
+    // know, and RetargetRules keeps it current across successful restarts —
+    // the fresh candidate id is unknowable to a schedule.
+    std::vector<uint8_t> wire = core::SerializeQuote(quote.value());
+    if (SNIC_FAULT_FIRES_ATTEMPT(fault::sites::kSupervisorReattest,
+                                 child.nf_id, attempt)) {
+      wire.back() ^= 0xff;
+    }
+    if (!ChallengeQuote(wire, vendor_key_, request.group, request.nonce,
+                        expected, name)
+             .ok()) {
       (void)nic_os_->NfDestroy(nf_id);
       return Status(ErrorCode::kInternal,
                     "relaunch attestation failed for " + name);

@@ -8,6 +8,7 @@
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/units.h"
+#include "src/core/attestation_wire.h"
 #include "src/crypto/sha256.h"
 
 namespace snic::mgmt {
@@ -83,21 +84,20 @@ crypto::Sha256Digest MemoizedExpectedMeasurement(const FunctionImage& image,
   return digest;
 }
 
-void Verifier::ExpectFunction(const std::string& name,
-                              const crypto::Sha256Digest& measurement) {
-  expected_[name] = measurement;
-}
+namespace {
 
-Result<SecureChannel> Verifier::VerifyAndKey(
-    const std::string& name, const core::AttestationQuote& quote,
-    const std::vector<uint8_t>& nonce,
-    const crypto::DhParticipant& my_dh) const {
-  const auto it = expected_.find(name);
-  if (it == expected_.end()) {
-    return NotFound("no expected measurement registered for " + name);
-  }
-  const auto verification =
-      core::VerifyQuote(vendor_key_, quote, nonce, &it->second);
+// The check behind ChallengeQuote and Verifier::VerifyAndKey, and the one
+// place a QuoteVerification becomes a status. The group test comes last, on
+// an authenticated quote: a device signs whatever group the request named,
+// and keying a share from another group would abort in DhParticipant.
+Status CheckQuote(const core::AttestationQuote& quote,
+                  const crypto::RsaPublicKey& vendor_key,
+                  const crypto::DhGroup& group,
+                  const std::vector<uint8_t>& nonce,
+                  const crypto::Sha256Digest& expected_measurement,
+                  const std::string& name) {
+  const core::QuoteVerification verification =
+      core::VerifyQuote(vendor_key, quote, nonce, &expected_measurement);
   if (!verification.chain_ok) {
     return PermissionDenied("certificate chain does not reach the vendor");
   }
@@ -112,6 +112,52 @@ Result<SecureChannel> Verifier::VerifyAndKey(
         "measurement mismatch: the NIC OS launched something other than "
         "the uploaded image/config for " +
         name);
+  }
+  if (quote.group.g != group.g || quote.group.p != group.p ||
+      quote.g_x.IsZero() || quote.g_x >= group.p) {
+    return PermissionDenied(
+        "quote's Diffie-Hellman share is not in the challenger's group");
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+Result<core::AttestationQuote> ChallengeQuote(
+    std::span<const uint8_t> quote_bytes,
+    const crypto::RsaPublicKey& vendor_key, const crypto::DhGroup& group,
+    const std::vector<uint8_t>& nonce,
+    const crypto::Sha256Digest& expected_measurement,
+    const std::string& name) {
+  Result<core::AttestationQuote> quote = core::DeserializeQuote(quote_bytes);
+  if (!quote.ok()) {
+    return PermissionDenied("undecodable quote: " + quote.status().message());
+  }
+  if (Status s = CheckQuote(quote.value(), vendor_key, group, nonce,
+                            expected_measurement, name);
+      !s.ok()) {
+    return s;
+  }
+  return quote;
+}
+
+void Verifier::ExpectFunction(const std::string& name,
+                              const crypto::Sha256Digest& measurement) {
+  expected_[name] = measurement;
+}
+
+Result<SecureChannel> Verifier::VerifyAndKey(
+    const std::string& name, const core::AttestationQuote& quote,
+    const std::vector<uint8_t>& nonce,
+    const crypto::DhParticipant& my_dh) const {
+  const auto it = expected_.find(name);
+  if (it == expected_.end()) {
+    return NotFound("no expected measurement registered for " + name);
+  }
+  if (Status s = CheckQuote(quote, vendor_key_, my_dh.group(), nonce,
+                            it->second, name);
+      !s.ok()) {
+    return s;
   }
   return SecureChannel(my_dh.DeriveChannelKey(quote.g_x));
 }

@@ -8,6 +8,10 @@
 //   * ExpectedMeasurement() — recompute, from the uploaded image alone, the
 //     cumulative hash trusted hardware will produce at nf_launch (and
 //     MemoizedExpectedMeasurement(), the same once per distinct image);
+//   * ChallengeQuote() — the one attestation check every challenger runs:
+//     the quote arrives as bytes over the untrusted network, is decoded
+//     strictly, then verified against the challenger's vendor key, nonce,
+//     DH group and expected measurement;
 //   * Verifier — a policy object holding trusted vendor keys and expected
 //     measurements, which validates quotes end to end and issues channel
 //     keys only for functions that match.
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,19 @@ crypto::Sha256Digest ExpectedMeasurement(const FunctionImage& image,
 crypto::Sha256Digest MemoizedExpectedMeasurement(const FunctionImage& image,
                                                  uint64_t page_bytes);
 
+// The attestation challenge of Appendix A / Fig. 4, on the verifier's side:
+// `quote_bytes` arrived for a challenge of `nonce` in DH `group`. Decodes
+// them (core::DeserializeQuote), verifies the certificate chain, signature,
+// nonce and `expected_measurement` against `vendor_key`, and requires the
+// quote's group to be `group` and its g_x to lie in it. Returns the decoded
+// quote, whose g_x the challenger keys from; every rejection is
+// PermissionDenied. `name` only labels the measurement-mismatch message.
+Result<core::AttestationQuote> ChallengeQuote(
+    std::span<const uint8_t> quote_bytes,
+    const crypto::RsaPublicKey& vendor_key, const crypto::DhGroup& group,
+    const std::vector<uint8_t>& nonce,
+    const crypto::Sha256Digest& expected_measurement, const std::string& name);
+
 class Verifier {
  public:
   explicit Verifier(crypto::RsaPublicKey trusted_vendor_key)
@@ -55,10 +73,10 @@ class Verifier {
   void ExpectFunction(const std::string& name,
                       const crypto::Sha256Digest& measurement);
 
-  // Runs the full check against a quote received for `name`: certificate
-  // chain, signature, nonce freshness, and measurement policy. On success
-  // returns the verifier-side channel (the caller supplied its DH share in
-  // the request; the quote carries the function's).
+  // Runs ChallengeQuote's check against a quote already decoded for
+  // `name`, in `my_dh`'s group. On success returns the verifier-side channel
+  // (the caller supplied its DH share in the request; the quote carries the
+  // function's).
   Result<SecureChannel> VerifyAndKey(const std::string& name,
                                      const core::AttestationQuote& quote,
                                      const std::vector<uint8_t>& nonce,

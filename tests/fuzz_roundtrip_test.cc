@@ -294,6 +294,30 @@ TEST_F(QuoteFuzzTest, MutatedQuotesNeverVerify) {
   }
 }
 
+// Every byte of a genuine device quote, flipped in transit one position at a
+// time: the challenger's one check (decode, then verify) refuses each mutant
+// with PermissionDenied. No flip yields a verified quote, and none aborts.
+TEST_F(QuoteFuzzTest, EveryFlippedByteFailsTheChallenge) {
+  const std::vector<uint8_t> nonce = {9, 8, 7, 6};
+  const crypto::Sha256Digest expected = device_->MeasurementOf(nf_id_).value();
+  const auto bytes = core::SerializeQuote(MakeQuote());
+  ASSERT_TRUE(mgmt::ChallengeQuote(bytes, vendor_.public_key(),
+                                   crypto::SmallTestGroup(), nonce, expected,
+                                   "fuzz-nf")
+                  .ok());
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    auto mutant = bytes;
+    mutant[pos] ^= 0xff;
+    const auto challenged =
+        mgmt::ChallengeQuote(mutant, vendor_.public_key(),
+                             crypto::SmallTestGroup(), nonce, expected,
+                             "fuzz-nf");
+    ASSERT_FALSE(challenged.ok()) << "byte " << pos;
+    EXPECT_EQ(challenged.status().code(), ErrorCode::kPermissionDenied)
+        << "byte " << pos;
+  }
+}
+
 // ---- Function-image config mutation fuzz ------------------------------------
 //
 // The launch measurement covers FunctionImage::SerializeConfig(), so any

@@ -212,11 +212,10 @@ TEST(SnicLintTest, TreeAllowlistEntriesAreAllLive) {
   EXPECT_TRUE(HasFinding(findings, "no-mutable-file-static", "tls_plane"));
   EXPECT_TRUE(
       HasFinding(findings, "no-mutable-file-static", "tls_trace_ring"));
-  EXPECT_EQ(CountRule(findings, "unreached-module"), 1u);
-  EXPECT_TRUE(
-      HasFindingOnLine(findings, "src/core/attestation_wire.h", 0));
+  // The attestation wire codec is reached through mgmt::ChallengeQuote.
+  EXPECT_EQ(CountRule(findings, "unreached-module"), 0u);
   // And nothing beyond the allowlisted entries is outstanding.
-  EXPECT_EQ(findings.size(), 7u) << FormatFindings(findings);
+  EXPECT_EQ(findings.size(), 6u) << FormatFindings(findings);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "src/common/units.h"
+#include "src/core/attestation_wire.h"
 #include "src/mgmt/verifier.h"
 #include "src/net/parser.h"
 
@@ -159,6 +160,56 @@ TEST_F(VerifierTest, StaleNonceRejected) {
                 .status()
                 .code(),
             ErrorCode::kPermissionDenied);
+}
+
+// Genuine, correctly signed quotes whose DH share the verifier cannot key
+// from: the device signs whatever group and g^x the request named. Keying
+// the verifier's share against such a g^x used to abort the process (the
+// peer value is zero, or not below the verifier's modulus); now the quote is
+// refused with PermissionDenied before anything is keyed, both by
+// VerifyAndKey and by ChallengeQuote on the quote's wire bytes.
+TEST_F(VerifierTest, ShareOutsideTheVerifiersGroupIsRejectedBeforeKeying) {
+  const FunctionImage image = Image();
+  const auto id = nic_os_.NfCreate(image);
+  ASSERT_TRUE(id.ok());
+  const crypto::Sha256Digest expected =
+      ExpectedMeasurement(image, device_.config().page_bytes);
+  Verifier verifier(vendor_.public_key());
+  verifier.ExpectFunction(image.name, expected);
+  const crypto::DhGroup group = crypto::SmallTestGroup();
+  crypto::DhParticipant verifier_dh(group, rng_);
+
+  core::AttestationRequest foreign_group;
+  foreign_group.group = crypto::Modp1536Group();
+  foreign_group.g_x = crypto::DhParticipant(foreign_group.group, rng_)
+                          .public_value();
+  core::AttestationRequest zero_share;
+  zero_share.group = group;
+  core::AttestationRequest share_is_p;
+  share_is_p.group = group;
+  share_is_p.g_x = group.p;
+
+  for (core::AttestationRequest request :
+       {foreign_group, zero_share, share_is_p}) {
+    request.nonce = {4, 4};
+    const auto quote = device_.NfAttest(id.value(), request);
+    ASSERT_TRUE(quote.ok());
+    // Every VerifyQuote check passes: the quote is authentic.
+    ASSERT_TRUE(core::VerifyQuote(vendor_.public_key(), quote.value(),
+                                  request.nonce, &expected)
+                    .Ok());
+
+    const auto channel = verifier.VerifyAndKey(image.name, quote.value(),
+                                               request.nonce, verifier_dh);
+    ASSERT_FALSE(channel.ok());
+    EXPECT_EQ(channel.status().code(), ErrorCode::kPermissionDenied);
+    EXPECT_NE(channel.status().message().find("group"), std::string::npos);
+
+    const auto challenged = ChallengeQuote(
+        core::SerializeQuote(quote.value()), vendor_.public_key(), group,
+        request.nonce, expected, image.name);
+    EXPECT_EQ(challenged.status().code(), ErrorCode::kPermissionDenied);
+  }
 }
 
 
