@@ -1,5 +1,7 @@
 #include "src/accel/crypto_coproc.h"
 
+#include "src/common/status.h"
+
 namespace snic::accel {
 
 crypto::Sha256Digest CryptoCoprocessor::Digest(
@@ -12,6 +14,15 @@ void CryptoCoprocessor::DigestUpdate(crypto::Sha256& hasher,
                                      std::span<const uint8_t> data) {
   elapsed_ms_ += static_cast<double>(data.size()) / rates_.sha_bytes_per_ms;
   hasher.Update(data);
+}
+
+void CryptoCoprocessor::DigestPage(crypto::Sha256& hasher,
+                                   std::span<const uint8_t> written,
+                                   uint64_t page_bytes) {
+  SNIC_CHECK(written.size() <= page_bytes);
+  elapsed_ms_ += static_cast<double>(page_bytes) / rates_.sha_bytes_per_ms;
+  hasher.Update(written);
+  hasher.UpdateZeros(page_bytes - written.size());
 }
 
 void CryptoCoprocessor::AccountScrub(uint64_t bytes) {

@@ -40,6 +40,13 @@ class CryptoCoprocessor {
   // Streaming digest used by nf_launch's cumulative measurement.
   void DigestUpdate(crypto::Sha256& hasher, std::span<const uint8_t> data);
 
+  // Streams one memory page of `page_bytes` into `hasher`: its `written`
+  // prefix, then zeros to the end of the page (Sha256::UpdateZeros). The
+  // co-processor digests the whole page, so the modeled latency is that of
+  // `page_bytes`, charged exactly as DigestUpdate over the full page.
+  void DigestPage(crypto::Sha256& hasher, std::span<const uint8_t> written,
+                  uint64_t page_bytes);
+
   // Models zeroing `bytes` of RAM (nf_teardown's scrub). The caller zeroes
   // the actual backing store; this only accounts the time.
   void AccountScrub(uint64_t bytes);

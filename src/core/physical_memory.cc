@@ -18,14 +18,6 @@ const std::vector<uint8_t>* PhysicalMemory::PageData(
   return it == pages_.end() ? nullptr : &it->second;
 }
 
-std::vector<uint8_t>& PhysicalMemory::MutablePageData(uint64_t page_index) {
-  auto& page = pages_[page_index];
-  if (page.empty()) {
-    page.assign(page_bytes_, 0);
-  }
-  return page;
-}
-
 void PhysicalMemory::Read(uint64_t paddr, std::span<uint8_t> out) const {
   SNIC_CHECK(paddr + out.size() <= total_bytes_);
   size_t done = 0;
@@ -34,12 +26,15 @@ void PhysicalMemory::Read(uint64_t paddr, std::span<uint8_t> out) const {
     const uint64_t offset = (paddr + done) % page_bytes_;
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(out.size() - done, page_bytes_ - offset));
+    // Bytes past the page's written prefix read zero.
     const std::vector<uint8_t>* page = PageData(page_index);
-    if (page == nullptr) {
-      std::memset(out.data() + done, 0, chunk);  // untouched page reads zero
-    } else {
-      std::memcpy(out.data() + done, page->data() + offset, chunk);
+    const uint64_t written = page == nullptr ? 0 : page->size();
+    const size_t copied = static_cast<size_t>(
+        offset >= written ? 0 : std::min<uint64_t>(chunk, written - offset));
+    if (copied > 0) {
+      std::memcpy(out.data() + done, page->data() + offset, copied);
     }
+    std::memset(out.data() + done + copied, 0, chunk - copied);
     done += chunk;
   }
 }
@@ -52,8 +47,11 @@ void PhysicalMemory::Write(uint64_t paddr, std::span<const uint8_t> data) {
     const uint64_t offset = (paddr + done) % page_bytes_;
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(data.size() - done, page_bytes_ - offset));
-    std::memcpy(MutablePageData(page_index).data() + offset,
-                data.data() + done, chunk);
+    std::vector<uint8_t>& page = pages_[page_index];
+    if (page.size() < offset + chunk) {
+      page.resize(offset + chunk);  // raises the mark; the gap reads zero
+    }
+    std::memcpy(page.data() + offset, data.data() + done, chunk);
     done += chunk;
   }
 }
@@ -68,7 +66,8 @@ void PhysicalMemory::WriteByte(uint64_t paddr, uint8_t value) {
   Write(paddr, std::span<const uint8_t>(&value, 1));
 }
 
-std::span<const uint8_t> PhysicalMemory::PageView(uint64_t page_index) const {
+std::span<const uint8_t> PhysicalMemory::WrittenPrefix(
+    uint64_t page_index) const {
   SNIC_CHECK(page_index < num_pages());
   const std::vector<uint8_t>* page = PageData(page_index);
   if (page == nullptr) {

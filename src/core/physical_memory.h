@@ -1,7 +1,8 @@
 // Physical on-NIC RAM model with page-granular ownership.
 //
-// Memory is sparse: pages materialize on first touch, so the model can
-// expose multi-GB physical address spaces without host RAM cost. Ownership
+// Memory is sparse: a page stores only the prefix written since it was
+// last zeroed, so the model can expose multi-GB physical address spaces
+// without host RAM cost. Ownership
 // (free / NIC OS / NF id) is the substrate for S-NIC's single-owner RAM
 // semantics (§4.2); in commodity mode the same store is reachable from any
 // core with no checks, which is precisely the LiquidIO xkphys behaviour the
@@ -38,12 +39,14 @@ class PhysicalMemory {
   uint8_t ReadByte(uint64_t paddr) const;
   void WriteByte(uint64_t paddr, uint8_t value);
 
-  // Read-only view of a whole page's bytes where they lie, with no copy;
-  // empty for a page never written (it reads as zeros). The view is valid
-  // until the page is next written or zeroed.
-  std::span<const uint8_t> PageView(uint64_t page_index) const;
+  // Read-only view of a page's written prefix where it lies, with no copy:
+  // its bytes from offset 0 up to the page's written high-water mark, the
+  // end of the furthest Write since the page was last zeroed. Every byte
+  // past the mark reads as zero, so a page never written has an empty
+  // prefix. The view is valid until the page is next written or zeroed.
+  std::span<const uint8_t> WrittenPrefix(uint64_t page_index) const;
 
-  // Zeroes a page (nf_teardown scrub).
+  // Zeroes a page (nf_teardown scrub) and resets its written mark to 0.
   void ZeroPage(uint64_t page_index);
 
   // Ownership map.
@@ -58,12 +61,13 @@ class PhysicalMemory {
 
  private:
   const std::vector<uint8_t>* PageData(uint64_t page_index) const;
-  std::vector<uint8_t>& MutablePageData(uint64_t page_index);
 
   uint64_t total_bytes_;
   uint64_t page_bytes_;
-  std::vector<uint64_t> owners_;                       // per page
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;  // sparse data
+  std::vector<uint64_t> owners_;  // per page
+  // Sparse data: each written page's written prefix, so a vector's size is
+  // its page's high-water mark.
+  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
 };
 
 }  // namespace snic::core

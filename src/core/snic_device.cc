@@ -152,9 +152,6 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
   // Bind pages: ownership, denylist, and the function's locked TLB (virtual
   // address space starts at 0; one entry per physical page).
   crypto::Sha256 measurement;
-  // Image pages are hashed where they lie; a page the NIC OS never wrote
-  // reads as zeros, and only then is a zero page materialized to hash.
-  std::vector<uint8_t> zero_page;
   const double sha_before = coproc_.elapsed_ms();
   for (size_t i = 0; i < record->pages.size(); ++i) {
     const uint64_t page = record->pages[i];
@@ -167,14 +164,12 @@ Result<uint64_t> SnicDevice::NfLaunch(const NfLaunchArgs& args) {
     entry.writable = true;
     SNIC_CHECK_OK(record->tlb.Install(entry));
     // The measurement covers the *initial image* pages (heap pages are
-    // zero-filled and excluded, like SGX's unmeasured heap).
+    // zero-filled and excluded, like SGX's unmeasured heap). A page is
+    // hashed where it lies up to its written mark, and the zeros past it
+    // without reading them.
     if (i < args.image_pages.size()) {
-      std::span<const uint8_t> bytes = memory_.PageView(page);
-      if (bytes.empty()) {
-        zero_page.resize(memory_.page_bytes(), 0);
-        bytes = zero_page;
-      }
-      coproc_.DigestUpdate(measurement, bytes);
+      coproc_.DigestPage(measurement, memory_.WrittenPrefix(page),
+                         memory_.page_bytes());
     }
   }
   record->tlb.Lock();

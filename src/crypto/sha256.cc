@@ -1,11 +1,15 @@
 #include "src/crypto/sha256.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
+
+#include "src/common/process_memo.h"
 
 namespace snic::crypto {
 namespace {
@@ -78,6 +82,19 @@ void Compress(uint32_t state[8], const uint8_t* blocks, size_t count) {
   }
 #endif
   Sha256CompressScalar(state, blocks, count);
+}
+
+// Zero blocks to compress from: a run is fed in chunks of this many.
+constexpr size_t kZeroChunkBlocks = 64;
+constexpr uint8_t kZeroBlocks[kZeroChunkBlocks * 64] = {};
+
+void CompressZeros(uint32_t state[8], uint64_t count) {
+  while (count > 0) {
+    const size_t chunk =
+        static_cast<size_t>(std::min<uint64_t>(count, kZeroChunkBlocks));
+    Compress(state, kZeroBlocks, chunk);
+    count -= chunk;
+  }
 }
 
 }  // namespace
@@ -199,6 +216,46 @@ void Sha256::Update(const void* data, size_t len) {
     std::memcpy(buffer_, bytes, len);
     buffer_len_ = len;
   }
+}
+
+void Sha256::UpdateZeros(uint64_t n) {
+  bit_count_ += n * 8;
+  if (buffer_len_ > 0) {
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(n, sizeof(buffer_) - buffer_len_));
+    std::memset(buffer_ + buffer_len_, 0, take);
+    buffer_len_ += take;
+    n -= take;
+    if (buffer_len_ < sizeof(buffer_)) {
+      return;
+    }
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  const uint64_t blocks = n / sizeof(buffer_);
+  if (blocks >= kZeroRunMemoBlocks) {
+    // The state after a zero run is a pure function of the state before it
+    // and the run's length, so a hit is the very compressions a miss does.
+    // Image sizes repeat across the launches of a process (every relaunch
+    // of a tenant measures the same tail); a tail that never repeats costs
+    // one lookup. 1024 entries hold well over the scenario matrix's
+    // distinct tails in about 100 KB.
+    using State = std::array<uint32_t, 8>;
+    using Memo = ProcessMemo<struct ZeroRunTag, std::pair<State, uint64_t>,
+                             State, 1024>;
+    State in;
+    std::copy(state_, state_ + 8, in.begin());
+    const State out = Memo::Instance().GetOrCompute({in, blocks}, [&] {
+      State s = in;
+      CompressZeros(s.data(), blocks);
+      return s;
+    });
+    std::copy(out.begin(), out.end(), state_);
+  } else {
+    CompressZeros(state_, blocks);
+  }
+  buffer_len_ = static_cast<size_t>(n % sizeof(buffer_));
+  std::memset(buffer_, 0, buffer_len_);
 }
 
 Sha256Digest Sha256::Finalize() {

@@ -36,6 +36,16 @@ class Sha256 {
   void Update(std::span<const uint8_t> data);
   void Update(const void* data, size_t len);
 
+  // Absorbs `n` zero bytes: the same state as Update over `n` zeros, with
+  // no buffer of them. A run of at least kZeroRunMemoBlocks whole blocks
+  // is compressed once per process: the chaining state after it is
+  // remembered, keyed by (chaining state before it, block count), in a
+  // bounded process-wide memo (src/common/process_memo.h). nf_launch
+  // measures the zero tail of every image page this way.
+  void UpdateZeros(uint64_t n);
+
+  static constexpr uint64_t kZeroRunMemoBlocks = 64;
+
   // Finalizes and returns the digest. The object must be Reset() before
   // reuse; Finalize() is idempotent-unsafe by design (mirrors hardware).
   Sha256Digest Finalize();

@@ -369,9 +369,9 @@ MetricRegistry& GlobalRegistry() {
   // running during exit teardown must still be able to Inc()). The leak is
   // one registry per process, reclaimed by the OS. snic_lint's
   // no-mutable-file-static rule names it (and the thread-local override
-  // below) in tools/snic_lint/allowlist.txt, beside the two other mutable
-  // process-wide statics (crypto's key-generation memo and mgmt's
-  // expected-measurement memo), so any new ambient state fails the build.
+  // below) in tools/snic_lint/allowlist.txt, beside the one other mutable
+  // process-wide static (the pure-function memo template in
+  // src/common/process_memo.h), so any new ambient state fails the build.
   static MetricRegistry* registry = new MetricRegistry();
   return *registry;
 }

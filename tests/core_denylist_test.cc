@@ -113,6 +113,50 @@ TEST(PhysicalMemoryTest, ZeroPageScrubs) {
   EXPECT_EQ(memory.ReadByte(0), 0);
 }
 
+TEST(PhysicalMemoryTest, WrittenMarkRisesWithWritesAndResetsOnZero) {
+  PhysicalMemory memory(16ull << 20, 2ull << 20);
+  const uint64_t page_bytes = memory.page_bytes();
+  EXPECT_TRUE(memory.WrittenPrefix(1).empty());  // never written
+  memory.WriteByte(page_bytes + 99, 0x7);
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 100u);
+  // A lower write leaves the mark where it is.
+  memory.WriteByte(page_bytes + 10, 0x8);
+  ASSERT_EQ(memory.WrittenPrefix(1).size(), 100u);
+  EXPECT_EQ(memory.WrittenPrefix(1)[10], 0x8);
+  EXPECT_EQ(memory.WrittenPrefix(1)[50], 0x0);  // the gap reads zero
+  EXPECT_EQ(memory.WrittenPrefix(1)[99], 0x7);
+  // Writing zeros still raises it.
+  const std::vector<uint8_t> zeros(400, 0);
+  memory.Write(page_bytes + 200, std::span<const uint8_t>(zeros));
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 600u);
+  // A write that straddles a boundary raises both pages' marks.
+  const std::vector<uint8_t> data(8, 0xab);
+  memory.Write(page_bytes - 3, std::span<const uint8_t>(data));
+  EXPECT_EQ(memory.WrittenPrefix(0).size(), page_bytes);
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 600u);
+  memory.ZeroPage(1);
+  EXPECT_TRUE(memory.WrittenPrefix(1).empty());
+  memory.WriteByte(page_bytes + 4, 0x9);
+  EXPECT_EQ(memory.WrittenPrefix(1).size(), 5u);
+  EXPECT_TRUE(memory.WrittenPrefix(2).empty());
+}
+
+TEST(PhysicalMemoryTest, ReadsPastTheWrittenMarkAreZero) {
+  PhysicalMemory memory(16ull << 20, 2ull << 20);
+  const std::vector<uint8_t> data(64, 0xcd);
+  memory.Write(32, std::span<const uint8_t>(data));
+  // One read from before the prefix's end to well past it.
+  std::vector<uint8_t> out(256, 0xee);
+  memory.Read(64, std::span<uint8_t>(out));
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i < 32 ? 0xcd : 0x00) << "byte " << i;
+  }
+  // And one that starts past it.
+  std::vector<uint8_t> past(16, 0xee);
+  memory.Read(4096, std::span<uint8_t>(past));
+  EXPECT_EQ(past, std::vector<uint8_t>(16, 0));
+}
+
 TEST(PhysicalMemoryTest, OwnershipLifecycle) {
   PhysicalMemory memory(16ull << 20, 2ull << 20);
   EXPECT_EQ(memory.OwnerOf(0), kPageFree);

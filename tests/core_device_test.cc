@@ -1,6 +1,7 @@
 // Tests for SnicDevice: the trusted-instruction lifecycle (§4.1, §4.6),
 // single-owner RAM semantics (§4.2), accelerator binding (§4.3), packet
-// steering (§4.4), and the commodity-mode contrast.
+// steering (§4.4), the commodity-mode contrast, and the launch measurement
+// and its modeled charge against a full-page oracle.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +11,14 @@
 namespace snic::core {
 namespace {
 
+crypto::VendorAuthority MakeVendor() {
+  Rng rng(1234);
+  return crypto::VendorAuthority(512, rng);
+}
+
 class DeviceTest : public ::testing::Test {
  protected:
   DeviceTest() : vendor_(MakeVendor()), device_(SmallConfig(), vendor_) {}
-
-  static crypto::VendorAuthority MakeVendor() {
-    Rng rng(1234);
-    return crypto::VendorAuthority(512, rng);
-  }
 
   static SnicConfig SmallConfig() {
     SnicConfig config;
@@ -348,6 +349,135 @@ TEST_F(DeviceTest, UnknownNfIdRejected) {
   EXPECT_FALSE(device_.MeasurementOf(999).ok());
   EXPECT_FALSE(device_.NfReceive(999).ok());
 }
+
+// NfLaunch hashes each image page's written prefix where it lies and the
+// zeros past it through Sha256::UpdateZeros. The oracle reads every image
+// page in full through PhysicalMemory::Read and hashes it with plain
+// Update; the modeled charge must be the full-page one, to the bit.
+class LaunchMeasurementOracleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  LaunchMeasurementOracleTest()
+      : vendor_(MakeVendor()), device_(Config(), vendor_) {}
+
+  static SnicConfig Config() {
+    SnicConfig config;
+    config.mode = SecurityMode::kSnic;
+    config.num_cores = 8;
+    config.dram_bytes = 64ull << 20;
+    config.page_bytes = GetParam();
+    config.rsa_modulus_bits = 512;
+    return config;
+  }
+
+  uint64_t page_bytes() const { return device_.memory().page_bytes(); }
+  uint64_t Addr(uint64_t page, uint64_t offset) const {
+    return page * page_bytes() + offset;
+  }
+
+  std::vector<uint64_t> StagePages(uint64_t count) {
+    auto pages = device_.memory().AllocatePages(count, kPageNicOs);
+    SNIC_CHECK(pages.ok());
+    return pages.value();
+  }
+
+  void Write(uint64_t paddr, const std::vector<uint8_t>& bytes) {
+    device_.memory().Write(paddr, std::span<const uint8_t>(bytes));
+  }
+
+  // Launches `image_pages` and holds the measurement and the SHA charge to
+  // the full-page oracle.
+  void LaunchAndCheck(const std::vector<uint64_t>& image_pages) {
+    NfLaunchArgs args;
+    args.core_mask = 0b10;
+    args.image_pages = image_pages;
+    args.heap_pages = 1;
+    args.config_blob = {9, 8, 7, 6, 5};
+
+    // The device's first launch: its co-processor has charged nothing yet.
+    // The reference repeats NfLaunch's charges in order: the TLB setup,
+    // then the window sha_digest_ms spans (the pages, the denylist update
+    // and the configuration blob).
+    ASSERT_EQ(device_.coproc().elapsed_ms(), 0.0);
+    crypto::Sha256 oracle;
+    accel::CryptoCoprocessor reference(device_.coproc().rates());
+    reference.AccountTlbSetup();
+    const double before = reference.elapsed_ms();
+    std::vector<uint8_t> page(page_bytes());
+    for (uint64_t p : image_pages) {
+      device_.memory().Read(p * page_bytes(), std::span<uint8_t>(page));
+      reference.DigestUpdate(oracle, page);
+    }
+    reference.AccountDenylistUpdate();
+    reference.DigestUpdate(oracle, args.config_blob);
+    const crypto::Sha256Digest expected = oracle.Finalize();
+
+    const auto id = device_.NfLaunch(args);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(crypto::DigestToHex(device_.MeasurementOf(id.value()).value()),
+              crypto::DigestToHex(expected));
+    EXPECT_EQ(device_.last_launch_latency().sha_digest_ms,
+              reference.elapsed_ms() - before);
+  }
+
+  crypto::VendorAuthority vendor_;
+  SnicDevice device_;
+};
+
+TEST_P(LaunchMeasurementOracleTest, WriteAtOffsetZero) {
+  const auto pages = StagePages(1);
+  std::vector<uint8_t> image(3000);
+  for (size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  Write(Addr(pages[0], 0), image);
+  LaunchAndCheck(pages);
+}
+
+TEST_P(LaunchMeasurementOracleTest, WriteOfThePagesLastByte) {
+  const auto pages = StagePages(2);
+  device_.memory().WriteByte(Addr(pages[0], page_bytes() - 1), 0x5a);
+  device_.memory().WriteByte(Addr(pages[1], 0), 0xa5);
+  LaunchAndCheck(pages);
+}
+
+TEST_P(LaunchMeasurementOracleTest, ZerosWrittenAfterNonZeroBytes) {
+  const auto pages = StagePages(1);
+  Write(Addr(pages[0], 0), std::vector<uint8_t>(100, 0x3c));
+  Write(Addr(pages[0], 100), std::vector<uint8_t>(1000, 0x00));
+  ASSERT_EQ(device_.memory().WrittenPrefix(pages[0]).size(), 1100u);
+  LaunchAndCheck(pages);
+}
+
+TEST_P(LaunchMeasurementOracleTest, ZeroPageThenShorterRewrite) {
+  const auto pages = StagePages(1);
+  Write(Addr(pages[0], 0), std::vector<uint8_t>(2000, 0x11));
+  device_.memory().ZeroPage(pages[0]);
+  Write(Addr(pages[0], 0), std::vector<uint8_t>(50, 0x22));
+  ASSERT_EQ(device_.memory().WrittenPrefix(pages[0]).size(), 50u);
+  LaunchAndCheck(pages);
+}
+
+TEST_P(LaunchMeasurementOracleTest, ImagePageNeverWritten) {
+  const auto pages = StagePages(3);
+  Write(Addr(pages[1], 17), std::vector<uint8_t>(33, 0xee));
+  ASSERT_TRUE(device_.memory().WrittenPrefix(pages[0]).empty());
+  ASSERT_TRUE(device_.memory().WrittenPrefix(pages[2]).empty());
+  LaunchAndCheck(pages);
+}
+
+TEST_P(LaunchMeasurementOracleTest, FullyWrittenPages) {
+  const auto pages = StagePages(2);
+  Write(Addr(pages[0], 0), std::vector<uint8_t>(2 * page_bytes(), 0x6b));
+  LaunchAndCheck(pages);
+}
+
+INSTANTIATE_TEST_SUITE_P(PageSizes, LaunchMeasurementOracleTest,
+                         ::testing::Values(4096ull, 2ull << 20),
+                         [](const auto& param_info) {
+                           return param_info.param == 4096
+                                      ? std::string("4KiB")
+                                      : std::string("2MiB");
+                         });
 
 }  // namespace
 }  // namespace snic::core

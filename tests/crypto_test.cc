@@ -1,8 +1,9 @@
 // Tests for the from-scratch crypto substrate: SHA-256 against FIPS vectors
 // and against its scalar compression function as the oracle for the SHA-NI
-// one, HMAC against RFC 4231, big-integer arithmetic (including randomized
-// cross-checks against native 64-bit math, and the Montgomery PowMod against
-// its Mul/DivMod reference), RSA sign/verify with CRT signing checked
+// one, UpdateZeros and its zero-run memo against plain Update, HMAC against
+// RFC 4231, big-integer arithmetic (including randomized cross-checks
+// against native 64-bit math, and the Montgomery PowMod against its
+// Mul/DivMod reference), RSA sign/verify with CRT signing checked
 // against the private exponent, known-answer keys and signatures, the
 // key-generation memo, Diffie-Hellman, and the endorsement/attestation key
 // chain.
@@ -175,6 +176,108 @@ TEST(Sha256Test, TwoMiBZeroPageKnownAnswer) {
   const std::vector<uint8_t> page(2u << 20, 0);
   EXPECT_EQ(DigestToHex(Sha256::Hash(page.data(), page.size())),
             "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee");
+}
+
+// The oracle for UpdateZeros: `prefix`, then `zeros` zero bytes through
+// plain Update, then `suffix`, so the buffer UpdateZeros leaves is
+// checked too.
+Sha256Digest PlainZerosDigest(const std::vector<uint8_t>& prefix,
+                              uint64_t zeros,
+                              const std::vector<uint8_t>& suffix) {
+  const std::vector<uint8_t> run(zeros, 0);
+  Sha256 h;
+  h.Update(prefix.data(), prefix.size());
+  h.Update(run.data(), run.size());
+  h.Update(suffix.data(), suffix.size());
+  return h.Finalize();
+}
+
+Sha256Digest UpdateZerosDigest(const std::vector<uint8_t>& prefix,
+                               uint64_t zeros,
+                               const std::vector<uint8_t>& suffix) {
+  Sha256 h;
+  h.Update(prefix.data(), prefix.size());
+  h.UpdateZeros(zeros);
+  h.Update(suffix.data(), suffix.size());
+  return h.Finalize();
+}
+
+TEST(Sha256ZerosTest, MatchesUpdateAtEveryBufferFill) {
+  Rng rng(0x2e2031);
+  constexpr uint64_t kMemo = Sha256::kZeroRunMemoBlocks;
+  for (size_t fill = 0; fill < 64; ++fill) {
+    // Seeded prefixes of a few whole blocks plus `fill` bytes.
+    const std::vector<uint8_t> prefix =
+        RandomBytes(rng, 64 * (fill % 3) + fill);
+    const std::vector<uint8_t> suffix = RandomBytes(rng, fill % 7);
+    for (const uint64_t zeros :
+         {uint64_t{0}, uint64_t{1}, uint64_t{63 - fill}, uint64_t{64 - fill},
+          uint64_t{65 - fill}, uint64_t{200}, 64 * (kMemo - 1) + fill,
+          64 * kMemo - fill, 64 * kMemo + 64 - fill, 64 * kMemo + 131}) {
+      EXPECT_EQ(UpdateZerosDigest(prefix, zeros, suffix),
+                PlainZerosDigest(prefix, zeros, suffix))
+          << "fill=" << fill << " zeros=" << zeros;
+    }
+  }
+}
+
+TEST(Sha256ZerosTest, WholeBlockRunsAroundTheMemoThreshold) {
+  Rng rng(0x2e2032);
+  for (const uint64_t blocks : {uint64_t{63}, uint64_t{64}, uint64_t{65}}) {
+    for (const uint64_t tail : {uint64_t{0}, uint64_t{1}, uint64_t{37},
+                                uint64_t{63}}) {
+      // A block-aligned prefix, so the run starts on a block boundary, and
+      // one that leaves the buffer part full.
+      for (const size_t prefix_len : {size_t{128}, size_t{75}}) {
+        const std::vector<uint8_t> prefix = RandomBytes(rng, prefix_len);
+        const uint64_t zeros = 64 * blocks + tail;
+        std::vector<uint8_t> message = prefix;
+        message.resize(prefix.size() + zeros, 0);
+        EXPECT_EQ(UpdateZerosDigest(prefix, zeros, {}),
+                  ScalarOracleDigest(message))
+            << "blocks=" << blocks << " tail=" << tail
+            << " prefix=" << prefix_len;
+      }
+    }
+  }
+}
+
+TEST(Sha256ZerosTest, TwoMiBZeroPageKnownAnswer) {
+  Sha256 h;
+  h.UpdateZeros(2u << 20);
+  EXPECT_EQ(DigestToHex(h.Finalize()),
+            "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee");
+}
+
+TEST(Sha256ZerosTest, MemoHitEqualsMiss) {
+  // The prefix is drawn from a seed used nowhere else in this binary, so
+  // the first run from its state misses and the second hits.
+  Rng rng(0x2e2033);
+  const std::vector<uint8_t> prefix = RandomBytes(rng, 3000);
+  const std::vector<uint8_t> suffix = RandomBytes(rng, 29);
+  const uint64_t zeros = (2u << 20) - prefix.size();
+  const Sha256Digest miss = UpdateZerosDigest(prefix, zeros, suffix);
+  const Sha256Digest hit = UpdateZerosDigest(prefix, zeros, suffix);
+  EXPECT_EQ(miss, hit);
+  EXPECT_EQ(hit, PlainZerosDigest(prefix, zeros, suffix));
+  // Same state in, other length: the length is part of the key.
+  EXPECT_NE(UpdateZerosDigest(prefix, zeros + 64, suffix), hit);
+}
+
+TEST(Sha256ZerosTest, ConcurrentRunsAgree) {
+  Rng rng(0x2e2034);
+  const std::vector<uint8_t> prefix = RandomBytes(rng, 3000);
+  const uint64_t zeros = (2u << 20) - prefix.size();
+  runtime::ThreadPool pool(4);
+  std::vector<std::future<Sha256Digest>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(pool.Submit(
+        [&prefix, zeros] { return UpdateZerosDigest(prefix, zeros, {}); }));
+  }
+  const Sha256Digest expected = PlainZerosDigest(prefix, zeros, {});
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), expected) << "worker " << i;
+  }
 }
 
 TEST(HmacTest, Rfc4231Case2) {

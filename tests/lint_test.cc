@@ -198,15 +198,13 @@ TEST(SnicLintTest, TreeAllowlistEntriesAreAllLive) {
   options.root = std::string(SNIC_LINT_FIXTURES_DIR) + "/../..";
   options.allowlist_path = "tools/snic_lint/does_not_exist.txt";
   const auto findings = RunLint(options);
-  EXPECT_EQ(CountRule(findings, "no-mutable-file-static"), 6u)
+  EXPECT_EQ(CountRule(findings, "no-mutable-file-static"), 5u)
       << FormatFindings(findings);
   EXPECT_TRUE(HasFinding(findings, "no-mutable-file-static", "registry"));
-  // Two memos: key generation (src/crypto/rsa.cc) and the expected
-  // measurement (src/mgmt/verifier.cc).
+  // One memo template (src/common/process_memo.h) behind every process
+  // memo: key generation, the expected measurement and zero-block runs.
   EXPECT_TRUE(HasFindingInFile(findings, "no-mutable-file-static",
-                               "src/crypto/rsa.cc", "memo"));
-  EXPECT_TRUE(HasFindingInFile(findings, "no-mutable-file-static",
-                               "src/mgmt/verifier.cc", "memo"));
+                               "src/common/process_memo.h", "memo"));
   EXPECT_TRUE(
       HasFinding(findings, "no-mutable-file-static", "tls_default_registry"));
   EXPECT_TRUE(HasFinding(findings, "no-mutable-file-static", "tls_plane"));
@@ -215,7 +213,7 @@ TEST(SnicLintTest, TreeAllowlistEntriesAreAllLive) {
   // The attestation wire codec is reached through mgmt::ChallengeQuote.
   EXPECT_EQ(CountRule(findings, "unreached-module"), 0u);
   // And nothing beyond the allowlisted entries is outstanding.
-  EXPECT_EQ(findings.size(), 6u) << FormatFindings(findings);
+  EXPECT_EQ(findings.size(), 5u) << FormatFindings(findings);
 }
 
 // ---------------------------------------------------------------------------
