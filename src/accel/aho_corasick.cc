@@ -25,6 +25,7 @@ AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
   for (const std::string& p : patterns) {
     SNIC_CHECK(!p.empty());
     max_nodes += p.size();
+    max_len_ = std::max(max_len_, p.size());
   }
   SNIC_CHECK(max_nodes < INT32_MAX);
   std::vector<TrieNode> trie(1);
@@ -142,10 +143,11 @@ MatchResult AhoCorasick::Scan(std::span<const uint8_t> data) const {
   return result;
 }
 
-MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
+MatchResult AhoCorasick::FirstMatchFrom(uint32_t state,
+                                        std::span<const uint8_t> data,
+                                        size_t begin, size_t end) const {
   MatchResult result;
-  uint32_t state = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
+  for (size_t i = begin; i < end; ++i) {
     state = Step(state, data[i]);
     const Node& node = nodes_[state];
     if (node.match_count > 0) {
@@ -155,8 +157,58 @@ MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
       return result;
     }
   }
-  result.bytes_scanned = data.size();
+  result.bytes_scanned = end;
   return result;
+}
+
+MatchResult AhoCorasick::ScanFirstMatch(std::span<const uint8_t> data) const {
+  const size_t n = data.size();
+  if (n < lane_walk_min_bytes()) {
+    return FirstMatchFrom(0, data, 0, n);
+  }
+  const size_t seg = n / kLanes;
+  // Lane k owns [k * seg, (k + 1) * seg), the last lane also the remainder.
+  // Lanes after the first warm up on the max_len_ bytes before their own,
+  // without testing for matches: a state is the longest suffix of the text
+  // that is a trie prefix, at most max_len_ bytes long, so by its first
+  // owned byte each lane is in the state the sequential walk would be.
+  // Unrolled, each lane's chain of states runs in a register; through the
+  // array in memory it also paid a store-to-load round trip per step.
+  uint32_t state[kLanes] = {};
+  for (size_t i = 0; i < max_len_; ++i) {
+#pragma GCC unroll 4
+    for (size_t k = 1; k < kLanes; ++k) {
+      state[k] = Step(state[k], data[k * seg - max_len_ + i]);
+    }
+  }
+  for (size_t j = 0; j < seg; ++j) {
+    uint32_t hit = 0;
+#pragma GCC unroll 4
+    for (size_t k = 0; k < kLanes; ++k) {
+      state[k] = Step(state[k], data[k * seg + j]);
+      hit |= nodes_[state[k]].match_count;
+    }
+    if (hit == 0) {
+      continue;
+    }
+    // Some lane matched at step j and none did before. The first match of
+    // the lowest lane that has one is the sequential walk's, so take the
+    // lanes in order: one that matched at step j wins outright, one that
+    // did not first finishes its own bytes.
+    for (size_t k = 0;; ++k) {
+      if (nodes_[state[k]].match_count > 0) {
+        return {.match_count = 1,
+                .bytes_scanned = k * seg + j + 1,
+                .first_pattern = nodes_[state[k]].first_pattern};
+      }
+      const MatchResult rest = FirstMatchFrom(
+          state[k], data, k * seg + j + 1, k + 1 == kLanes ? n : (k + 1) * seg);
+      if (rest.Matched()) {
+        return rest;
+      }
+    }
+  }
+  return FirstMatchFrom(state[kLanes - 1], data, kLanes * seg, n);
 }
 
 uint64_t AhoCorasick::GraphBytes() const {

@@ -37,8 +37,14 @@ class AhoCorasick {
   // ones via dictionary suffix links).
   MatchResult Scan(std::span<const uint8_t> data) const;
 
-  // Scan that stops at the first match (firewall/IDS drop decision).
+  // Scan that stops at the first match (firewall/IDS drop decision). Same
+  // answer as Scan's first match, with bytes_scanned ending at it.
   MatchResult ScanFirstMatch(std::span<const uint8_t> data) const;
+
+  // ScanFirstMatch walks data of at least lane_walk_min_bytes() bytes in
+  // kLanes interleaved lanes (see the host layout below).
+  static constexpr size_t kLanes = 4;
+  size_t lane_walk_min_bytes() const { return kLanes * (2 * max_len_ + 16); }
 
   size_t pattern_count() const { return pattern_count_; }
   size_t node_count() const { return nodes_.size() - 1; }
@@ -76,6 +82,16 @@ class AhoCorasick {
   // then a search of its CSR children, then its fail chase, which ends at
   // the first state that has a row. The rows take a fixed 64 KB; 16 or
   // 4,096 of them scanned no faster than 64.
+  //
+  // A walk is then bound by the latency of one dependent load per byte, so
+  // ScanFirstMatch splits a payload of at least lane_walk_min_bytes() into
+  // kLanes walks that run in lockstep, four independent load chains instead
+  // of one. Lane k owns bytes [k * seg, (k + 1) * seg) for
+  // seg = size / kLanes, the last lane also the remainder, and every lane
+  // after the first starts max_len_ bytes early to reach the sequential
+  // walk's state by its first owned byte; the threshold keeps that warm-up
+  // under half a segment. Shorter payloads and lane tails take the
+  // sequential walk, FirstMatchFrom; Scan stays sequential.
   static constexpr uint32_t kDenseNodes = 64;
 
   struct Node {
@@ -92,6 +108,10 @@ class AhoCorasick {
   uint32_t Next(uint32_t state, uint8_t byte) const;
   // One scan transition: the row when `state` has one, else Next.
   uint32_t Step(uint32_t state, uint8_t byte) const;
+  // The sequential first-match walk over data[begin, end) from `state`;
+  // bytes_scanned counts from data's start, and is `end` without a match.
+  MatchResult FirstMatchFrom(uint32_t state, std::span<const uint8_t> data,
+                             size_t begin, size_t end) const;
 
   std::vector<Node> nodes_;      // node_count() records plus an end sentinel
   std::vector<uint8_t> labels_;  // CSR edge bytes, indexed by child node
@@ -102,6 +122,7 @@ class AhoCorasick {
   // straight to the root without a fail chase.
   std::array<bool, 256> used_{};
   size_t pattern_count_;
+  size_t max_len_ = 0;  // longest pattern: the deepest state's depth
 };
 
 // Deterministic synthetic ruleset with the cardinality of the paper's DPI

@@ -1,6 +1,8 @@
 #include "src/core/snic_device.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 
 #include "src/core/vnic/pf_vf.h"
 #include "src/fault/fault.h"
@@ -444,19 +446,23 @@ Result<net::Packet> SnicDevice::TransmitToWire() {
   if (nfs_.empty()) {
     return NotFound("no live functions");
   }
-  // Round-robin across NFs with pending TX, starting after the last served.
-  std::vector<NfRecord*> records;
-  records.reserve(nfs_.size());
-  for (auto& [id, record] : nfs_) {
-    records.push_back(record.get());
-  }
-  for (size_t k = 0; k < records.size(); ++k) {
-    NfRecord* record = records[(rr_tx_cursor_ + k + 1) % records.size()];
+  // Round-robin across NFs with pending TX, starting after the last served:
+  // the cursor is that NF's position in id order.
+  size_t pos = (rr_tx_cursor_ + 1) % nfs_.size();
+  auto it = std::next(nfs_.begin(), static_cast<std::ptrdiff_t>(pos));
+  for (size_t k = 0; k < nfs_.size(); ++k) {
+    NfRecord* record = it->second.get();
     // PeekTx sheds stale frames first, so a queue holding only expired
     // frames does not stall the round-robin on a NotFound dequeue.
     if (!record->tx_chained && record->vpp->PeekTx() != nullptr) {
-      rr_tx_cursor_ = (rr_tx_cursor_ + k + 1) % records.size();
+      rr_tx_cursor_ = pos;
       return record->vpp->DequeueTx();
+    }
+    if (++it == nfs_.end()) {
+      it = nfs_.begin();
+      pos = 0;
+    } else {
+      ++pos;
     }
   }
   return NotFound("no pending TX");

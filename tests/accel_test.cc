@@ -1,6 +1,7 @@
 // Tests for the accelerator substrate: Aho-Corasick correctness (naive and
 // hash-set matcher cross-checks over automata with and without sparse
-// states, known answers and pinned graph sizes for the DPI corpus), ZIP
+// states and across ScanFirstMatch's lane boundaries, known answers and
+// pinned graph sizes for the DPI corpus), ZIP
 // round-trips (property-style over random inputs), the virtual cluster
 // pool's single-owner semantics, and the DPI timing model's shape.
 
@@ -176,8 +177,14 @@ TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
     (ac.node_count() > 64 ? large_rounds : small_rounds) += 1;
     SCOPED_TRACE(testing::Message() << "round " << round);
     ExpectScansMatchNaive(ac, patterns, text);
-    // Short prefixes exercise early first matches and clean misses.
+    // Short prefixes exercise early first matches and clean misses, and the
+    // prefixes around the lane threshold both first-match walks.
     for (size_t len : {0, 1, 2, 3, 5, 8}) {
+      ExpectScansMatchNaive(ac, patterns, text.substr(0, len));
+    }
+    ASSERT_LE(ac.lane_walk_min_bytes() + 4, text.size());
+    for (size_t len = ac.lane_walk_min_bytes() - 4;
+         len <= ac.lane_walk_min_bytes() + 4; ++len) {
       ExpectScansMatchNaive(ac, patterns, text.substr(0, len));
     }
   }
@@ -189,6 +196,70 @@ TEST(AhoCorasickTest, MatchesNaiveOnRandomInputs) {
   EXPECT_EQ(empty.node_count(), 1u);
   for (const std::string text : {"", "abc", "\xff GET /"}) {
     ExpectScansMatchNaive(empty, {}, text);
+  }
+}
+
+// Returns `text` with `pattern` written over the bytes that end at index
+// `last`, so planting keeps the length and with it the lane boundaries.
+std::string Overwrite(std::string text, const std::string& pattern,
+                      size_t last) {
+  return text.replace(last + 1 - pattern.size(), pattern.size(), pattern);
+}
+
+// ScanFirstMatch's lanes against the naive matcher. The background, drawn
+// from "eisx", matches nothing but enters partial matches ("s", "e"), and
+// "aaaa", the longest pattern, holds no other: a lane that warms up on
+// fewer than its last three bytes misses it across a boundary. Every
+// length across the lane threshold is tried clean and with patterns planted
+// to end on each lane's first byte and on the byte before it, wholly inside
+// each warm-up window (alone and behind an earlier match in the lane below),
+// in the last lane's remainder, and in two lanes at once, where the one
+// earlier in the text must win even when the later lane reaches its match
+// first.
+TEST(AhoCorasickTest, ScanFirstMatchLanesMatchNaive) {
+  const std::vector<std::string> patterns = {"he",   "she", "his",
+                                             "hers", "ers", "rs",
+                                             "aaaa", "ab",  "b"};
+  constexpr size_t kMaxLen = 4;
+  constexpr size_t kLanes = AhoCorasick::kLanes;
+  const AhoCorasick ac(patterns);
+  ASSERT_EQ(ac.lane_walk_min_bytes(), kLanes * (2 * kMaxLen + 16));
+  Rng rng(4242);
+  for (size_t n = ac.lane_walk_min_bytes() - 8;
+       n <= ac.lane_walk_min_bytes() + 8; ++n) {
+    SCOPED_TRACE(testing::Message() << "length " << n);
+    std::string text;
+    for (size_t i = 0; i < n; ++i) {
+      text.push_back("eisx"[rng.NextBounded(4)]);
+    }
+    ExpectScansMatchNaive(ac, patterns, text);
+    const size_t seg = n / kLanes;
+    for (size_t k = 1; k < kLanes; ++k) {
+      for (const std::string p : {"aaaa", "hers", "ers", "his", "ab"}) {
+        ExpectScansMatchNaive(ac, patterns, Overwrite(text, p, k * seg - 1));
+        ExpectScansMatchNaive(ac, patterns, Overwrite(text, p, k * seg));
+        const std::string warm =
+            Overwrite(text, p, k * seg - kMaxLen + p.size() - 1);
+        ExpectScansMatchNaive(ac, patterns, warm);
+        ExpectScansMatchNaive(ac, patterns,
+                              Overwrite(warm, "she", k * seg - seg / 2));
+      }
+    }
+    ExpectScansMatchNaive(ac, patterns, Overwrite(text, "b", n - 1));
+    ExpectScansMatchNaive(ac, patterns, Overwrite(text, "hers", n - 1));
+    for (size_t a = 0; a < kLanes; ++a) {
+      for (size_t b = a + 1; b < kLanes; ++b) {
+        // Late in lane a against early in lane b, then both at one step.
+        ExpectScansMatchNaive(
+            ac, patterns,
+            Overwrite(Overwrite(text, "his", a * seg + seg - kMaxLen - 1),
+                      "hers", b * seg + 5));
+        ExpectScansMatchNaive(
+            ac, patterns,
+            Overwrite(Overwrite(text, "his", a * seg + 7), "hers",
+                      b * seg + 7));
+      }
+    }
   }
 }
 
@@ -241,9 +312,14 @@ TEST(AhoCorasickTest, DpiCorpusMatchesHashOracle) {
     return first != UINT32_MAX;
   };
 
+  const size_t max_len = by_length.rbegin()->first;
+  const std::string longest(by_length.rbegin()->second.begin()->first);
   Rng rng(2024);
   trace::PacketStream stream(trace::TraceConfig::CaidaLike(7));
   size_t matched = 0;
+  size_t lane_payloads = 0;
+  size_t lane_matched = 0;
+  size_t swept = 0;
   for (int i = 0; i < 300; ++i) {
     const net::Packet packet = stream.Next();
     const auto parsed = net::Parse(packet.bytes());
@@ -266,10 +342,45 @@ TEST(AhoCorasickTest, DpiCorpusMatchesHashOracle) {
                              planted.substr(at + cut);
     matched += expect_oracle(overlapped) ? 1 : 0;
     matched += expect_oracle(q.substr(0, q.size() / 2) + p + q) ? 1 : 0;
+    if (i % 2 == 1 || text.size() < ac.lane_walk_min_bytes()) {
+      continue;
+    }
+    // Lane boundaries of a payload long enough for the lane walk (every
+    // other one, to bound the oracle's time): p and a longest pattern written
+    // to end on lane k's first byte, p on the byte before it, q wholly
+    // inside lane k's warm-up window, p on the last byte (in the last
+    // lane's remainder when there is one), and p late in lane k - 1 with q
+    // early in lane k, where p must win. The first long payloads also try
+    // every length across the lane threshold with p ending in the last lane.
+    const size_t seg = text.size() / AhoCorasick::kLanes;
+    const size_t k = 1 + rng.NextBounded(AhoCorasick::kLanes - 1);
+    const std::string lane_plants[] = {
+        Overwrite(text, p, k * seg - 1),
+        Overwrite(text, p, k * seg),
+        Overwrite(text, longest, k * seg),
+        Overwrite(text, q, k * seg - max_len + q.size() - 1),
+        Overwrite(text, p, text.size() - 1),
+        Overwrite(Overwrite(text, p, k * seg - max_len - 1), q,
+                  k * seg + q.size()),
+    };
+    for (const std::string& planted_at_lane : lane_plants) {
+      lane_matched += expect_oracle(planted_at_lane) ? 1 : 0;
+      ++lane_payloads;
+    }
+    if (text.size() >= ac.lane_walk_min_bytes() + 4 && ++swept <= 8) {
+      for (size_t n = ac.lane_walk_min_bytes() - 4;
+           n <= ac.lane_walk_min_bytes() + 4; ++n) {
+        const std::string prefix = text.substr(0, n);
+        lane_matched += expect_oracle(Overwrite(prefix, p, n - 3)) ? 1 : 0;
+        ++lane_payloads;
+      }
+    }
   }
   // Every planted, overlapped and back-to-back payload holds a whole
-  // pattern.
+  // pattern, and so does every lane plant.
   EXPECT_GE(matched, 900u);
+  EXPECT_GE(lane_payloads, 300u);
+  EXPECT_EQ(lane_matched, lane_payloads);
 }
 
 // Known answers for both scans over the paper-sized corpus: an FNV-1a hash

@@ -226,6 +226,68 @@ TEST(DpiNfTest, MaliciousPayloadDropped) {
   EXPECT_EQ(dpi.matches(), 1u);
 }
 
+// A payload long enough for the automaton's lane walk, with a pattern only
+// in its last lane, drops; the same payload without it forwards.
+TEST(DpiNfTest, PatternInLastLaneDropped) {
+  DpiConfig config;
+  config.num_patterns = 64;
+  config.seed = 3;
+  DpiNf dpi(config);
+  const auto patterns = accel::GenerateDpiRuleset(64, 3);
+  const std::string clean(1400, 'z');
+  std::string tainted = clean;
+  tainted.replace(clean.size() - 10 - patterns[20].size(), patterns[20].size(),
+                  patterns[20]);
+  ASSERT_GE(clean.size(), dpi.automaton().lane_walk_min_bytes());
+  const size_t last_lane =
+      (accel::AhoCorasick::kLanes - 1) *
+      (clean.size() / accel::AhoCorasick::kLanes);
+  ASSERT_GT(tainted.find(patterns[20]), last_lane);
+  auto process = [&dpi](const std::string& payload) {
+    net::PacketBuilder builder;
+    builder.SetPayload(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
+    net::Packet p = builder.Build();
+    return dpi.Process(p);
+  };
+  EXPECT_EQ(process(clean), Verdict::kForward);
+  EXPECT_EQ(process(tainted), Verdict::kDrop);
+  EXPECT_EQ(dpi.matches(), 1u);
+}
+
+// Known answer for the trace an attached DPI NF records: an FNV-1a hash of
+// every event (address, compute count, type) and of the trailing compute
+// over 300 iCTF-like packets, recorded before the walk model was skipped
+// for unattached NFs. The model must record exactly this whenever a trace
+// is attached.
+TEST(DpiNfTest, RecordedTraceKnownAnswer) {
+  DpiConfig config;
+  config.num_patterns = 4096;
+  DpiNf dpi(config);
+  sim::InstructionTrace trace;
+  dpi.recorder().Attach(&trace);
+  trace::PacketStream stream(trace::TraceConfig::IctfLike(5));
+  for (int i = 0; i < 300; ++i) {
+    net::Packet p = stream.Next();
+    dpi.Process(p);
+  }
+  dpi.recorder().Detach();
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (const sim::TraceEvent& e : trace.events()) {
+    mix(e.addr);
+    mix(e.compute_instructions);
+    mix(static_cast<uint64_t>(e.type));
+  }
+  mix(trace.pending_compute());
+  EXPECT_EQ(trace.size(), 31053u);
+  EXPECT_EQ(hash, 7919325875761369129ULL);
+}
+
 TEST(DpiNfTest, GraphRegisteredInArena) {
   DpiConfig config;
   config.num_patterns = 256;
